@@ -22,6 +22,7 @@ from .errors import (
     InfeasibleFiber,
     NotStrictlyConvex,
     SingularKKT,
+    SubdifferentialTooLarge,
     UnboundedBelow,
     UnsupportedObjective,
 )
@@ -32,7 +33,6 @@ from .functions import (
     Quadratic,
     SumFunction,
     evaluate,
-    fd_directional_derivative,
     max_affine,
     one_dim_subdifferential,
     quadratic,
@@ -82,6 +82,7 @@ __all__ = [
     "RestrictedFunction",
     "RunConfig",
     "SingularKKT",
+    "SubdifferentialTooLarge",
     "SuiteReport",
     "Subspace",
     "SumFunction",
@@ -91,7 +92,6 @@ __all__ = [
     "box_domain",
     "brute_force_min_over_fiber",
     "evaluate",
-    "fd_directional_derivative",
     "kernel",
     "lemma1_check",
     "lemma2_check",

@@ -30,6 +30,8 @@ DEFAULT_MEMBERSHIP_TOL = 1e-6
 DESCENT_ITERS = 20000
 CERTIFICATE_SAMPLES = 200
 DISTINCT_TOL = 1e-2
+PROBE_DIRECTIONS = 8
+MAX_MEMBERS = 6
 SEGMENT_LAMBDAS = tuple(k / 10.0 for k in range(1, 10))
 
 
@@ -141,14 +143,6 @@ def _project(C: PolyhedralDomain, x: np.ndarray, sweeps: int = 60) -> np.ndarray
     return y
 
 
-def _any_subgradient(f, x: np.ndarray) -> np.ndarray:
-    if isinstance(f, fn.MaxAffine):
-        return f.matrix[int(np.argmax(f.matrix @ x + f.offsets))]
-    if isinstance(f, fn.Quadratic):
-        return 2.0 * (f.Q @ x) + f.c
-    return sum(_any_subgradient(p, x) for p in f.parts)
-
-
 def _lp_minimize(f: fn.MaxAffine, C: PolyhedralDomain) -> ArgminCertificate:
     d = f.dim
     reach = np.abs(f.matrix) @ np.full(d, C.box_radius)
@@ -174,18 +168,18 @@ def _lp_minimize(f: fn.MaxAffine, C: PolyhedralDomain) -> ArgminCertificate:
     return ArgminCertificate(float(sol.value), sol.x[:d], "exact-LP")
 
 
-def _descend(f, C: PolyhedralDomain, start: np.ndarray, iters: int) -> tuple[np.ndarray, float]:
+def _descend(f, C: PolyhedralDomain, start: np.ndarray) -> tuple[np.ndarray, float]:
     x = _project(C, start)
     best_x, best_v = x.copy(), fn.evaluate(f, x)
-    g0 = float(np.linalg.norm(_any_subgradient(f, x)))
+    g0 = float(np.linalg.norm(fn.subgradient(f, x)))
     if g0 == 0.0:
         return best_x, best_v
     scale = C.box_radius / g0
-    tail_start = iters - iters // 4
+    tail_start = DESCENT_ITERS - DESCENT_ITERS // 4
     tail_sum = np.zeros_like(x)
     tail_count = 0
-    for k in range(1, iters + 1):
-        g = _any_subgradient(f, x)
+    for k in range(1, DESCENT_ITERS + 1):
+        g = fn.subgradient(f, x)
         norm = float(np.linalg.norm(g))
         if norm == 0.0:
             best_x, best_v = x.copy(), fn.evaluate(f, x)
@@ -205,10 +199,10 @@ def _descend(f, C: PolyhedralDomain, start: np.ndarray, iters: int) -> tuple[np.
     return best_x, best_v
 
 
-def _polish(f, C, x, value, rng, samples):
+def _polish(f, C, x, value, rng):
     """Seeded perturbation certificate; restarts from any improvement found."""
     scales = np.geomspace(C.box_radius * 1e-1, 1e-8, 8)
-    for i in range(samples):
+    for i in range(CERTIFICATE_SAMPLES):
         u = rng.standard_normal(C.dim)
         norm = float(np.linalg.norm(u))
         if norm == 0.0:
@@ -224,8 +218,6 @@ def minimize_over(
     f,
     C: PolyhedralDomain,
     *,
-    iters: int = DESCENT_ITERS,
-    certificate_samples: int = CERTIFICATE_SAMPLES,
     seed: int = 0,
 ) -> ArgminCertificate:
     """Minimum of f over C with a feasible witness.
@@ -240,8 +232,8 @@ def minimize_over(
     if isinstance(f, fn.MaxAffine):
         return _lp_minimize(f, C)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(33,)))
-    x, value = _descend(f, C, start, iters)
-    x, value = _polish(f, C, x, value, rng, certificate_samples)
+    x, value = _descend(f, C, start)
+    x, value = _polish(f, C, x, value, rng)
     return ArgminCertificate(float(value), x, "subgradient")
 
 
@@ -294,21 +286,17 @@ def lemma3_check(
     *,
     seed: int = 0,
     tol: float = DEFAULT_MEMBERSHIP_TOL,
-    distinct_tol: float = DISTINCT_TOL,
-    directions: int = 8,
-    max_members: int = 6,
-    iters: int = DESCENT_ITERS,
 ) -> TrialResult:
     """One verification trial for convexity of the near-argmin set.
 
     Members of {x in C : f(x) <= m + tol} are harvested from the minimizer
     witness and bisection line searches along seeded directions.  Trials whose
-    harvest collapses to fewer than two points separated by distinct_tol are
+    harvest collapses to fewer than two points separated by DISTINCT_TOL are
     skipped as degenerate (a singleton argmin set is convex but carries no
     segment evidence).  Every convex combination of members at the lambdas
     0.1 .. 0.9 must be a member at 10 * tol.
     """
-    cert = minimize_over(f, C, iters=iters, seed=seed)
+    cert = minimize_over(f, C, seed=seed)
     m = cert.value
     instance = {
         "f": function_to_json(f),
@@ -323,12 +311,12 @@ def lemma3_check(
     # the axes before the random draws.
     probes = [-base]
     probes.extend(np.eye(C.dim))
-    probes.extend(rng.standard_normal(C.dim) for _ in range(directions))
+    probes.extend(rng.standard_normal(C.dim) for _ in range(PROBE_DIRECTIONS))
     members = [base]
     for v in probes:
         members.append(_extreme_member(f, C, base, v, m, tol))
         members.append(_extreme_member(f, C, base, -v, m, tol))
-    members = _distinct(members, distinct_tol)[:max_members]
+    members = _distinct(members, DISTINCT_TOL)[:MAX_MEMBERS]
     if len(members) < 2:
         return TrialResult(
             trial_id=0,

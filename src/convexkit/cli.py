@@ -36,12 +36,12 @@ QUERY_OPS = ("subdiff", "restricted-subdiff", "marginal", "argmin-member")
 class CliConfig:
     command: str
     suite: str = "all"
-    trials: int = 100
-    dim: int = 6
-    seed: int = 42
-    tol_active: float = 1e-9
-    tol_support: float = 1e-7
-    tol_membership: float = 1e-6
+    trials: int = RunConfig.trials
+    dim: int = RunConfig.dim
+    seed: int = RunConfig.seed
+    tol_active: float = RunConfig.tol_active
+    tol_support: float = RunConfig.tol_support
+    tol_membership: float = RunConfig.tol_membership
     out: str | None = None
     format: str = "json"
     op: str | None = None
@@ -58,12 +58,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run randomized verification suites")
     verify.add_argument("--suite", choices=SUITES, default="all")
-    verify.add_argument("--trials", type=int, default=100)
-    verify.add_argument("--dim", type=int, default=6, help="largest ambient dimension drawn")
-    verify.add_argument("--seed", type=int, default=42)
-    verify.add_argument("--tol-active", type=float, default=1e-9, dest="tol_active")
-    verify.add_argument("--tol-support", type=float, default=1e-7, dest="tol_support")
-    verify.add_argument("--tol-membership", type=float, default=1e-6, dest="tol_membership")
+    verify.add_argument("--trials", type=int, default=RunConfig.trials)
+    verify.add_argument("--dim", type=int, default=RunConfig.dim, help="largest ambient dimension drawn")
+    verify.add_argument("--seed", type=int, default=RunConfig.seed)
+    verify.add_argument("--tol-active", type=float, default=RunConfig.tol_active, dest="tol_active")
+    verify.add_argument("--tol-support", type=float, default=RunConfig.tol_support, dest="tol_support")
+    verify.add_argument("--tol-membership", type=float, default=RunConfig.tol_membership, dest="tol_membership")
     verify.add_argument("--out", default=None, help="report path (default report.json or report.csv)")
     verify.add_argument("--format", choices=("json", "csv"), default="json")
 

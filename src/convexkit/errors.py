@@ -47,3 +47,7 @@ class LPInfeasible(ConvexKitError):
 
 class LPUnbounded(ConvexKitError):
     """Linear program is unbounded below."""
+
+
+class SubdifferentialTooLarge(ConvexKitError):
+    """Materializing a Minkowski-sum subdifferential exceeds the generator budget."""

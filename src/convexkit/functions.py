@@ -6,29 +6,34 @@ Three families are closed under the operations used elsewhere:
 * ``Quadratic``     f(x) = x^T Q x + c . x + r0, with Q symmetric PSD
 * ``SumFunction``   pointwise sum of the above
 
+Every function has one normal form (``normal_form``): its max-affine blocks
+in order plus at most one quadratic, the sum of its quadratic parts.  All
+values, subgradients and subdifferentials are computed from it.
+
 Subdifferentials are returned as polytopes in generator form; no inequality
 representation is ever needed because every question downstream is answered
 through support values.  For these families the generator sets are exact:
 active gradients for a max of affine pieces, the single gradient for a
-quadratic, and pairwise Minkowski sums for sums (exact since every summand is
-finite everywhere).  All values involved are immutable; every operation here
-is a pure function of its arguments.
+quadratic, and the Minkowski sum of the summands' sets for a sum (exact since
+every summand is finite everywhere).  All values involved are immutable;
+every operation here is a pure function of its arguments.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SubdifferentialTooLarge
 from .linalg import as_matrix, as_vector
 
 ACTIVE_TOL = 1e-9
 PSD_FLOOR = -1e-8
 SYMMETRY_TOL = 1e-10
+MAX_GENERATOR_FLOATS = 2**24  # 128 MiB of float64 generators
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,16 @@ class SumFunction:
                 )
         object.__setattr__(self, "parts", parts)
 
+    @cached_property
+    def normal_form(self) -> tuple[tuple[MaxAffine, ...], Quadratic | None]:
+        """The flattened blocks and the summed quadratic; see ``normal_form``."""
+        forms = [normal_form(p) for p in self.parts]
+        quads = [q for _, q in forms if q is not None]
+        if len(quads) > 1:
+            Q, c, r0 = (_total([getattr(q, k) for q in quads]) for k in ("Q", "c", "r0"))
+            quads = [Quadratic(self.dim, Q, c, r0)]
+        return tuple(b for blocks, _ in forms for b in blocks), (quads[0] if quads else None)
+
 
 ConvexFunction = MaxAffine | Quadratic | SumFunction
 
@@ -155,20 +170,38 @@ class Polytope:
         object.__setattr__(self, "generators", g)
 
 
+def normal_form(f: ConvexFunction) -> tuple[tuple[MaxAffine, ...], Quadratic | None]:
+    """The max-affine blocks of ``f`` in order, and its quadratic parts summed.
+
+    Nested sums are flattened; a sum caches its normal form.  The quadratic
+    is None when ``f`` has no quadratic part.
+    """
+    if isinstance(f, MaxAffine):
+        return (f,), None
+    if isinstance(f, Quadratic):
+        return (), f
+    if isinstance(f, SumFunction):
+        return f.normal_form
+    raise TypeError(f"not a convex function: {type(f).__name__}")
+
+
+def _total(terms):
+    # starting from the first term keeps a lone -0.0 as it is
+    return sum(terms[1:], terms[0])
+
+
+def _gradient(q: Quadratic, x) -> np.ndarray:
+    return 2.0 * (q.Q @ x) + q.c
+
+
 def evaluate(f: ConvexFunction, x) -> float:
     """Exact function value at ``x``."""
     x = as_vector(x, f.dim)
-    return _value(f, x)
-
-
-def _value(f, x) -> float:
-    if isinstance(f, MaxAffine):
-        return float(np.max(f.matrix @ x + f.offsets))
-    if isinstance(f, Quadratic):
-        return float(x @ f.Q @ x + f.c @ x + f.r0)
-    if isinstance(f, SumFunction):
-        return float(sum(_value(p, x) for p in f.parts))
-    raise TypeError(f"not a convex function: {type(f).__name__}")
+    blocks, quad = normal_form(f)
+    terms = [float(np.max(b.matrix @ x + b.offsets)) for b in blocks]
+    if quad is not None:
+        terms.append(float(x @ quad.Q @ x + quad.c @ x + quad.r0))
+    return _total(terms)
 
 
 def evaluate_many(f: ConvexFunction, X) -> np.ndarray:
@@ -176,87 +209,73 @@ def evaluate_many(f: ConvexFunction, X) -> np.ndarray:
     X = as_matrix(X)
     if X.shape[1] != f.dim:
         raise DimensionMismatch(f"points have dimension {X.shape[1]}, function has {f.dim}")
-    return _values(f, X)
+    blocks, quad = normal_form(f)
+    terms = [np.max(X @ b.matrix.T + b.offsets, axis=1) for b in blocks]
+    if quad is not None:
+        terms.append(np.einsum("ij,jk,ik->i", X, quad.Q, X) + X @ quad.c + quad.r0)
+    return _total(terms)
 
 
-def _values(f, X) -> np.ndarray:
-    if isinstance(f, MaxAffine):
-        return np.max(X @ f.matrix.T + f.offsets, axis=1)
-    if isinstance(f, Quadratic):
-        return np.einsum("ij,jk,ik->i", X, f.Q, X) + X @ f.c + f.r0
-    if isinstance(f, SumFunction):
-        total = np.zeros(X.shape[0])
-        for p in f.parts:
-            total += _values(p, X)
-        return total
-    raise TypeError(f"not a convex function: {type(f).__name__}")
+def subgradient(f: ConvexFunction, x: np.ndarray) -> np.ndarray:
+    """One subgradient at ``x``: a maximizing piece of each block plus the quadratic's gradient.
+
+    ``x`` must already be a float vector in R^dim; it is not validated,
+    because this runs on every step of the argmin descent.
+    """
+    blocks, quad = normal_form(f)
+    terms = [b.matrix[int(np.argmax(b.matrix @ x + b.offsets))] for b in blocks]
+    if quad is not None:
+        terms.append(_gradient(quad, x))
+    return _total(terms)
+
+
+def _summand_generators(f, x, active_tol) -> list[np.ndarray]:
+    """Per summand of the normal form, the generators of its subdifferential."""
+    x = as_vector(x, f.dim)
+    if active_tol < 0:
+        raise ValueError("active_tol must be nonnegative")
+    blocks, quad = normal_form(f)
+    sets = []
+    for b in blocks:
+        values = b.matrix @ x + b.offsets
+        top = float(np.max(values))
+        sets.append(b.matrix[values >= top - active_tol * (abs(top) + 1.0)])
+    if quad is not None:
+        sets.append(_gradient(quad, x)[None, :])
+    return sets
 
 
 def subdifferential(f: ConvexFunction, x, active_tol: float = ACTIVE_TOL) -> Polytope:
     """The subdifferential at ``x`` as a generator polytope.
 
     ``active_tol`` is relative: a piece counts as active when its value is
-    within active_tol * (|max| + 1) of the maximum.
+    within active_tol * (|max| + 1) of its block's maximum.  A sum's
+    generators are the Minkowski sum of its summands' sets; when that would
+    exceed MAX_GENERATOR_FLOATS floats, SubdifferentialTooLarge is raised
+    before anything is allocated.
     """
-    x = as_vector(x, f.dim)
-    if active_tol < 0:
-        raise ValueError("active_tol must be nonnegative")
-    return Polytope(f.dim, _generators(f, x, active_tol))
-
-
-def _generators(f, x, active_tol) -> np.ndarray:
-    if isinstance(f, MaxAffine):
-        values = f.matrix @ x + f.offsets
-        top = float(np.max(values))
-        cut = top - active_tol * (abs(top) + 1.0)
-        return f.matrix[values >= cut].copy()
-    if isinstance(f, Quadratic):
-        return (2.0 * (f.Q @ x) + f.c)[None, :]
-    if isinstance(f, SumFunction):
-        gens = _generators(f.parts[0], x, active_tol)
-        for p in f.parts[1:]:
-            more = _generators(p, x, active_tol)
-            gens = np.array([u + v for u, v in itertools.product(gens, more)])
-        return gens
-    raise TypeError(f"not a convex function: {type(f).__name__}")
-
-
-def _direction(v, dim: int) -> np.ndarray:
-    v = as_vector(v, dim)
-    if float(np.linalg.norm(v)) == 0.0:
-        raise ValueError("direction must be nonzero")
-    return v
-
-
-def directional_derivative_plus(f: ConvexFunction, x, v, active_tol: float = ACTIVE_TOL) -> float:
-    """Right directional derivative: max of g . v over subgradients g."""
-    v = _direction(v, f.dim)
-    P = subdifferential(f, x, active_tol)
-    return float(np.max(P.generators @ v))
-
-
-def directional_derivative_minus(f: ConvexFunction, x, v, active_tol: float = ACTIVE_TOL) -> float:
-    """Left directional derivative: min of g . v over subgradients g."""
-    v = _direction(v, f.dim)
-    P = subdifferential(f, x, active_tol)
-    return float(np.min(P.generators @ v))
+    sets = _summand_generators(f, x, active_tol)
+    count = math.prod(len(s) for s in sets)
+    if count * f.dim > MAX_GENERATOR_FLOATS:
+        raise SubdifferentialTooLarge(
+            f"the subdifferential has {count} generators in R^{f.dim}, "
+            f"{count * f.dim} floats above the budget of {MAX_GENERATOR_FLOATS}"
+        )
+    gens = sets[0]
+    for more in sets[1:]:
+        gens = (gens[:, None, :] + more[None, :, :]).reshape(len(gens) * len(more), f.dim)
+    return Polytope(f.dim, gens)
 
 
 def one_dim_subdifferential(f: ConvexFunction, x, v, active_tol: float = ACTIVE_TOL) -> tuple[float, float]:
     """Subdifferential interval of t -> f(x + t v) at t = 0.
 
     Returns (lo, hi) = (left derivative, right derivative); lo <= hi always.
+    Support values add over a Minkowski sum, so each summand's interval is
+    found on its own generators and the intervals are summed.
     """
-    v = _direction(v, f.dim)
-    P = subdifferential(f, x, active_tol)
-    along = P.generators @ v
-    return float(np.min(along)), float(np.max(along))
-
-
-def fd_directional_derivative(f: ConvexFunction, x, v, h: float) -> float:
-    """Forward-difference quotient (f(x + h v) - f(x)) / h; h must be positive."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = as_vector(x, f.dim)
-    v = _direction(v, f.dim)
-    return (evaluate(f, x + h * v) - evaluate(f, x)) / h
+    v = as_vector(v, f.dim)
+    if float(np.linalg.norm(v)) == 0.0:
+        raise ValueError("direction must be nonzero")
+    along = [s @ v for s in _summand_generators(f, x, active_tol)]
+    return _total([float(np.min(a)) for a in along]), _total([float(np.max(a)) for a in along])

@@ -27,6 +27,7 @@ from .restriction import make_fiber
 SUITE_STREAMS = {"lemma1": 1, "lemma2": 2, "lemma3": 3}
 GRID_POINT_CAP = int(1e7)
 ORACLE_AGREEMENT_TOL = 1e-2
+ORACLE_RADIUS = 5.0
 
 
 def trial_rng(seed: int, stream: int, index: int) -> np.random.Generator:
@@ -154,9 +155,7 @@ class RunConfig:
     tol_active: float = 1e-9
     tol_support: float = 1e-7
     tol_membership: float = 1e-6
-    pairs: int = 20
     oracle_pitch: float | None = None
-    oracle_radius: float = 5.0
 
 
 def _lemma1_trial(index: int, config: RunConfig) -> TrialResult:
@@ -181,7 +180,6 @@ def _lemma1_trial(index: int, config: RunConfig) -> TrialResult:
         zeta,
         w,
         directions,
-        pairs=config.pairs,
         seed=_trial_seed(config.seed, SUITE_STREAMS["lemma1"], index),
         support_tol=config.tol_support,
         active_tol=config.tol_active,
@@ -238,7 +236,6 @@ def _lemma2_trial(index: int, config: RunConfig) -> TrialResult:
     result = marginal.lemma2_check(
         f,
         S,
-        pairs=config.pairs,
         seed=_trial_seed(config.seed, SUITE_STREAMS["lemma2"], index),
     )
     if config.oracle_pitch is not None:
@@ -246,7 +243,7 @@ def _lemma2_trial(index: int, config: RunConfig) -> TrialResult:
         x = S.T @ rng.uniform(-0.5, 0.5, S.shape[0])
         witness = marginal.marginal_value(h, x)
         brute_value, _ = brute_force_min_over_fiber(
-            f, S, x, config.oracle_pitch, config.oracle_radius
+            f, S, x, config.oracle_pitch, ORACLE_RADIUS
         )
         gap = abs(witness.value - brute_value)
         result.checks.append(

@@ -18,10 +18,8 @@ Matrices are dense row-major lists of rows.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import DimensionMismatch
-from .functions import AffinePiece, MaxAffine, Quadratic, SumFunction
+from .functions import MaxAffine, Quadratic, SumFunction, max_affine, quadratic
 from .linalg import as_matrix, as_vector
 
 
@@ -48,14 +46,9 @@ def function_from_json(doc: dict):
         raise ValueError("function document must be an object with a 'type' key")
     kind = doc["type"]
     if kind == "max_affine":
-        pieces = [AffinePiece(as_vector(p["a"]), float(p["b"])) for p in doc["pieces"]]
-        if not pieces:
-            raise ValueError("max_affine needs at least one piece")
-        return MaxAffine(pieces[0].a.shape[0], tuple(pieces))
+        return max_affine((p["a"], p["b"]) for p in doc["pieces"])
     if kind == "quadratic":
-        Q = as_matrix(doc["Q"])
-        c = as_vector(doc.get("c", np.zeros(Q.shape[0])))
-        return Quadratic(Q.shape[0], Q, c, float(doc.get("r0", 0.0)))
+        return quadratic(doc["Q"], doc.get("c"), doc.get("r0", 0.0))
     if kind == "sum":
         parts = tuple(function_from_json(p) for p in doc["parts"])
         if not parts:

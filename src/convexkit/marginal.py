@@ -30,11 +30,11 @@ from .errors import (
     UnsupportedObjective,
 )
 from .instances import function_to_json, matrix_to_json
-from .linalg import RANK_TOL, Subspace, as_matrix, as_vector, kernel, project, row_space, solve_anchor
+from .linalg import Subspace, as_matrix, as_vector, kernel, project, row_space, solve_anchor
 from .report import CheckResult, TrialResult
 from .simplex import solve_lp
 
-DEFAULT_BOX_RADIUS = 1e3
+BOX_RADIUS = 1e3
 DOMAIN_TOL = 1e-8
 KKT_SINGULAR_TOL = 1e-10
 WITNESS_FEAS_TOL = 1e-7
@@ -42,6 +42,7 @@ WITNESS_VALUE_TOL = 1e-8
 CONVEXITY_SLACK = 1e-8
 STRICT_GAP = 1e-8
 MIN_PAIR_SEPARATION = 1e-3
+SAMPLE_SCALE = 2.0
 
 
 @dataclass(frozen=True)
@@ -61,13 +62,13 @@ class MarginalFunction:
         return self.S.shape[1]
 
 
-def marginalize(f, S, *, rank_tol: float = RANK_TOL) -> MarginalFunction:
+def marginalize(f, S) -> MarginalFunction:
     S = as_matrix(S)
     if S.shape[0] != f.dim:
         raise DimensionMismatch(
             f"operator has {S.shape[0]} rows, function lives on R^{f.dim}"
         )
-    return MarginalFunction(f, S, row_space(S, rank_tol))
+    return MarginalFunction(f, S, row_space(S))
 
 
 @dataclass(frozen=True)
@@ -77,39 +78,17 @@ class MinimizationWitness:
     status: str  # "exact-LP" or "exact-KKT"
 
 
-def _flatten(f):
-    """Split into (max-affine parts, aggregated quadratic or None)."""
-    if isinstance(f, fn.MaxAffine):
-        return [f], None
-    if isinstance(f, fn.Quadratic):
-        return [], f
-    if isinstance(f, fn.SumFunction):
-        pwl, quads = [], []
-        for p in f.parts:
-            sub_pwl, sub_q = _flatten(p)
-            pwl.extend(sub_pwl)
-            if sub_q is not None:
-                quads.append(sub_q)
-        if not quads:
-            return pwl, None
-        Q = sum(q.Q for q in quads)
-        c = sum(q.c for q in quads)
-        r0 = sum(q.r0 for q in quads)
-        return pwl, fn.Quadratic(f.dim, Q, c, r0)
-    raise TypeError(f"not a convex function: {type(f).__name__}")
-
-
-def _check_domain(h: MarginalFunction, x, tol: float) -> np.ndarray:
+def _check_domain(h: MarginalFunction, x) -> np.ndarray:
     x = as_vector(x, h.outer_dim)
     gap = float(np.linalg.norm(x - project(x, h.domain)))
-    if gap > tol * (1.0 + float(np.linalg.norm(x))):
+    if gap > DOMAIN_TOL * (1.0 + float(np.linalg.norm(x))):
         raise DomainViolation(
             f"query lies {gap:.3e} outside the row space of the operator"
         )
     return x
 
 
-def _lp_inner(parts, constant, A_eq, x, box_radius):
+def _lp_inner(parts, constant, A_eq, x):
     d = parts[0].dim
     p = len(parts)
     n_var = d + p
@@ -117,7 +96,7 @@ def _lp_inner(parts, constant, A_eq, x, box_radius):
     t_lo = np.zeros(p)
     t_hi = np.zeros(p)
     for k, part in enumerate(parts):
-        reach = np.abs(part.matrix) @ np.full(d, box_radius)
+        reach = np.abs(part.matrix) @ np.full(d, BOX_RADIUS)
         t_hi[k] = float(np.max(part.offsets + reach)) + 1.0
         t_lo[k] = float(np.min(part.offsets - reach)) - 1.0
         for a, b in zip(part.matrix, part.offsets):
@@ -129,8 +108,8 @@ def _lp_inner(parts, constant, A_eq, x, box_radius):
     cost = np.zeros(n_var)
     cost[d:] = 1.0
     eq = np.hstack([A_eq, np.zeros((A_eq.shape[0], p))]) if A_eq.shape[0] else None
-    lower = np.concatenate([np.full(d, -box_radius), t_lo])
-    upper = np.concatenate([np.full(d, box_radius), t_hi])
+    lower = np.concatenate([np.full(d, -BOX_RADIUS), t_lo])
+    upper = np.concatenate([np.full(d, BOX_RADIUS), t_hi])
     try:
         sol = solve_lp(
             cost,
@@ -143,10 +122,10 @@ def _lp_inner(parts, constant, A_eq, x, box_radius):
         )
     except LPInfeasible as exc:
         raise UnboundedBelow(
-            f"fiber does not meet the solver box (radius {box_radius:g}): {exc}"
+            f"fiber does not meet the solver box (radius {BOX_RADIUS:g}): {exc}"
         ) from exc
     r = sol.x[:d]
-    if float(np.max(np.abs(r))) > box_radius - 1e-6 * box_radius:
+    if float(np.max(np.abs(r))) > BOX_RADIUS - 1e-6 * BOX_RADIUS:
         raise UnboundedBelow(
             "minimum sits on the safety box, attainment inside it is not certified"
         )
@@ -176,13 +155,7 @@ def _kkt_inner(quad, A_eq, x):
     return r, float(fn.evaluate(quad, r))
 
 
-def marginal_value(
-    h: MarginalFunction,
-    x,
-    *,
-    box_radius: float = DEFAULT_BOX_RADIUS,
-    domain_tol: float = DOMAIN_TOL,
-) -> MinimizationWitness:
+def marginal_value(h: MarginalFunction, x) -> MinimizationWitness:
     """Exact h(x) with an argmin witness.
 
     Raises DomainViolation outside Im(S^T), UnboundedBelow when the inner LP
@@ -190,37 +163,37 @@ def marginal_value(
     the fiber, and UnsupportedObjective for sums mixing a nonzero quadratic
     with piecewise-linear parts.
     """
-    x = _check_domain(h, x, domain_tol)
+    x = _check_domain(h, x)
     A_eq = h.S.T  # constraint S^T r = x, shape (n, d)
-    parts, quad = _flatten(h.f)
+    parts, quad = fn.normal_form(h.f)
     if parts and quad is not None:
         if float(np.max(np.abs(quad.Q))) == 0.0 and float(np.max(np.abs(quad.c))) == 0.0:
-            r, value = _lp_inner(parts, quad.r0, A_eq, x, box_radius)
+            r, value = _lp_inner(parts, quad.r0, A_eq, x)
             return MinimizationWitness(value, r, "exact-LP")
         raise UnsupportedObjective(
             "sum mixes a nonzero quadratic with piecewise-linear parts; "
             "no exact inner solver covers that combination"
         )
     if parts:
-        r, value = _lp_inner(parts, 0.0, A_eq, x, box_radius)
+        r, value = _lp_inner(parts, 0.0, A_eq, x)
         return MinimizationWitness(value, r, "exact-LP")
     r, value = _kkt_inner(quad, A_eq, x)
     return MinimizationWitness(value, r, "exact-KKT")
 
 
-def midpoint_convexity_gap(h: MarginalFunction, x, y, **kwargs) -> float:
+def midpoint_convexity_gap(h: MarginalFunction, x, y) -> float:
     """(h(x) + h(y)) / 2 - h((x + y) / 2); nonnegative when h is convex."""
     x = as_vector(x, h.outer_dim)
     y = as_vector(y, h.outer_dim)
-    vx = marginal_value(h, x, **kwargs).value
-    vy = marginal_value(h, y, **kwargs).value
-    vm = marginal_value(h, 0.5 * (x + y), **kwargs).value
+    vx = marginal_value(h, x).value
+    vy = marginal_value(h, y).value
+    vm = marginal_value(h, 0.5 * (x + y)).value
     return 0.5 * (vx + vy) - vm
 
 
 def is_strictly_convex(f) -> bool:
     """True exactly for quadratics (or sums of them) with positive definite total."""
-    parts, quad = _flatten(f)
+    parts, quad = fn.normal_form(f)
     if parts or quad is None:
         return False
     return float(np.min(np.linalg.eigvalsh(quad.Q))) > 1e-8
@@ -233,7 +206,7 @@ class StrictnessReport:
     threshold: float
 
 
-def strict_convexity_certificate(h: MarginalFunction, pairs, tol: float | None = None, **kwargs) -> StrictnessReport:
+def strict_convexity_certificate(h: MarginalFunction, pairs, tol: float | None = None) -> StrictnessReport:
     """Certify strictly positive midpoint gaps of h on the given point pairs.
 
     Pairs closer than 1e-3 are a precondition violation (ValueError).  Raises
@@ -253,9 +226,9 @@ def strict_convexity_certificate(h: MarginalFunction, pairs, tol: float | None =
             raise ValueError(
                 f"pair separation below {MIN_PAIR_SEPARATION:g}; gap would not be informative"
             )
-        vx = marginal_value(h, x, **kwargs)
-        vy = marginal_value(h, y, **kwargs)
-        gap = 0.5 * (vx.value + vy.value) - marginal_value(h, 0.5 * (x + y), **kwargs).value
+        vx = marginal_value(h, x)
+        vy = marginal_value(h, y)
+        gap = 0.5 * (vx.value + vy.value) - marginal_value(h, 0.5 * (x + y)).value
         scale = 1.0 + max(abs(vx.value), abs(vy.value))
         threshold = (1e-10 * scale) if tol is None else tol
         threshold_used = min(threshold_used, threshold)
@@ -276,20 +249,14 @@ def lemma2_check(
     *,
     pairs: int = 20,
     seed: int = 0,
-    sample_scale: float = 2.0,
-    convexity_slack: float = CONVEXITY_SLACK,
-    strict_gap: float = STRICT_GAP,
-    feas_tol: float = WITNESS_FEAS_TOL,
-    value_tol: float = WITNESS_VALUE_TOL,
-    box_radius: float = DEFAULT_BOX_RADIUS,
 ) -> TrialResult:
     """One verification trial for convexity (and strictness) of the marginal.
 
     Sample points are taken as x = S^T r for random r, so they always lie in
-    the domain.  Every midpoint gap must clear -convexity_slack; witnesses must
-    satisfy their constraint within feas_tol and report consistent values; for
-    positive definite quadratics the gaps of well-separated pairs must exceed
-    strict_gap.
+    the domain.  Every midpoint gap must clear -CONVEXITY_SLACK; witnesses must
+    satisfy their constraint within WITNESS_FEAS_TOL and report consistent
+    values; for positive definite quadratics the gaps of well-separated pairs
+    must exceed STRICT_GAP.
     """
     h = marginalize(f, S)
     d = h.inner_dim
@@ -301,7 +268,7 @@ def lemma2_check(
     }
 
     def sample_x():
-        return h.S.T @ rng.uniform(-sample_scale, sample_scale, d)
+        return h.S.T @ rng.uniform(-SAMPLE_SCALE, SAMPLE_SCALE, d)
 
     worst_gap = np.inf
     worst_pair = None
@@ -311,7 +278,7 @@ def lemma2_check(
         x, y = sample_x(), sample_x()
         values = {}
         for key, point in (("x", x), ("y", y), ("mid", 0.5 * (x + y))):
-            w = marginal_value(h, point, box_radius=box_radius)
+            w = marginal_value(h, point)
             values[key] = w.value
             max_residual = max(max_residual, float(np.linalg.norm(h.S.T @ w.argmin - point)))
             err = abs(fn.evaluate(f, w.argmin) - w.value) / (1.0 + abs(w.value))
@@ -323,14 +290,14 @@ def lemma2_check(
     checks = [
         CheckResult(
             name="midpoint_convexity",
-            passed=bool(worst_gap >= -convexity_slack),
+            passed=bool(worst_gap >= -CONVEXITY_SLACK),
             gap=float(worst_gap),
             witness=None
             if worst_pair is None
             else {"x": list(map(float, worst_pair[0])), "y": list(map(float, worst_pair[1]))},
         ),
-        CheckResult(name="witness_feasibility", passed=bool(max_residual <= feas_tol), gap=float(max_residual)),
-        CheckResult(name="witness_value", passed=bool(max_value_err <= value_tol), gap=float(max_value_err)),
+        CheckResult(name="witness_feasibility", passed=bool(max_residual <= WITNESS_FEAS_TOL), gap=float(max_residual)),
+        CheckResult(name="witness_value", passed=bool(max_value_err <= WITNESS_VALUE_TOL), gap=float(max_value_err)),
     ]
 
     if is_strictly_convex(f):
@@ -365,7 +332,7 @@ def lemma2_check(
             )
         else:
             try:
-                rep = strict_convexity_certificate(h, strict_pairs, tol=strict_gap, box_radius=box_radius)
+                rep = strict_convexity_certificate(h, strict_pairs, tol=STRICT_GAP)
                 checks.append(CheckResult(name="strict_convexity", passed=True, gap=rep.min_gap))
             except NotStrictlyConvex as exc:
                 checks.append(

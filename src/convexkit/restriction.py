@@ -23,12 +23,14 @@ from . import functions
 from .errors import DimensionMismatch
 from .functions import ACTIVE_TOL, Polytope, subdifferential
 from .instances import function_to_json, matrix_to_json, vector_to_json
-from .linalg import RANK_TOL, Subspace, as_matrix, as_vector, kernel, solve_anchor
+from .linalg import Subspace, as_matrix, as_vector, kernel, solve_anchor
 from .report import CheckResult, TrialResult
 
 SUPPORT_TOL = 1e-7
 CONVEXITY_SLACK = 1e-9
 FIBER_RESIDUAL_TOL = 1e-8
+MIDPOINT_PAIRS = 20
+PAIR_SCALE = 2.0
 
 
 @dataclass(frozen=True)
@@ -64,11 +66,11 @@ class AffineFiber:
         return self.kernel_basis.dim
 
 
-def make_fiber(S, zeta, *, residual_tol: float = FIBER_RESIDUAL_TOL, rank_tol: float = RANK_TOL) -> AffineFiber:
+def make_fiber(S, zeta) -> AffineFiber:
     """Build the fiber of ``S`` over ``zeta``; raises InfeasibleFiber when empty."""
     S = as_matrix(S)
-    anchor = solve_anchor(S, zeta, residual_tol, rank_tol=rank_tol)
-    return AffineFiber(S, as_vector(zeta, S.shape[0]), anchor, kernel(S, rank_tol))
+    anchor = solve_anchor(S, zeta, FIBER_RESIDUAL_TOL)
+    return AffineFiber(S, as_vector(zeta, S.shape[0]), anchor, kernel(S))
 
 
 def embed(fiber: AffineFiber, w) -> np.ndarray:
@@ -93,8 +95,8 @@ class RestrictedFunction:
             )
 
 
-def restrict(f, S, zeta, **fiber_kwargs) -> RestrictedFunction:
-    return RestrictedFunction(f, make_fiber(S, zeta, **fiber_kwargs))
+def restrict(f, S, zeta) -> RestrictedFunction:
+    return RestrictedFunction(f, make_fiber(S, zeta))
 
 
 def restrict_evaluate(g: RestrictedFunction, w) -> float:
@@ -122,48 +124,6 @@ def support_function(P: Polytope, v) -> float:
     return float(np.max(P.generators @ v))
 
 
-def default_directions(dim: int, *, seed: int = 0, random_count: int = 50) -> list[np.ndarray]:
-    """Deterministic direction battery: +-e_i, normalized e_i +- e_j, seeded units."""
-    dirs: list[np.ndarray] = []
-    eye = np.eye(dim)
-    for i in range(dim):
-        dirs.append(eye[i].copy())
-        dirs.append(-eye[i])
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for sign in (1.0, -1.0):
-                d = eye[i] + sign * eye[j]
-                dirs.append(d / np.linalg.norm(d))
-    rng = np.random.default_rng(seed)
-    made = 0
-    while made < random_count:
-        d = rng.normal(size=dim)
-        norm = float(np.linalg.norm(d))
-        if norm > 1e-12:
-            dirs.append(d / norm)
-            made += 1
-    return dirs
-
-
-def polytopes_equal(P1: Polytope, P2: Polytope, directions=None, tol: float = SUPPORT_TOL) -> bool:
-    """Support-function equality over a direction battery.
-
-    Exact for equal hulls; distinct hulls differ along some tested direction
-    with overwhelming probability once the battery includes random units.
-    """
-    if P1.ambient_dim != P2.ambient_dim:
-        raise DimensionMismatch("polytopes live in different spaces")
-    if directions is None:
-        directions = default_directions(P1.ambient_dim)
-    scale = 1.0 + max(
-        float(np.max(np.abs(P1.generators))), float(np.max(np.abs(P2.generators)))
-    )
-    for v in directions:
-        if abs(support_function(P1, v) - support_function(P2, v)) > tol * scale:
-            return False
-    return True
-
-
 def lemma1_check(
     f,
     S,
@@ -171,12 +131,9 @@ def lemma1_check(
     w,
     directions,
     *,
-    pairs: int = 20,
     seed: int = 0,
     support_tol: float = SUPPORT_TOL,
-    convexity_slack: float = CONVEXITY_SLACK,
     active_tol: float = ACTIVE_TOL,
-    pair_scale: float = 2.0,
 ) -> TrialResult:
     """One verification trial for the restricted-subdifferential identity.
 
@@ -184,7 +141,7 @@ def lemma1_check(
     interval of the ambient f at embed(w) along v has to match
     [-support(P, -v), support(P, v)] for the projected polytope P within
     ``support_tol``.  Additionally the restriction must be midpoint convex on
-    ``pairs`` seeded coordinate pairs up to ``convexity_slack``.
+    MIDPOINT_PAIRS seeded coordinate pairs up to CONVEXITY_SLACK.
     """
     g = restrict(f, S, zeta)
     fiber = g.fiber
@@ -223,25 +180,20 @@ def lemma1_check(
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(11,)))
     worst = None
-    worst_pair = None
-    for _ in range(pairs):
-        w1 = rng.uniform(-pair_scale, pair_scale, fiber.fiber_dim)
-        w2 = rng.uniform(-pair_scale, pair_scale, fiber.fiber_dim)
+    for _ in range(MIDPOINT_PAIRS):
+        w1 = rng.uniform(-PAIR_SCALE, PAIR_SCALE, fiber.fiber_dim)
+        w2 = rng.uniform(-PAIR_SCALE, PAIR_SCALE, fiber.fiber_dim)
         gap = 0.5 * (restrict_evaluate(g, w1) + restrict_evaluate(g, w2)) - restrict_evaluate(
             g, 0.5 * (w1 + w2)
         )
         if worst is None or gap < worst:
             worst, worst_pair = gap, (w1, w2)
-    if worst is None:
-        worst = 0.0
     checks.append(
         CheckResult(
             name="restricted_midpoint_convexity",
-            passed=worst >= -convexity_slack,
+            passed=worst >= -CONVEXITY_SLACK,
             gap=worst,
-            witness=None
-            if worst_pair is None
-            else {"w1": vector_to_json(worst_pair[0]), "w2": vector_to_json(worst_pair[1])},
+            witness={"w1": vector_to_json(worst_pair[0]), "w2": vector_to_json(worst_pair[1])},
         )
     )
     return TrialResult(trial_id=0, instance=instance, checks=checks).settle()

@@ -50,14 +50,14 @@ def _build_objective(cost: np.ndarray, T: np.ndarray, basis: np.ndarray) -> np.n
     return obj
 
 
-def _run(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, allowed: np.ndarray, tol: float) -> None:
+def _run(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, allowed: np.ndarray) -> None:
     for _ in range(MAX_PIVOTS):
-        eligible = np.where(allowed & (obj[:-1] < -tol))[0]
+        eligible = np.where(allowed & (obj[:-1] < -PIVOT_TOL))[0]
         if eligible.size == 0:
             return
         col = int(eligible[0])  # Bland: smallest eligible index enters
         column = T[:, col]
-        rows = np.where(column > tol)[0]
+        rows = np.where(column > PIVOT_TOL)[0]
         if rows.size == 0:
             raise LPUnbounded("no blocking row for the entering column")
         ratios = T[rows, -1] / column[rows]
@@ -68,7 +68,7 @@ def _run(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
     raise RuntimeError("simplex failed to terminate within the pivot budget")
 
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, lower, upper, tol: float = PIVOT_TOL) -> LPSolution:
+def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, lower, upper) -> LPSolution:
     """Solve the boxed LP; raises LPInfeasible when no point satisfies the rows."""
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
@@ -128,13 +128,13 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, lower, upper, tol
         cost1 = np.zeros(total)
         cost1[structural:] = 1.0
         obj = _build_objective(cost1, T, basis)
-        _run(T, obj, basis, allowed, tol)
+        _run(T, obj, basis, allowed)
         if -obj[-1] > FEAS_TOL:
             raise LPInfeasible(f"phase 1 optimum {-obj[-1]:.3e} above feasibility tolerance")
         # drive leftover artificials out of the basis where possible
         for i in range(m):
             if basis[i] >= structural:
-                pivots = np.where(np.abs(T[i, :structural]) > tol)[0]
+                pivots = np.where(np.abs(T[i, :structural]) > PIVOT_TOL)[0]
                 if pivots.size:
                     _pivot(T, obj, basis, i, int(pivots[0]))
                 # else: redundant row; its artificial stays basic at value zero
@@ -143,7 +143,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, lower, upper, tol
     cost2 = np.zeros(total)
     cost2[:n] = c
     obj = _build_objective(cost2, T, basis)
-    _run(T, obj, basis, allowed, tol)
+    _run(T, obj, basis, allowed)
 
     z = np.zeros(total)
     z[basis] = T[:, -1]

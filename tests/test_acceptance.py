@@ -54,7 +54,7 @@ def lemma2_run():
 def oracle_run():
     start = time.perf_counter()
     report = run_suite(
-        "lemma2", RunConfig(trials=25, seed=42, oracle_pitch=1e-2, oracle_radius=5.0)
+        "lemma2", RunConfig(trials=25, seed=42, oracle_pitch=1e-2)
     )
     return report, time.perf_counter() - start
 
@@ -158,7 +158,7 @@ def test_criterion_7_mutation_sensitivity(monkeypatch, verdict):
     with monkeypatch.context() as patch:
         patch.setattr(marginal, "marginal_value", anchor_witness)
         mutated = run_suite(
-            "lemma2", RunConfig(trials=25, seed=42, oracle_pitch=1e-2, oracle_radius=5.0)
+            "lemma2", RunConfig(trials=25, seed=42, oracle_pitch=1e-2)
         )
     oracle_fails = sum(
         1

@@ -168,6 +168,12 @@ def test_query_math_error_exits_one(tmp_path, capsys):
     assert rc == 1
     assert "DomainViolation" in capsys.readouterr().err
 
+    # 4**12 generators in R^2: refused before the Minkowski sum is built
+    inst = _write(tmp_path / "sum.json", {"type": "sum", "parts": [ONE_NORM_DOC] * 12})
+    rc = main(parse_args(["query", "subdiff", "--instance", inst, "--x", "0,0"]))
+    assert rc == 1
+    assert "SubdifferentialTooLarge" in capsys.readouterr().err
+
 
 def test_query_input_errors_exit_two(tmp_path, capsys):
     rc = main(parse_args(["query", "subdiff", "--instance", str(tmp_path / "missing.json"), "--x", "0"]))

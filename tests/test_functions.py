@@ -1,28 +1,30 @@
 """Tests for the convex function families and their subdifferential calculus."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from convexkit.errors import DimensionMismatch
+from convexkit.errors import ConvexKitError, DimensionMismatch, SubdifferentialTooLarge
 from convexkit.functions import (
     AffinePiece,
     MaxAffine,
     Polytope,
     Quadratic,
     SumFunction,
-    directional_derivative_minus,
-    directional_derivative_plus,
     evaluate,
     evaluate_many,
-    fd_directional_derivative,
     max_affine,
+    normal_form,
     one_dim_subdifferential,
     quadratic,
     subdifferential,
+    subgradient,
 )
+from convexkit.marginal import marginal_value, marginalize
 
 # max(+-x1, +-x2), the infinity norm on R^2
 INF_NORM = max_affine(
@@ -34,6 +36,13 @@ ONE_NORM = max_affine(
 )
 SQUARED_NORM = quadratic(np.eye(2))
 ABS = max_affine([((1.0,), 0.0), ((-1.0,), 0.0)])
+
+
+def forward_difference(f, x, v, h):
+    """(f(x + h v) - f(x)) / h, an oracle independent of the subgradient sets."""
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return (evaluate(f, x + h * v) - evaluate(f, x)) / h
 
 
 def test_evaluate_frozen_examples():
@@ -87,8 +96,9 @@ def test_active_tolerance_is_relative():
 
 
 def test_directional_derivatives_at_kink():
-    assert directional_derivative_plus(ONE_NORM, (0.0, 0.0), (1.0, -1.0)) == 2.0
-    assert directional_derivative_minus(ONE_NORM, (0.0, 0.0), (1.0, -1.0)) == -2.0
+    assert one_dim_subdifferential(ONE_NORM, (0.0, 0.0), (1.0, -1.0)) == (-2.0, 2.0)
+    assert forward_difference(ONE_NORM, (0.0, 0.0), (1.0, -1.0), 1e-3) == 2.0
+    assert -forward_difference(ONE_NORM, (0.0, 0.0), (-1.0, 1.0), 1e-3) == -2.0
 
 
 def test_one_dim_subdifferential_of_abs():
@@ -106,16 +116,17 @@ def test_zero_direction_rejected():
     with pytest.raises(ValueError):
         one_dim_subdifferential(ABS, (0.0,), (0.0,))
     with pytest.raises(ValueError):
-        directional_derivative_plus(ABS, (0.0,), (0.0,))
+        one_dim_subdifferential(SumFunction(2, (ONE_NORM, SQUARED_NORM)), (0.0, 0.0), (0.0, 0.0))
 
 
 def test_fd_directional_derivative_frozen():
-    assert fd_directional_derivative(ABS, (0.0,), (1.0,), 1e-6) == pytest.approx(1.0)
-    got = fd_directional_derivative(quadratic(np.eye(1)), (1.0,), (1.0,), 1e-6)
+    assert forward_difference(ABS, (0.0,), (1.0,), 1e-6) == pytest.approx(1.0)
+    assert one_dim_subdifferential(ABS, (0.0,), (1.0,))[1] == 1.0
+    square = quadratic(np.eye(1))
+    got = forward_difference(square, (1.0,), (1.0,), 1e-6)
     # exact value is 2 + h; the quotient carries ~1e-10 of cancellation noise
     assert got == pytest.approx(2.0 + 1e-6, abs=1e-9)
-    with pytest.raises(ValueError):
-        fd_directional_derivative(ABS, (0.0,), (1.0,), 0.0)
+    assert one_dim_subdifferential(square, (1.0,), (1.0,)) == (2.0, 2.0)
 
 
 def test_fd_agrees_with_subdifferential_random():
@@ -130,15 +141,16 @@ def test_fd_agrees_with_subdifferential_random():
         v /= np.linalg.norm(v)
         L = max(np.linalg.norm(p.a) for p in f.pieces)
         for h in (1e-4, 1e-6):
-            fd = fd_directional_derivative(f, x, v, h)
-            dd = directional_derivative_plus(f, x, v)
+            fd = forward_difference(f, x, v, h)
+            dd = one_dim_subdifferential(f, x, v)[1]
             assert abs(fd - dd) <= L * h + 1e-6
 
 
 def test_fd_exact_at_constructed_kink():
     # at the kink of |x| the forward difference is exactly the right derivative
+    assert one_dim_subdifferential(ABS, (0.0,), (1.0,))[1] == 1.0
     for h in (1e-4, 1e-6, 0.5):
-        assert fd_directional_derivative(ABS, (0.0,), (1.0,), h) == 1.0
+        assert forward_difference(ABS, (0.0,), (1.0,), h) == 1.0
 
 
 def test_subgradient_inequality_random():
@@ -210,3 +222,56 @@ def test_psd_accepts_semidefinite():
     # rank-deficient but PSD passes the floor check
     q = quadratic(np.array([[1.0, 0.0], [0.0, 0.0]]))
     assert evaluate(q, (0.0, 3.0)) == 0.0
+
+
+def _marginal_outcome(f):
+    h = marginalize(f, np.array([[1.0], [1.0]]))
+    try:
+        w = marginal_value(h, [0.5])
+    except ConvexKitError as exc:
+        return type(exc).__name__
+    return w.status, w.value
+
+
+@pytest.mark.parametrize(
+    "Q1, Q2",
+    [
+        (quadratic(np.eye(2), c=(1.0, -0.5), r0=0.25), quadratic(np.array([[1.0, 0.5], [0.5, 1.0]]), r0=-1.0)),
+        (quadratic(np.zeros((2, 2)), r0=0.25), quadratic(np.zeros((2, 2)), r0=-1.0)),
+    ],
+)
+def test_nested_sum_agrees_with_flattened(Q1, Q2):
+    nested = SumFunction(2, (SumFunction(2, (ONE_NORM, Q1)), INF_NORM, Q2))
+    flat = SumFunction(2, (ONE_NORM, INF_NORM, Quadratic(2, Q1.Q + Q2.Q, Q1.c + Q2.c, Q1.r0 + Q2.r0)))
+    blocks, quad = normal_form(nested)
+    assert len(blocks) == 2 and blocks[0] is ONE_NORM and blocks[1] is INF_NORM
+    assert_allclose(quad.Q, Q1.Q + Q2.Q)
+    assert normal_form(nested) is normal_form(nested)
+    rng = np.random.default_rng(8)
+    X = np.vstack([np.zeros(2), rng.uniform(-2.0, 2.0, (20, 2))])
+    assert_allclose(evaluate_many(nested, X), evaluate_many(flat, X), rtol=0, atol=0)
+    for x in X:
+        assert evaluate(nested, x) == evaluate(flat, x)
+        assert_allclose(subgradient(nested, x), subgradient(flat, x), rtol=0, atol=0)
+        got = subdifferential(nested, x).generators
+        assert_allclose(got, subdifferential(flat, x).generators, rtol=0, atol=0)
+        v = rng.normal(size=2)
+        assert one_dim_subdifferential(nested, x, v) == one_dim_subdifferential(flat, x, v)
+    # at the origin both norms are kinked: 4 x 4 generators
+    assert subdifferential(nested, (0.0, 0.0)).generators.shape == (16, 2)
+    assert _marginal_outcome(nested) == _marginal_outcome(flat)
+
+
+def test_many_blocks_stay_implicit():
+    f = SumFunction(2, (ONE_NORM,) * 12)
+    tracemalloc.start()
+    try:
+        # linear in the number of blocks: 12 blocks of 4 active pieces each
+        assert one_dim_subdifferential(f, (0.0, 0.0), (1.0, 0.0)) == (-12.0, 12.0)
+        # 4**12 generators in R^2 would take 256 MiB; the budget check comes first
+        with pytest.raises(SubdifferentialTooLarge):
+            subdifferential(f, (0.0, 0.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -5,14 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from convexkit import restriction
-from convexkit.errors import DimensionMismatch, InfeasibleFiber
+from convexkit.errors import InfeasibleFiber
 from convexkit.functions import Polytope, max_affine, quadratic
 from convexkit.linalg import kernel, project, row_space
 from convexkit.restriction import (
     embed,
     lemma1_check,
     make_fiber,
-    polytopes_equal,
     restrict,
     restrict_evaluate,
     restricted_subdifferential,
@@ -108,18 +107,6 @@ def test_support_function_examples():
     square = Polytope(2, np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
     assert support_function(square, (1.0, 0.0)) == 1.0
     assert support_function(square, (1.0, 1.0)) == 2.0
-
-
-def test_polytopes_equal_examples():
-    square = Polytope(2, np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
-    duplicated = Polytope(2, np.vstack([square.generators, [[1.0, 1.0], [0.0, 0.0]]]))
-    segment = Polytope(2, np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    assert polytopes_equal(square, duplicated)
-    assert not polytopes_equal(square, segment)
-    singleton = Polytope(1, np.array([[0.5]]))
-    assert polytopes_equal(singleton, Polytope(1, np.array([[0.5], [0.5]])))
-    with pytest.raises(DimensionMismatch):
-        polytopes_equal(square, singleton)
 
 
 def test_lemma1_check_passes_on_known_instance():
