@@ -22,6 +22,7 @@ from .errors import (
     InfeasibleFiber,
     NotStrictlyConvex,
     SingularKKT,
+    SolverFailure,
     SubdifferentialTooLarge,
     UnboundedBelow,
     UnsupportedObjective,
@@ -82,6 +83,7 @@ __all__ = [
     "RestrictedFunction",
     "RunConfig",
     "SingularKKT",
+    "SolverFailure",
     "SubdifferentialTooLarge",
     "SuiteReport",
     "Subspace",

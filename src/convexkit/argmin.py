@@ -1,16 +1,18 @@
 """Minimization over polyhedral domains and convexity of argmin sets.
 
 A domain is a box intersected with finitely many halfspaces g . x <= h, so it
-is always bounded and minima are attained.  Max-affine objectives are solved
-exactly through the epigraph linear program.  Objectives with a quadratic part
-run projected subgradient descent (diminishing steps, best-iterate tracking)
-followed by a seeded multi-scale perturbation polish; the polish restarts the
-search from any improvement it finds, which keeps the routine deterministic
-while sharpening the reported minimum.
+is always bounded and minima are attained.  Both solvers are finite and exact
+and work on the normal form of the objective, lifted to its epigraph (one
+variable per max-affine block, ``functions.epigraph``).  A sum of max-affine
+blocks alone is the epigraph linear program, solved by the simplex (status
+``exact-LP``).  An objective with a quadratic part is a convex quadratic
+program on the same lift, solved by a primal active-set method (status
+``exact-QP``).
 
-The segment check behind lemma3_check does not depend on descent accuracy: for
-any level m the set {x in C : f(x) <= m + tol} is convex, so convex
-combinations of harvested members must stay members at a relaxed tolerance.
+The segment check behind lemma3_check does not depend on the accuracy of the
+minimum: for any level m the set {x in C : f(x) <= m + tol} is convex, so
+convex combinations of harvested members must stay members at a relaxed
+tolerance.
 """
 
 from __future__ import annotations
@@ -21,14 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functions as fn
-from .errors import DimensionMismatch, InfeasibleDomain, LPInfeasible
+from .errors import DimensionMismatch, InfeasibleDomain, LPInfeasible, SolverFailure
 from .instances import domain_to_json, function_to_json
 from .report import SKIP, CheckResult, TrialResult
 from .simplex import solve_lp
 
 DEFAULT_MEMBERSHIP_TOL = 1e-6
-DESCENT_ITERS = 20000
-CERTIFICATE_SAMPLES = 200
+QP_MAX_STEPS = 1000
+FLAT_TOL = 1e-10  # reduced-Hessian eigenvalues below this, relative to the largest, count as zero
+STATIONARY_TOL = 1e-12  # reduced gradients below this, relative to the gradient, count as zero
+MULTIPLIER_TOL = 1e-9  # multipliers above -MULTIPLIER_TOL, relative to the gradient, count as nonnegative
+BLOCK_TOL = 1e-10  # rows this close to parallel to a step do not block it
 DISTINCT_TOL = 1e-2
 PROBE_DIRECTIONS = 8
 MAX_MEMBERS = 6
@@ -109,132 +114,119 @@ def feasible_point(C: PolyhedralDomain) -> np.ndarray:
 class ArgminCertificate:
     value: float
     witness: np.ndarray
-    status: str  # "exact-LP" or "subgradient"
+    status: str  # "exact-LP" or "exact-QP"
 
 
-def _project(C: PolyhedralDomain, x: np.ndarray, sweeps: int = 60) -> np.ndarray:
-    """Nearest-point projection onto the domain.
+def _epigraph_over(C: PolyhedralDomain, blocks):
+    """``functions.epigraph`` of the blocks over C's box, with C's halfspaces as more rows.
 
-    Plain clipping covers the pure box case; with extra halfspaces this runs
-    Dykstra's alternating scheme over [box, halfspace_1, ...], which converges
-    to the true projection for intersections of convex sets.
+    Returns (cost, rows, rhs, lower, upper) over the variables (x, t).
     """
-    clipped = np.clip(x, -C.box_radius, C.box_radius)
-    if not C.inequalities:
-        return clipped
-    sets = len(C.inequalities) + 1
-    y = np.array(x, dtype=float)
-    corrections = [np.zeros(C.dim) for _ in range(sets)]
-    for _ in range(sweeps):
-        previous = y.copy()
-        for i in range(sets):
-            z = y + corrections[i]
-            if i == 0:
-                projected = np.clip(z, -C.box_radius, C.box_radius)
-            else:
-                g, h = C.inequalities[i - 1]
-                excess = float(g @ z) - h
-                gg = float(g @ g)
-                projected = z - (excess / gg) * g if excess > 0.0 and gg > 0.0 else z
-            corrections[i] = z - projected
-            y = projected
-        if float(np.max(np.abs(y - previous))) < 1e-13:
-            break
-    return y
+    cost, rows, rhs, lower, upper = fn.epigraph(C.dim, blocks, C.box_radius)
+    G = np.zeros((len(C.inequalities), len(cost)))
+    for i, (g, _) in enumerate(C.inequalities):
+        G[i, : C.dim] = g
+    return cost, np.vstack([rows, G]), np.concatenate([rhs, [h for _, h in C.inequalities]]), lower, upper
 
 
-def _lp_minimize(f: fn.MaxAffine, C: PolyhedralDomain) -> ArgminCertificate:
-    d = f.dim
-    reach = np.abs(f.matrix) @ np.full(d, C.box_radius)
-    t_hi = float(np.max(f.offsets + reach)) + 1.0
-    t_lo = float(np.min(f.offsets - reach)) - 1.0
-    rows = [np.concatenate([a, [-1.0]]) for a in f.matrix]
-    rhs = [-b for b in f.offsets]
-    for g, h in C.inequalities:
-        rows.append(np.concatenate([g, [0.0]]))
-        rhs.append(h)
-    cost = np.zeros(d + 1)
-    cost[-1] = 1.0
+def _lp_minimize(blocks, C: PolyhedralDomain) -> ArgminCertificate:
+    cost, rows, rhs, lower, upper = _epigraph_over(C, blocks)
     try:
-        sol = solve_lp(
-            cost,
-            A_ub=np.array(rows),
-            b_ub=np.array(rhs),
-            lower=np.concatenate([np.full(d, -C.box_radius), [t_lo]]),
-            upper=np.concatenate([np.full(d, C.box_radius), [t_hi]]),
-        )
+        sol = solve_lp(cost, A_ub=rows, b_ub=rhs, lower=lower, upper=upper)
     except LPInfeasible as exc:
         raise InfeasibleDomain(f"domain is empty: {exc}") from exc
-    return ArgminCertificate(float(sol.value), sol.x[:d], "exact-LP")
+    return ArgminCertificate(float(sol.value), sol.x[: C.dim], "exact-LP")
 
 
-def _descend(f, C: PolyhedralDomain, start: np.ndarray) -> tuple[np.ndarray, float]:
-    x = _project(C, start)
-    best_x, best_v = x.copy(), fn.evaluate(f, x)
-    g0 = float(np.linalg.norm(fn.subgradient(f, x)))
-    if g0 == 0.0:
-        return best_x, best_v
-    scale = C.box_radius / g0
-    tail_start = DESCENT_ITERS - DESCENT_ITERS // 4
-    tail_sum = np.zeros_like(x)
-    tail_count = 0
-    for k in range(1, DESCENT_ITERS + 1):
-        g = fn.subgradient(f, x)
-        norm = float(np.linalg.norm(g))
-        if norm == 0.0:
-            best_x, best_v = x.copy(), fn.evaluate(f, x)
-            break
-        x = _project(C, x - (scale / np.sqrt(k)) * (g / norm))
-        v = fn.evaluate(f, x)
-        if v < best_v:
-            best_x, best_v = x.copy(), v
-        if k >= tail_start:
-            tail_sum += x
-            tail_count += 1
-    if tail_count:
-        avg = _project(C, tail_sum / tail_count)
-        v = fn.evaluate(f, avg)
-        if v < best_v:
-            best_x, best_v = avg, v
-    return best_x, best_v
+def _face_step(H, W, grad, scale):
+    """Descent step within the face of the working rows W, and its full length.
+
+    The face's directions are the null space Z of W.  A zero-curvature
+    descent direction has no full length (inf); otherwise the Newton step
+    minimizes the quadratic on the face (length 1).  None when the face
+    holds no descent direction.
+    """
+    Z = np.linalg.svd(W)[2][len(W) :].T
+    g = Z.T @ grad
+    lam, U = np.linalg.eigh(Z.T @ H @ Z)
+    flat = lam <= FLAT_TOL * (1.0 + float(np.max(np.abs(lam), initial=0.0)))
+    along = U[:, flat].T @ g
+    if float(np.linalg.norm(along)) > STATIONARY_TOL * scale:
+        return -Z @ (U[:, flat] @ along), np.inf
+    along = U[:, ~flat].T @ g
+    if float(np.linalg.norm(along)) > STATIONARY_TOL * scale:
+        return -Z @ (U[:, ~flat] @ (along / lam[~flat])), 1.0
+    return None
 
 
-def _polish(f, C, x, value, rng):
-    """Seeded perturbation certificate; restarts from any improvement found."""
-    scales = np.geomspace(C.box_radius * 1e-1, 1e-8, 8)
-    for i in range(CERTIFICATE_SAMPLES):
-        u = rng.standard_normal(C.dim)
-        norm = float(np.linalg.norm(u))
-        if norm == 0.0:
+def _active_set_qp(H, q, A, b, z):
+    """Minimize z . H z / 2 + q . z subject to A z <= b, from a feasible z.
+
+    Primal active-set method (Nocedal & Wright, Numerical Optimization,
+    Alg. 16.3) for a PSD, possibly singular H.  The working set stays
+    linearly independent: a row joins only when it blocks a step, and the
+    step lies in the null space of the rows already in.  Every variable is
+    boxed, so some row blocks each zero-curvature step.  At a minimizer of
+    its face, the point is optimal when no multiplier is negative; otherwise
+    the row with the most negative multiplier leaves.
+    """
+    work, settled = [], False
+    row_norms = np.linalg.norm(A, axis=1)
+    for _ in range(QP_MAX_STEPS):
+        grad = H @ z + q
+        scale = 1.0 + float(np.max(np.abs(grad)))
+        step = None if settled else _face_step(H, A[work], grad, scale)
+        if step is None:
+            if not work:
+                return z
+            mu = np.linalg.lstsq(A[work].T, -grad, rcond=None)[0]
+            j = int(np.argmin(mu))
+            if mu[j] >= -MULTIPLIER_TOL * scale:
+                return z
+            del work[j]
+            settled = False
             continue
-        y = _project(C, x + scales[i % len(scales)] * (u / norm))
-        v = fn.evaluate(f, y)
-        if v < value:
-            x, value = y, v
-    return x, value
+        p, full = step
+        Ap = A @ p
+        blocking = Ap > BLOCK_TOL * row_norms * float(np.linalg.norm(p))
+        blocking[work] = False
+        ratios = np.full(len(b), np.inf)
+        ratios[blocking] = np.maximum(b - A @ z, 0.0)[blocking] / Ap[blocking]
+        i = int(np.argmin(ratios))
+        z = z + min(full, float(ratios[i])) * p
+        settled = ratios[i] >= full
+        if not settled:
+            work.append(i)
+    raise SolverFailure(f"active-set QP did not reach an optimum within {QP_MAX_STEPS} steps")
 
 
-def minimize_over(
-    f,
-    C: PolyhedralDomain,
-    *,
-    seed: int = 0,
-) -> ArgminCertificate:
-    """Minimum of f over C with a feasible witness.
+def _qp_minimize(f, blocks, quad, C: PolyhedralDomain) -> ArgminCertificate:
+    d = C.dim
+    q, rows, rhs, lower, upper = _epigraph_over(C, blocks)
+    n = len(q)
+    q[:d] = quad.c
+    H = np.zeros((n, n))
+    H[:d, :d] = 2.0 * quad.Q
+    x = feasible_point(C)
+    t = [float(np.max(block.matrix @ x + block.offsets)) for block in blocks]
+    A = np.vstack([rows, np.eye(n), -np.eye(n)])
+    z = _active_set_qp(H, q, A, np.concatenate([rhs, upper, -lower]), np.concatenate([x, t]))
+    return ArgminCertificate(float(fn.evaluate(f, z[:d])), z[:d], "exact-QP")
 
-    Max-affine objectives are exact; anything containing a quadratic part uses
-    seeded projected subgradient descent plus the perturbation polish and is
-    accurate to roughly 1e-6 on well-scaled instances.
+
+def minimize_over(f, C: PolyhedralDomain) -> ArgminCertificate:
+    """Minimum of f over C with a feasible witness, by a finite exact method.
+
+    Sums of max-affine blocks go to the epigraph LP, anything with a
+    quadratic part to the active-set QP.  Raises InfeasibleDomain for an
+    empty domain and SolverFailure when a solver exhausts its step budget.
     """
     if f.dim != C.dim:
         raise DimensionMismatch(f"function on R^{f.dim}, domain in R^{C.dim}")
-    start = feasible_point(C)
-    if isinstance(f, fn.MaxAffine):
-        return _lp_minimize(f, C)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(33,)))
-    x, value = _descend(f, C, start)
-    x, value = _polish(f, C, x, value, rng)
-    return ArgminCertificate(float(value), x, "subgradient")
+    blocks, quad = fn.normal_form(f)
+    if quad is None:
+        return _lp_minimize(blocks, C)
+    return _qp_minimize(f, blocks, quad, C)
 
 
 def argmin_membership(f, C: PolyhedralDomain, x, m: float, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
@@ -296,7 +288,7 @@ def lemma3_check(
     segment evidence).  Every convex combination of members at the lambdas
     0.1 .. 0.9 must be a member at 10 * tol.
     """
-    cert = minimize_over(f, C, seed=seed)
+    cert = minimize_over(f, C)
     m = cert.value
     instance = {
         "f": function_to_json(f),

@@ -51,3 +51,7 @@ class LPUnbounded(ConvexKitError):
 
 class SubdifferentialTooLarge(ConvexKitError):
     """Materializing a Minkowski-sum subdifferential exceeds the generator budget."""
+
+
+class SolverFailure(ConvexKitError):
+    """A finite solver ran out of its step budget before it reached an optimum."""

@@ -8,7 +8,8 @@ Three families are closed under the operations used elsewhere:
 
 Every function has one normal form (``normal_form``): its max-affine blocks
 in order plus at most one quadratic, the sum of its quadratic parts.  All
-values, subgradients and subdifferentials are computed from it.
+values, subgradients and subdifferentials are computed from it, and
+``epigraph`` writes its blocks as the rows of the LP the solvers share.
 
 Subdifferentials are returned as polytopes in generator form; no inequality
 representation is ever needed because every question downstream is answered
@@ -216,17 +217,32 @@ def evaluate_many(f: ConvexFunction, X) -> np.ndarray:
     return _total(terms)
 
 
-def subgradient(f: ConvexFunction, x: np.ndarray) -> np.ndarray:
-    """One subgradient at ``x``: a maximizing piece of each block plus the quadratic's gradient.
+def epigraph(d: int, blocks, radius: float):
+    """The sum of max-affine blocks on R^d over the box |x_j| <= radius, as a boxed LP.
 
-    ``x`` must already be a float vector in R^dim; it is not validated,
-    because this runs on every step of the argmin descent.
+    Variables are (x, t_1 .. t_p), one epigraph variable per block: a row
+    a . x - t_k <= -b for every piece of block k, blocks and pieces in order,
+    and t_k bounded by the range of block k over the box, widened by 1.
+    Minimizing ``cost`` (the sum of the t_k) minimizes the sum of the blocks.
+    Returns (cost, rows, rhs, lower, upper).
     """
-    blocks, quad = normal_form(f)
-    terms = [b.matrix[int(np.argmax(b.matrix @ x + b.offsets))] for b in blocks]
-    if quad is not None:
-        terms.append(_gradient(quad, x))
-    return _total(terms)
+    p = len(blocks)
+    rows, rhs = [], []
+    t_lo, t_hi = np.zeros(p), np.zeros(p)
+    for k, block in enumerate(blocks):
+        reach = np.abs(block.matrix) @ np.full(d, radius)
+        t_hi[k] = float(np.max(block.offsets + reach)) + 1.0
+        t_lo[k] = float(np.min(block.offsets - reach)) - 1.0
+        for a, b in zip(block.matrix, block.offsets):
+            row = np.zeros(d + p)
+            row[:d] = a
+            row[d + k] = -1.0
+            rows.append(row)
+            rhs.append(-b)
+    cost = np.concatenate([np.zeros(d), np.ones(p)])
+    lower = np.concatenate([np.full(d, -radius), t_lo])
+    upper = np.concatenate([np.full(d, radius), t_hi])
+    return cost, np.array(rows).reshape(-1, d + p), np.array(rhs), lower, upper
 
 
 def _summand_generators(f, x, active_tol) -> list[np.ndarray]:

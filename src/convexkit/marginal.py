@@ -90,31 +90,13 @@ def _check_domain(h: MarginalFunction, x) -> np.ndarray:
 
 def _lp_inner(parts, constant, A_eq, x):
     d = parts[0].dim
-    p = len(parts)
-    n_var = d + p
-    rows, rhs = [], []
-    t_lo = np.zeros(p)
-    t_hi = np.zeros(p)
-    for k, part in enumerate(parts):
-        reach = np.abs(part.matrix) @ np.full(d, BOX_RADIUS)
-        t_hi[k] = float(np.max(part.offsets + reach)) + 1.0
-        t_lo[k] = float(np.min(part.offsets - reach)) - 1.0
-        for a, b in zip(part.matrix, part.offsets):
-            row = np.zeros(n_var)
-            row[:d] = a
-            row[d + k] = -1.0
-            rows.append(row)
-            rhs.append(-b)
-    cost = np.zeros(n_var)
-    cost[d:] = 1.0
-    eq = np.hstack([A_eq, np.zeros((A_eq.shape[0], p))]) if A_eq.shape[0] else None
-    lower = np.concatenate([np.full(d, -BOX_RADIUS), t_lo])
-    upper = np.concatenate([np.full(d, BOX_RADIUS), t_hi])
+    cost, rows, rhs, lower, upper = fn.epigraph(d, parts, BOX_RADIUS)
+    eq = np.hstack([A_eq, np.zeros((A_eq.shape[0], len(parts)))]) if A_eq.shape[0] else None
     try:
         sol = solve_lp(
             cost,
-            A_ub=np.array(rows),
-            b_ub=np.array(rhs),
+            A_ub=rows,
+            b_ub=rhs,
             A_eq=eq,
             b_eq=x if eq is not None else None,
             lower=lower,

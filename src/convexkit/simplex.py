@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LPInfeasible, LPUnbounded
+from .errors import LPInfeasible, LPUnbounded, SolverFailure
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
@@ -65,7 +65,7 @@ def _run(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, allowed: np.ndarray)
         ties = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
         row = int(ties[np.argmin(basis[ties])])  # Bland: smallest basic index leaves
         _pivot(T, obj, basis, row, col)
-    raise RuntimeError("simplex failed to terminate within the pivot budget")
+    raise SolverFailure(f"simplex did not terminate within {MAX_PIVOTS} pivots")
 
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, lower, upper) -> LPSolution:

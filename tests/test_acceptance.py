@@ -61,7 +61,9 @@ def oracle_run():
 
 @pytest.fixture(scope="module")
 def lemma3_run():
-    return run_suite("lemma3", RunConfig(trials=100, dim=6, seed=42))
+    start = time.perf_counter()
+    report = run_suite("lemma3", RunConfig(trials=100, dim=6, seed=42))
+    return report, time.perf_counter() - start
 
 
 def test_criterion_1_slice_intervals(lemma1_run, verdict):
@@ -122,7 +124,7 @@ def test_criterion_5_oracle_equivalence(oracle_run, verdict):
 
 
 def test_criterion_6_argmin_segments(lemma3_run, verdict):
-    report = lemma3_run
+    report, elapsed = lemma3_run
     non_skipped = [t for t in report.trials if t.status != "skip"]
     segments = list(_checks(report, "segment_membership"))
     ok = (
@@ -132,8 +134,9 @@ def test_criterion_6_argmin_segments(lemma3_run, verdict):
         and len(segments) == len(non_skipped)
         and all(c.passed and c.gap <= 1e-5 for _, c in segments)
         and all(t.skip_reason == "SkippedDegenerate" for t in report.trials if t.status == "skip")
+        and elapsed < 10.0
     )
-    verdict(6, f"lemma3 segments on 100 trials ({len(non_skipped)} non-skipped)", ok)
+    verdict(6, f"lemma3 segments on 100 trials ({len(non_skipped)} non-skipped) in {elapsed:.2f}s", ok)
 
 
 def test_criterion_7_mutation_sensitivity(monkeypatch, verdict):

@@ -5,6 +5,8 @@ The workhorse frozen instance is f(x) = max(0, x - 1, -x - 1) on the box
 which gives the segment check something real to chew on.
 """
 
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -20,7 +22,7 @@ from convexkit.argmin import (
     minimize_over,
 )
 from convexkit.errors import DimensionMismatch, InfeasibleDomain
-from convexkit.functions import SumFunction, evaluate, evaluate_many, max_affine, quadratic
+from convexkit.functions import MaxAffine, SumFunction, evaluate, evaluate_many, max_affine, quadratic
 
 FLAT_INTERVAL = max_affine([((0.0,), 0.0), ((1.0,), -1.0), ((-1.0,), -1.0)])
 # flat on the rectangle [-1, 1] x [-2, 2], then growing linearly
@@ -56,18 +58,30 @@ def test_halfspace_descent_frozen():
     """min x^2 subject to x >= 1 inside [-3, 3]; the floor wins."""
     C = PolyhedralDomain(1, (((-1.0,), -1.0),), 3.0)
     cert = minimize_over(PARABOLA, C)
-    assert cert.status == "subgradient"
-    assert_allclose(cert.value, 1.0, atol=1e-3)
-    assert_allclose(cert.witness, [1.0], atol=1e-3)
+    assert cert.status == "exact-QP"
+    assert_allclose(cert.value, 1.0, atol=1e-12)
+    assert_allclose(cert.witness, [1.0], atol=1e-12)
     assert feasibility_violation(C, cert.witness) <= 1e-9
 
 
 def test_sum_objective_descends():
     f = SumFunction(2, (max_affine([((1.0, 1.0), 0.0), ((-1.0, -1.0), 0.0)]), BOWL))
     cert = minimize_over(f, box_domain(2, 3.0))
-    assert cert.status == "subgradient"
-    assert_allclose(cert.value, 0.0, atol=1e-9)
-    assert_allclose(cert.witness, [0.0, 0.0], atol=1e-6)
+    assert cert.status == "exact-QP"
+    assert_allclose(cert.value, 0.0, atol=1e-12)
+    assert_allclose(cert.witness, [0.0, 0.0], atol=1e-12)
+
+
+def test_sum_of_blocks_is_an_lp():
+    """|x| + max(x - 1, 0) on [-2, 2] is piecewise linear: minimum 0 on [0, 1]."""
+    f = SumFunction(1, (max_affine([((1.0,), 0.0), ((-1.0,), 0.0)]), max_affine([((1.0,), -1.0), ((0.0,), 0.0)])))
+    start = time.perf_counter()
+    cert = minimize_over(f, box_domain(1, 2.0))
+    elapsed = time.perf_counter() - start
+    assert cert.status == "exact-LP"
+    assert_allclose(cert.value, 0.0, atol=1e-12)
+    assert -1e-12 <= cert.witness[0] <= 1.0 + 1e-12
+    assert elapsed < 0.05
 
 
 def test_feasible_point_and_violation():
@@ -83,8 +97,9 @@ def test_empty_domain_raises():
     C = PolyhedralDomain(1, (((1.0,), -5.0), ((-1.0,), -5.0)), 3.0)
     with pytest.raises(InfeasibleDomain):
         feasible_point(C)
-    with pytest.raises(InfeasibleDomain):
-        minimize_over(PARABOLA, C)
+    for f in (PARABOLA, FLAT_INTERVAL):  # the QP and the LP path
+        with pytest.raises(InfeasibleDomain):
+            minimize_over(f, C)
 
 
 def test_domain_validation():
@@ -137,8 +152,7 @@ def _sample_feasible(rng, C, count):
 def test_reported_minimum_is_a_lower_bound():
     """500 feasible samples per instance never beat the reported minimum.
 
-    The LP path is exact, so the slack there is pure arithmetic noise; the
-    subgradient path is approximate and gets a correspondingly looser slack.
+    Both paths are exact, so the slack is pure arithmetic noise.
     """
     rng = np.random.default_rng(23)
     for trial in range(10):
@@ -154,8 +168,82 @@ def test_reported_minimum_is_a_lower_bound():
         else:
             A = rng.uniform(-1.0, 1.0, (d, d))
             f = quadratic(A.T @ A + 0.1 * np.eye(d), c=rng.uniform(-1.0, 1.0, d))
-            slack = 1e-3
-        cert = minimize_over(f, C, seed=trial)
+            slack = 1e-9
+        cert = minimize_over(f, C)
         samples = _sample_feasible(rng, C, 500)
         values = evaluate_many(f, samples)
         assert float(np.min(values)) >= cert.value - slack * (1.0 + abs(cert.value))
+
+
+def _random_instance(rng):
+    """A rank-deficient PSD quadratic, alone or plus max-affine blocks, on a cut box."""
+    d = int(rng.integers(2, 5))
+    radius = float(rng.uniform(1.0, 4.0))
+    centre = rng.uniform(-0.5, 0.5, d) * radius
+    cuts = []
+    for _ in range(int(rng.integers(0, 4))):
+        g = rng.uniform(-1.0, 1.0, d)
+        cuts.append((g, float(g @ centre) + float(rng.uniform(0.0, 1.0))))
+    A = rng.uniform(-1.0, 1.0, (int(rng.integers(0, d)), d))
+    parts = [quadratic(A.T @ A, c=rng.uniform(-2.0, 2.0, d))]
+    for _ in range(int(rng.integers(0, 3))):
+        pieces = [(rng.uniform(-2.0, 2.0, d), float(rng.uniform(-1.0, 1.0))) for _ in range(int(rng.integers(1, 5)))]
+        parts.append(max_affine(pieces))
+    f = parts[0] if len(parts) == 1 else SumFunction(d, tuple(parts))
+    return f, PolyhedralDomain(d, tuple(cuts), radius)
+
+
+def _kkt_certificate(f, C, x, tol):
+    """Stationarity residual and least multiplier at x, for the epigraph lift.
+
+    Lifted to (x, t_k = k-th block at x), the objective is the quadratic plus
+    sum t_k, and the rows are the pieces a . x - t_k <= -b, the cuts and the
+    box.  The multipliers solve the stationarity system on the active rows.
+    """
+    d = C.dim
+    parts = f.parts if isinstance(f, SumFunction) else (f,)
+    blocks = [p for p in parts if isinstance(p, MaxAffine)]
+    grad = np.zeros(d + len(blocks))
+    for p in parts:
+        if not isinstance(p, MaxAffine):
+            grad[:d] += 2.0 * p.Q @ x + p.c
+    grad[d:] = 1.0
+    rows = []
+    for k, block in enumerate(blocks):
+        values = np.array([piece.a @ x + piece.b for piece in block.pieces])
+        for piece, value in zip(block.pieces, values):
+            if value >= values.max() - tol:
+                rows.append(np.concatenate([piece.a, -np.eye(len(blocks))[k]]))
+    for g, h in C.inequalities:
+        if g @ x >= h - tol:
+            rows.append(np.concatenate([g, np.zeros(len(blocks))]))
+    for j in range(d):
+        for sign in (1.0, -1.0):
+            if sign * x[j] >= C.box_radius - tol:
+                row = np.zeros(d + len(blocks))
+                row[j] = sign
+                rows.append(row)
+    if not rows:
+        return float(np.linalg.norm(grad)), 0.0
+    A = np.array(rows)
+    mu = np.linalg.lstsq(A.T, -grad, rcond=None)[0]
+    return float(np.linalg.norm(grad + A.T @ mu)), float(np.min(mu))
+
+
+def test_qp_minimum_is_certified_random():
+    """Feasible, unbeaten by feasible samples, and a KKT point, on 100 instances.
+
+    Every check is computed here from the instance, not by the solver.
+    """
+    rng = np.random.default_rng(2031)
+    for _ in range(100):
+        f, C = _random_instance(rng)
+        cert = minimize_over(f, C)
+        assert cert.status == "exact-QP"
+        assert feasibility_violation(C, cert.witness) <= 1e-9
+        assert cert.value == evaluate(f, cert.witness)
+        samples = _sample_feasible(rng, C, 200)
+        if len(samples):
+            assert float(np.min(evaluate_many(f, samples))) >= cert.value - 1e-9 * (1.0 + abs(cert.value))
+        residual, least = _kkt_certificate(f, C, cert.witness, 1e-9)
+        assert residual <= 1e-8 and least >= -1e-8, (residual, least)

@@ -22,7 +22,6 @@ from convexkit.functions import (
     one_dim_subdifferential,
     quadratic,
     subdifferential,
-    subgradient,
 )
 from convexkit.marginal import marginal_value, marginalize
 
@@ -252,7 +251,6 @@ def test_nested_sum_agrees_with_flattened(Q1, Q2):
     assert_allclose(evaluate_many(nested, X), evaluate_many(flat, X), rtol=0, atol=0)
     for x in X:
         assert evaluate(nested, x) == evaluate(flat, x)
-        assert_allclose(subgradient(nested, x), subgradient(flat, x), rtol=0, atol=0)
         got = subdifferential(nested, x).generators
         assert_allclose(got, subdifferential(flat, x).generators, rtol=0, atol=0)
         v = rng.normal(size=2)

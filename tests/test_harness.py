@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from convexkit import marginal, restriction
+from convexkit import argmin, marginal, restriction, simplex
 from convexkit.errors import FiberTooLarge
 from convexkit.functions import Polytope, evaluate, quadratic, subdifferential
 from convexkit.harness import (
@@ -184,3 +184,15 @@ def test_mutated_marginal_fails_oracle_checks(monkeypatch):
         if any(c.name == "oracle_agreement" and not c.passed for c in t.checks)
     ]
     assert len(failed) >= 3
+
+
+def test_solver_failure_is_a_recorded_trial(monkeypatch):
+    """Solvers out of their step budget fail their trials; the run returns every trial."""
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)  # the max-affine trials' LP
+    monkeypatch.setattr(argmin, "QP_MAX_STEPS", 0)  # the quadratic trials' QP
+    report = run_suite("lemma3", RunConfig(trials=4, seed=42))
+    assert [t.trial_id for t in report.trials] == [0, 1, 2, 3]
+    for trial in report.trials:
+        assert trial.status == "fail"
+        assert trial.checks[0].name == "no_error"
+        assert trial.checks[0].witness["error"].startswith("SolverFailure")
