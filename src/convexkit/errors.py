@@ -54,4 +54,4 @@ class SubdifferentialTooLarge(ConvexKitError):
 
 
 class SolverFailure(ConvexKitError):
-    """A finite solver ran out of its step budget before it reached an optimum."""
+    """A finite solver or sampler ran out of its step budget before it succeeded."""

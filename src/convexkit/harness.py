@@ -20,7 +20,7 @@ import numpy as np
 
 from . import argmin, marginal, restriction
 from . import functions as fn
-from .errors import ConvexKitError, FiberTooLarge
+from .errors import ConvexKitError, FiberTooLarge, SolverFailure
 from .report import CheckResult, SuiteReport, TrialResult
 from .restriction import make_fiber
 
@@ -28,6 +28,7 @@ SUITE_STREAMS = {"lemma1": 1, "lemma2": 2, "lemma3": 3}
 GRID_POINT_CAP = int(1e7)
 ORACLE_AGREEMENT_TOL = 1e-2
 ORACLE_RADIUS = 5.0
+OPERATOR_DRAWS = 100
 
 
 def trial_rng(seed: int, stream: int, index: int) -> np.random.Generator:
@@ -99,18 +100,24 @@ def gen_pd_quadratic(dim: int, seed) -> fn.Quadratic:
 
 
 def gen_operator(rows: int, cols: int, rank: int, seed) -> np.ndarray:
-    """Random matrix of exact numerical rank, redrawn until well conditioned."""
+    """Random matrix of exact numerical rank, redrawn until well conditioned.
+
+    Raises SolverFailure when OPERATOR_DRAWS draws give no well conditioned
+    matrix.
+    """
     if rank > min(rows, cols) or rank < 0:
         raise ValueError(f"rank {rank} impossible for a {rows} x {cols} matrix")
     rng = _as_rng(seed)
     if rank == 0:
         return np.zeros((rows, cols))
-    for _ in range(100):
+    for _ in range(OPERATOR_DRAWS):
         S = rng.uniform(-1.0, 1.0, (rows, rank)) @ rng.uniform(-1.0, 1.0, (rank, cols))
         sv = np.linalg.svd(S, compute_uv=False)
         if sv[rank - 1] > 1e-3 * sv[0] and (rank == min(rows, cols) or sv[rank] < 1e-10 * sv[0]):
             return S
-    raise RuntimeError("could not draw a well conditioned operator")
+    raise SolverFailure(
+        f"no well conditioned {rows} x {cols} operator of rank {rank} in {OPERATOR_DRAWS} draws"
+    )
 
 
 def brute_force_min_over_fiber(f, S, x, pitch: float, radius: float):

@@ -3,7 +3,12 @@
 Everything here is deterministic and allocation-light.  Rank decisions use
 modified Gram-Schmidt with one re-orthogonalization pass; thresholds are
 relative to the largest input norm so the routines are scale invariant.
-All functions are pure and all returned arrays are freshly allocated.
+
+Solving ``S y = zeta`` for many right-hand sides goes through one reusable
+AnchorMap: ``anchor_map(S)`` factors S once (its row-space basis, ``M`` and
+``M^T M``), and each ``AnchorMap.solve`` is one small linear solve that
+returns a freshly allocated array.  A map is never mutated after it is built.
+Every other function is pure and returns freshly allocated arrays.
 """
 
 from __future__ import annotations
@@ -113,17 +118,15 @@ def row_space(S, tol: float = RANK_TOL) -> Subspace:
     return orthonormalize(list(S), tol, ambient_dim=S.shape[1])
 
 
-def kernel(S, tol: float = RANK_TOL) -> Subspace:
-    """Orthonormal basis of the null space of ``S``.
+def complement(W: Subspace, tol: float = RANK_TOL) -> Subspace:
+    """Orthonormal basis of the orthogonal complement of ``W``.
 
-    Built as the orthogonal complement of the row space: each identity vector
-    is stripped of its row-space and already-accepted components; survivors
-    (residual norm above ``tol``) are normalized and kept.  Dimensions add up
-    with ``row_space`` by construction.
+    Each identity vector is stripped of its ``W`` and already-accepted
+    components; survivors (residual norm above ``tol``) are normalized and
+    kept.  Dimensions add up with ``W`` by construction.
     """
-    S = as_matrix(S)
-    n = S.shape[1]
-    pre = row_space(S, tol).basis
+    n = W.ambient_dim
+    pre = W.basis
     rows = np.zeros((0, n))
     for i in range(n):
         u = np.zeros(n)
@@ -137,6 +140,11 @@ def kernel(S, tol: float = RANK_TOL) -> Subspace:
     return Subspace(n, rows)
 
 
+def kernel(S, tol: float = RANK_TOL) -> Subspace:
+    """Orthonormal basis of the null space of ``S``: the complement of its row space."""
+    return complement(row_space(S, tol), tol)
+
+
 def project(x, W: Subspace) -> np.ndarray:
     """Orthogonal projection of ``x`` onto the subspace ``W``."""
     x = as_vector(x, W.ambient_dim)
@@ -145,27 +153,46 @@ def project(x, W: Subspace) -> np.ndarray:
     return W.basis.T @ (W.basis @ x)
 
 
-def solve_anchor(S, zeta, tol: float = ANCHOR_RESIDUAL_TOL, *, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Minimum-norm solution of ``S y = zeta``.
+@dataclass(frozen=True)
+class AnchorMap:
+    """Minimum-norm solver for ``S y = zeta``, factored once for every ``zeta``.
 
-    The solution is sought in the row space of ``S`` via normal equations on
-    row-space coordinates, which keeps the output orthogonal to the kernel.
-    Raises InfeasibleFiber when the residual exceeds ``tol``.
+    Solutions are sought in the row space of ``S`` via normal equations on
+    row-space coordinates, which keeps them orthogonal to the kernel:
+    ``M = S @ rows.basis.T`` and ``normal = M.T @ M`` are fixed by ``S``.
     """
+
+    S: np.ndarray
+    rows: Subspace
+    M: np.ndarray
+    normal: np.ndarray
+
+    def solve(self, zeta, tol: float = ANCHOR_RESIDUAL_TOL) -> np.ndarray:
+        """Minimum-norm solution; raises InfeasibleFiber when the residual exceeds ``tol``."""
+        zeta = as_vector(zeta, self.S.shape[0])
+        if tol <= 0:
+            raise ValueError("tol must be positive")
+        if self.rows.dim == 0:
+            y = np.zeros(self.S.shape[1])
+        else:
+            w = np.linalg.solve(self.normal, self.M.T @ zeta)
+            y = self.rows.basis.T @ w
+        residual = float(np.linalg.norm(self.S @ y - zeta))
+        if residual > tol:
+            raise InfeasibleFiber(
+                f"no solution within tolerance: residual {residual:.3e} > {tol:.3e}"
+            )
+        return y
+
+
+def anchor_map(S) -> AnchorMap:
+    """Factor ``S`` for repeated minimum-norm solves of ``S y = zeta``."""
     S = as_matrix(S)
-    zeta = as_vector(zeta, S.shape[0])
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    rows = row_space(S, rank_tol)
-    if rows.dim == 0:
-        y = np.zeros(S.shape[1])
-    else:
-        M = S @ rows.basis.T
-        w = np.linalg.solve(M.T @ M, M.T @ zeta)
-        y = rows.basis.T @ w
-    residual = float(np.linalg.norm(S @ y - zeta))
-    if residual > tol:
-        raise InfeasibleFiber(
-            f"no solution within tolerance: residual {residual:.3e} > {tol:.3e}"
-        )
-    return y
+    rows = row_space(S)
+    M = S @ rows.basis.T
+    return AnchorMap(S, rows, M, M.T @ M)
+
+
+def solve_anchor(S, zeta, tol: float = ANCHOR_RESIDUAL_TOL) -> np.ndarray:
+    """Minimum-norm solution of ``S y = zeta``; see AnchorMap.solve."""
+    return anchor_map(S).solve(zeta, tol)

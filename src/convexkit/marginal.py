@@ -8,13 +8,17 @@ The inner problem is solved exactly: an epigraph linear program for
 piecewise-linear objectives (inside a large safety box; a binding box is a
 premise violation and raises UnboundedBelow instead of returning a bogus
 minimum), and the KKT linear system for quadratics that are positive definite
-on the constraint null space.  Midpoint gaps of h certify its convexity, and
-strict convexity is certified for positive definite quadratics.
+on the constraint null space.  The KKT system [[2Q, S], [S^T, 0]] depends only
+on f and S, so each MarginalFunction factors it once, on its first quadratic
+query, and every query after that is one small linear solve for its right-hand
+side [-c, x].  Midpoint gaps of h certify its convexity, and strict convexity
+is certified for positive definite quadratics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +34,9 @@ from .errors import (
     UnsupportedObjective,
 )
 from .instances import function_to_json, matrix_to_json
-from .linalg import Subspace, as_matrix, as_vector, kernel, project, row_space, solve_anchor
+from .linalg import AnchorMap, Subspace, anchor_map, as_matrix, as_vector, kernel, project, row_space
+# unused, but bound here so that bench/tracing.py can wrap this binding site
+from .linalg import solve_anchor  # noqa: F401
 from .report import CheckResult, TrialResult
 from .simplex import solve_lp
 
@@ -60,6 +66,29 @@ class MarginalFunction:
     @property
     def outer_dim(self) -> int:
         return self.S.shape[1]
+
+    @cached_property
+    def _kkt(self) -> tuple[float, AnchorMap | None]:
+        """The KKT system of a quadratic f, factored once per marginal.
+
+        Returns the least eigenvalue of the Hessian 2Q reduced to the fiber
+        kernel ker(S^T) (inf when the fibers are points) and the anchor map of
+        [[2Q, S], [S^T, 0]], or None in its place when that floor is not safely
+        positive, which makes every query raise SingularKKT.
+        """
+        _, quad = fn.normal_form(self.f)
+        d, n = self.S.shape
+        A_eq = self.S.T
+        K = kernel(A_eq) if n else Subspace(d, np.eye(d))
+        floor = np.inf
+        if K.dim:
+            reduced = K.basis @ (2.0 * quad.Q) @ K.basis.T
+            floor = float(np.min(np.linalg.eigvalsh(reduced)))
+            if floor <= KKT_SINGULAR_TOL * (1.0 + float(np.max(np.abs(reduced)))):
+                return floor, None
+        top = np.hstack([2.0 * quad.Q, A_eq.T])
+        bottom = np.hstack([A_eq, np.zeros((n, n))])
+        return floor, anchor_map(np.vstack([top, bottom]))
 
 
 def marginalize(f, S) -> MarginalFunction:
@@ -114,26 +143,18 @@ def _lp_inner(parts, constant, A_eq, x):
     return r, float(sol.value + constant)
 
 
-def _kkt_inner(quad, A_eq, x):
-    d = quad.dim
-    n = A_eq.shape[0]
-    K = kernel(A_eq) if n else Subspace(d, np.eye(d))
-    if K.dim:
-        reduced = K.basis @ (2.0 * quad.Q) @ K.basis.T
-        floor = float(np.min(np.linalg.eigvalsh(reduced)))
-        if floor <= KKT_SINGULAR_TOL * (1.0 + float(np.max(np.abs(reduced)))):
-            raise SingularKKT(
-                f"objective is not positive definite along the fiber (floor {floor:.3e})"
-            )
-    top = np.hstack([2.0 * quad.Q, A_eq.T])
-    bottom = np.hstack([A_eq, np.zeros((n, n))])
-    system = np.vstack([top, bottom])
+def _kkt_inner(h: MarginalFunction, quad, x):
+    floor, system = h._kkt
+    if system is None:
+        raise SingularKKT(
+            f"objective is not positive definite along the fiber (floor {floor:.3e})"
+        )
     rhs = np.concatenate([-quad.c, x])
     try:
-        sol = solve_anchor(system, rhs, 1e-8 * (1.0 + float(np.linalg.norm(rhs))))
+        sol = system.solve(rhs, 1e-8 * (1.0 + float(np.linalg.norm(rhs))))
     except InfeasibleFiber as exc:
         raise SingularKKT(f"KKT system is inconsistent: {exc}") from exc
-    r = sol[:d]
+    r = sol[: quad.dim]
     return r, float(fn.evaluate(quad, r))
 
 
@@ -159,7 +180,7 @@ def marginal_value(h: MarginalFunction, x) -> MinimizationWitness:
     if parts:
         r, value = _lp_inner(parts, 0.0, A_eq, x)
         return MinimizationWitness(value, r, "exact-LP")
-    r, value = _kkt_inner(quad, A_eq, x)
+    r, value = _kkt_inner(h, quad, x)
     return MinimizationWitness(value, r, "exact-KKT")
 
 

@@ -23,7 +23,9 @@ from . import functions
 from .errors import DimensionMismatch
 from .functions import ACTIVE_TOL, Polytope, subdifferential
 from .instances import function_to_json, matrix_to_json, vector_to_json
-from .linalg import Subspace, as_matrix, as_vector, kernel, solve_anchor
+from .linalg import Subspace, anchor_map, as_matrix, as_vector, complement
+# unused, but bound here so that bench/tracing.py can wrap these binding sites
+from .linalg import kernel, solve_anchor  # noqa: F401
 from .report import CheckResult, TrialResult
 
 SUPPORT_TOL = 1e-7
@@ -68,9 +70,9 @@ class AffineFiber:
 
 def make_fiber(S, zeta) -> AffineFiber:
     """Build the fiber of ``S`` over ``zeta``; raises InfeasibleFiber when empty."""
-    S = as_matrix(S)
-    anchor = solve_anchor(S, zeta, FIBER_RESIDUAL_TOL)
-    return AffineFiber(S, as_vector(zeta, S.shape[0]), anchor, kernel(S))
+    amap = anchor_map(S)
+    anchor = amap.solve(zeta, FIBER_RESIDUAL_TOL)
+    return AffineFiber(amap.S, as_vector(zeta, amap.S.shape[0]), anchor, complement(amap.rows))
 
 
 def embed(fiber: AffineFiber, w) -> np.ndarray:

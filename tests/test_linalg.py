@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from convexkit.errors import DimensionMismatch, InfeasibleFiber
 from convexkit.linalg import (
     Subspace,
+    anchor_map,
     as_matrix,
     as_vector,
     kernel,
@@ -15,6 +16,7 @@ from convexkit.linalg import (
     row_space,
     solve_anchor,
 )
+from convexkit.restriction import make_fiber
 
 
 def test_orthonormalize_two_dependent_vectors():
@@ -168,3 +170,47 @@ def test_anchor_has_no_kernel_component_random():
         assert float(np.linalg.norm(S @ y - zeta)) <= 1e-8
         K = kernel(S)
         assert float(np.linalg.norm(project(y, K))) <= 1e-8
+
+
+def _fresh_anchor(S, zeta):
+    """Minimum-norm solution with the row space factored afresh for this call."""
+    rows = row_space(S)
+    if rows.dim == 0:
+        return np.zeros(S.shape[1])
+    M = S @ rows.basis.T
+    return rows.basis.T @ np.linalg.solve(M.T @ M, M.T @ zeta)
+
+
+def test_anchor_map_reuse_is_bitwise_random():
+    """One factored map answers every right-hand side exactly as a fresh solve does.
+
+    The fiber built from one map also carries exactly the per-call anchor and
+    kernel, so factoring once changes no bit of any report.
+    """
+    rng = np.random.default_rng(31)
+    for trial in range(100):
+        n = int(rng.integers(1, 9))
+        d = int(rng.integers(1, 9))
+        rank = int(rng.integers(0, min(n, d) + 1))
+        S = _random_operator(rng, d, n, rank)
+        amap = anchor_map(S)
+        K = kernel(S)
+        previous = None
+        for _ in range(20):
+            zeta = S @ rng.uniform(-2.0, 2.0, size=n)
+            y = amap.solve(zeta)
+            assert np.array_equal(y, _fresh_anchor(S, zeta))
+            assert np.array_equal(y, solve_anchor(S, zeta))
+            # every answer is a fresh array, shared with neither the map nor the last answer
+            assert not np.shares_memory(y, amap.rows.basis)
+            if previous is not None:
+                assert not np.shares_memory(y, previous)
+            previous = y
+            fiber = make_fiber(S, zeta)
+            assert np.array_equal(fiber.anchor, y)
+            assert np.array_equal(fiber.kernel_basis.basis, K.basis)
+        if rank < d:
+            bump = rng.normal(size=d)
+            bump -= project(bump, row_space(S.T))  # outside the range of S
+            with pytest.raises(InfeasibleFiber):
+                amap.solve(S @ np.ones(n) + bump)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from convexkit import linalg
 from convexkit.errors import (
     DimensionMismatch,
     DomainViolation,
@@ -21,6 +22,7 @@ from convexkit.errors import (
     UnsupportedObjective,
 )
 from convexkit.functions import SumFunction, evaluate, max_affine, quadratic
+from convexkit.linalg import solve_anchor
 from convexkit.marginal import (
     is_strictly_convex,
     lemma2_check,
@@ -115,15 +117,82 @@ def test_unbounded_direction_raises():
 def test_singular_quadratic_raises():
     f = quadratic(np.diag([1.0, 0.0]))
     h = marginalize(f, np.array([[1.0], [0.0]]))  # fiber direction e2 is flat
+    for _ in range(2):  # the factored system is cached, the refusal is not
+        with pytest.raises(SingularKKT):
+            marginal_value(h, [1.0])
+    # fibers r1 + r3 = x1 on the domain x2 = 0; e2 lies in every fiber and is flat
+    h = marginalize(quadratic(np.diag([1.0, 0.0, 1.0])), [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(DomainViolation):
+        marginal_value(h, [0.0, 1.0])
     with pytest.raises(SingularKKT):
-        marginal_value(h, [1.0])
+        marginal_value(h, [1.0, 0.0])
+    with pytest.raises(DomainViolation):
+        marginal_value(h, [0.0, 1.0])
 
 
 def test_mixed_sum_is_unsupported():
     f = SumFunction(2, (ONE_NORM, SQUARED_NORM))
     h = marginalize(f, SUM_FIBER)
+    for _ in range(2):
+        with pytest.raises(UnsupportedObjective):
+            marginal_value(h, [1.0])
+
+
+def _kkt_reference(f, S, x):
+    """Inner minimizer from a KKT system built and solved afresh for this query."""
+    d, n = S.shape
+    system = np.vstack([np.hstack([2.0 * f.Q, S]), np.hstack([S.T, np.zeros((n, n))])])
+    rhs = np.concatenate([-f.c, x])
+    r = solve_anchor(system, rhs, 1e-8 * (1.0 + float(np.linalg.norm(rhs))))[:d]
+    return r, float(evaluate(f, r))
+
+
+def test_factored_kkt_matches_per_query_solve():
+    """Queries on one marginal reuse its factored KKT system without changing a bit."""
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        d = int(rng.integers(2, 7))
+        n = int(rng.integers(1, d + 1))
+        rank = int(rng.integers(1, n + 1))
+        A = rng.uniform(-1.0, 1.0, (d, d))
+        f = quadratic(A.T @ A + 0.1 * np.eye(d), c=rng.uniform(-1.0, 1.0, d))
+        S = rng.uniform(-1.0, 1.0, (d, rank)) @ rng.uniform(-1.0, 1.0, (rank, n))
+        h = marginalize(f, S)
+        for _ in range(20):
+            x = S.T @ rng.uniform(-2.0, 2.0, d)
+            w = marginal_value(h, x)
+            r, value = _kkt_reference(f, S, x)
+            assert w.status == "exact-KKT"
+            assert np.array_equal(w.argmin, r)
+            assert w.value == value
+
+
+def test_kkt_is_factored_once_per_marginal(monkeypatch):
+    """Row-space factorizations do not grow with the number of queries."""
+    calls = []
+    original = linalg.row_space
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "row_space", counted)
+    rng = np.random.default_rng(43)
+    f = quadratic(np.diag([2.0, 1.0, 3.0]), c=(0.5, -1.0, 0.0))
+    S = rng.uniform(-1.0, 1.0, (3, 2))
+    h = marginalize(f, S)
+    marginal_value(h, S.T @ rng.uniform(-1.0, 1.0, 3))
+    first = len(calls)
+    assert first > 0
+    for _ in range(59):
+        marginal_value(h, S.T @ rng.uniform(-1.0, 1.0, 3))
+    assert len(calls) == first
+    # LP and mixed objectives factor nothing at all
+    calls.clear()
+    marginal_value(marginalize(ONE_NORM, SUM_FIBER), [1.0])
     with pytest.raises(UnsupportedObjective):
-        marginal_value(h, [1.0])
+        marginal_value(marginalize(SumFunction(2, (ONE_NORM, SQUARED_NORM)), SUM_FIBER), [1.0])
+    assert calls == []
 
 
 def test_operator_shape_mismatch():
