@@ -20,7 +20,6 @@ from .errors import (
     FiberTooLarge,
     InfeasibleDomain,
     InfeasibleFiber,
-    NotStrictlyConvex,
     SingularKKT,
     SolverFailure,
     SubdifferentialTooLarge,
@@ -47,8 +46,6 @@ from .marginal import (
     lemma2_check,
     marginalize,
     marginal_value,
-    midpoint_convexity_gap,
-    strict_convexity_certificate,
 )
 from .report import SuiteReport, report_to_csv, report_to_json
 from .restriction import (
@@ -76,7 +73,6 @@ __all__ = [
     "MarginalFunction",
     "MaxAffine",
     "MinimizationWitness",
-    "NotStrictlyConvex",
     "PolyhedralDomain",
     "Polytope",
     "Quadratic",
@@ -102,7 +98,6 @@ __all__ = [
     "marginalize",
     "marginal_value",
     "max_affine",
-    "midpoint_convexity_gap",
     "minimize_over",
     "one_dim_subdifferential",
     "orthonormalize",
@@ -115,7 +110,6 @@ __all__ = [
     "row_space",
     "run_suite",
     "solve_anchor",
-    "strict_convexity_certificate",
     "subdifferential",
     "support_function",
     "__version__",

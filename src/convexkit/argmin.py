@@ -81,33 +81,22 @@ def feasibility_violation(C: PolyhedralDomain, x) -> float:
 def feasible_point(C: PolyhedralDomain) -> np.ndarray:
     """Any point of the domain, or InfeasibleDomain when it is empty.
 
-    Solves the phase-one style program min s subject to g . x - s <= h over
-    the box with s >= 0; the domain is nonempty exactly when the optimum is 0.
+    The origin for a bare box; otherwise the simplex's own phase one, run as
+    a zero-cost linear program over C's box and halfspaces.
     """
     if not C.inequalities:
         return np.zeros(C.dim)
-    n = C.dim + 1
-    rows, rhs = [], []
-    for g, h in C.inequalities:
-        rows.append(np.concatenate([g, [-1.0]]))
-        rhs.append(h)
-    cost = np.zeros(n)
-    cost[-1] = 1.0
-    slack_cap = max(
-        float(np.abs(g) @ np.full(C.dim, C.box_radius) - h) for g, h in C.inequalities
-    )
-    sol = solve_lp(
-        cost,
-        A_ub=np.array(rows),
-        b_ub=np.array(rhs),
-        lower=np.concatenate([np.full(C.dim, -C.box_radius), [0.0]]),
-        upper=np.concatenate([np.full(C.dim, C.box_radius), [max(slack_cap, 0.0) + 1.0]]),
-    )
-    if sol.value > 1e-7:
-        raise InfeasibleDomain(
-            f"domain is empty, best achievable constraint slack is {sol.value:.3e}"
+    try:
+        sol = solve_lp(
+            np.zeros(C.dim),
+            A_ub=np.array([g for g, _ in C.inequalities]),
+            b_ub=np.array([h for _, h in C.inequalities]),
+            lower=np.full(C.dim, -C.box_radius),
+            upper=np.full(C.dim, C.box_radius),
         )
-    return sol.x[: C.dim]
+    except LPInfeasible as exc:
+        raise InfeasibleDomain(f"domain is empty: {exc}") from exc
+    return sol.x
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,6 @@ class SingularKKT(ConvexKitError):
     """Quadratic objective is not positive definite on the constraint null space."""
 
 
-class NotStrictlyConvex(ConvexKitError):
-    """Strictness certification requires a positive definite quadratic."""
-
-
 class InfeasibleDomain(ConvexKitError):
     """Polyhedral domain contains no feasible point."""
 
@@ -43,10 +39,6 @@ class UnsupportedObjective(ConvexKitError):
 
 class LPInfeasible(ConvexKitError):
     """Linear program has no feasible point."""
-
-
-class LPUnbounded(ConvexKitError):
-    """Linear program is unbounded below."""
 
 
 class SubdifferentialTooLarge(ConvexKitError):

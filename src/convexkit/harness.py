@@ -182,9 +182,7 @@ def _lemma1_trial(index: int, config: RunConfig) -> TrialResult:
             directions.append(v / norm)
     f = gen_max_affine(dim, int(rng.integers(3, 13)), rng)
     return restriction.lemma1_check(
-        f,
-        S,
-        zeta,
+        restriction.RestrictedFunction(f, fiber),
         w,
         directions,
         seed=_trial_seed(config.seed, SUITE_STREAMS["lemma1"], index),

@@ -11,8 +11,14 @@ minimum), and the KKT linear system for quadratics that are positive definite
 on the constraint null space.  The KKT system [[2Q, S], [S^T, 0]] depends only
 on f and S, so each MarginalFunction factors it once, on its first quadratic
 query, and every query after that is one small linear solve for its right-hand
-side [-c, x].  Midpoint gaps of h certify its convexity, and strict convexity
-is certified for positive definite quadratics.
+side [-c, x].
+
+lemma2_check verifies both halves of the marginal-convexity result with one
+midpoint-gap routine: h((x + y) / 2) against the mean of h(x) and h(y), each
+value an exact marginal_value with its argmin witness.  The gaps must clear
+-CONVEXITY_SLACK on every sampled pair, and exceed STRICT_GAP on well-separated
+pairs when f is a positive definite quadratic.  A failed gap check records the
+least gap and the pair that gave it, so the failure replays from the report.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from .errors import (
     DomainViolation,
     InfeasibleFiber,
     LPInfeasible,
-    NotStrictlyConvex,
     SingularKKT,
     UnboundedBelow,
     UnsupportedObjective,
@@ -48,6 +53,7 @@ WITNESS_VALUE_TOL = 1e-8
 CONVEXITY_SLACK = 1e-8
 STRICT_GAP = 1e-8
 MIN_PAIR_SEPARATION = 1e-3
+MIDPOINT_PAIRS = 20
 SAMPLE_SCALE = 2.0
 
 
@@ -184,16 +190,6 @@ def marginal_value(h: MarginalFunction, x) -> MinimizationWitness:
     return MinimizationWitness(value, r, "exact-KKT")
 
 
-def midpoint_convexity_gap(h: MarginalFunction, x, y) -> float:
-    """(h(x) + h(y)) / 2 - h((x + y) / 2); nonnegative when h is convex."""
-    x = as_vector(x, h.outer_dim)
-    y = as_vector(y, h.outer_dim)
-    vx = marginal_value(h, x).value
-    vy = marginal_value(h, y).value
-    vm = marginal_value(h, 0.5 * (x + y)).value
-    return 0.5 * (vx + vy) - vm
-
-
 def is_strictly_convex(f) -> bool:
     """True exactly for quadratics (or sums of them) with positive definite total."""
     parts, quad = fn.normal_form(f)
@@ -202,64 +198,32 @@ def is_strictly_convex(f) -> bool:
     return float(np.min(np.linalg.eigvalsh(quad.Q))) > 1e-8
 
 
-@dataclass(frozen=True)
-class StrictnessReport:
-    gaps: tuple[float, ...]
-    min_gap: float
-    threshold: float
+def _least_gap(h: MarginalFunction, pairs):
+    """The least midpoint gap (h(x) + h(y)) / 2 - h((x + y) / 2) over the pairs.
 
-
-def strict_convexity_certificate(h: MarginalFunction, pairs, tol: float | None = None) -> StrictnessReport:
-    """Certify strictly positive midpoint gaps of h on the given point pairs.
-
-    Pairs closer than 1e-3 are a precondition violation (ValueError).  Raises
-    NotStrictlyConvex when f is not a positive definite quadratic or when some
-    gap fails the threshold (default 1e-10 relative to the pair's value scale).
+    Returns that gap, its pair as a report witness, and every query point with
+    its marginal_value witness, three to a pair.
     """
-    if not is_strictly_convex(h.f):
-        raise NotStrictlyConvex(
-            "strictness certification needs a positive definite quadratic objective"
-        )
-    gaps = []
-    threshold_used = np.inf
+    least, pair, witnesses = np.inf, None, []
     for x, y in pairs:
-        x = as_vector(x, h.outer_dim)
-        y = as_vector(y, h.outer_dim)
-        if float(np.linalg.norm(x - y)) < MIN_PAIR_SEPARATION:
-            raise ValueError(
-                f"pair separation below {MIN_PAIR_SEPARATION:g}; gap would not be informative"
-            )
-        vx = marginal_value(h, x)
-        vy = marginal_value(h, y)
-        gap = 0.5 * (vx.value + vy.value) - marginal_value(h, 0.5 * (x + y)).value
-        scale = 1.0 + max(abs(vx.value), abs(vy.value))
-        threshold = (1e-10 * scale) if tol is None else tol
-        threshold_used = min(threshold_used, threshold)
-        if gap <= threshold:
-            raise NotStrictlyConvex(
-                f"midpoint gap {gap:.3e} at separation {np.linalg.norm(x - y):.3e} "
-                f"is not above {threshold:.3e}"
-            )
-        gaps.append(gap)
-    if not gaps:
-        raise ValueError("at least one pair is required")
-    return StrictnessReport(tuple(gaps), min(gaps), float(threshold_used))
+        points = (x, y, 0.5 * (x + y))
+        wx, wy, wm = (marginal_value(h, p) for p in points)
+        witnesses += zip(points, (wx, wy, wm))
+        gap = 0.5 * (wx.value + wy.value) - wm.value
+        if gap < least:
+            least, pair = gap, {"x": list(map(float, x)), "y": list(map(float, y))}
+    return float(least), pair, witnesses
 
 
-def lemma2_check(
-    f,
-    S,
-    *,
-    pairs: int = 20,
-    seed: int = 0,
-) -> TrialResult:
+def lemma2_check(f, S, *, seed: int = 0) -> TrialResult:
     """One verification trial for convexity (and strictness) of the marginal.
 
     Sample points are taken as x = S^T r for random r, so they always lie in
-    the domain.  Every midpoint gap must clear -CONVEXITY_SLACK; witnesses must
-    satisfy their constraint within WITNESS_FEAS_TOL and report consistent
-    values; for positive definite quadratics the gaps of well-separated pairs
-    must exceed STRICT_GAP.
+    the domain.  On MIDPOINT_PAIRS pairs every midpoint gap must clear
+    -CONVEXITY_SLACK, and the witnesses must satisfy their constraint within
+    WITNESS_FEAS_TOL and report consistent values.  For positive definite
+    quadratics the gaps of MIDPOINT_PAIRS well-separated pairs must exceed
+    STRICT_GAP.  A failed gap check names its worst pair as the witness.
     """
     h = marginalize(f, S)
     d = h.inner_dim
@@ -273,44 +237,28 @@ def lemma2_check(
     def sample_x():
         return h.S.T @ rng.uniform(-SAMPLE_SCALE, SAMPLE_SCALE, d)
 
-    worst_gap = np.inf
-    worst_pair = None
+    gap, pair, witnesses = _least_gap(h, [(sample_x(), sample_x()) for _ in range(MIDPOINT_PAIRS)])
     max_residual = 0.0
     max_value_err = 0.0
-    for _ in range(pairs):
-        x, y = sample_x(), sample_x()
-        values = {}
-        for key, point in (("x", x), ("y", y), ("mid", 0.5 * (x + y))):
-            w = marginal_value(h, point)
-            values[key] = w.value
-            max_residual = max(max_residual, float(np.linalg.norm(h.S.T @ w.argmin - point)))
-            err = abs(fn.evaluate(f, w.argmin) - w.value) / (1.0 + abs(w.value))
-            max_value_err = max(max_value_err, err)
-        gap = 0.5 * (values["x"] + values["y"]) - values["mid"]
-        if gap < worst_gap:
-            worst_gap, worst_pair = gap, (x, y)
+    for point, w in witnesses:
+        max_residual = max(max_residual, float(np.linalg.norm(h.S.T @ w.argmin - point)))
+        err = abs(fn.evaluate(f, w.argmin) - w.value) / (1.0 + abs(w.value))
+        max_value_err = max(max_value_err, err)
 
     checks = [
-        CheckResult(
-            name="midpoint_convexity",
-            passed=bool(worst_gap >= -CONVEXITY_SLACK),
-            gap=float(worst_gap),
-            witness=None
-            if worst_pair is None
-            else {"x": list(map(float, worst_pair[0])), "y": list(map(float, worst_pair[1]))},
-        ),
+        CheckResult(name="midpoint_convexity", passed=bool(gap >= -CONVEXITY_SLACK), gap=gap, witness=pair),
         CheckResult(name="witness_feasibility", passed=bool(max_residual <= WITNESS_FEAS_TOL), gap=float(max_residual)),
         CheckResult(name="witness_value", passed=bool(max_value_err <= WITNESS_VALUE_TOL), gap=float(max_value_err)),
     ]
 
     if is_strictly_convex(f):
-        # Pairs are resampled until comfortably separated; near the 1e-3
-        # precondition floor the expected gap of a mildly conditioned operator
-        # can dip under the certification threshold without disproving
-        # anything, so the check keeps away from that edge.  The target
-        # shrinks with the sampled domain spread (small spread means a small
-        # operator, which makes the inner points move far and the gaps large),
-        # never below the certificate's own precondition.
+        # Pairs are resampled until comfortably separated; near
+        # MIN_PAIR_SEPARATION the expected gap of a mildly conditioned
+        # operator can dip under STRICT_GAP without disproving anything, so
+        # the check keeps away from that edge.  The target shrinks with the
+        # sampled domain spread (small spread means a small operator, which
+        # makes the inner points move far and the gaps large), never below
+        # MIN_PAIR_SEPARATION.
         spread = 0.0
         probes = [sample_x() for _ in range(8)]
         for i, p in enumerate(probes):
@@ -319,12 +267,12 @@ def lemma2_check(
         separation = max(MIN_PAIR_SEPARATION, min(0.1, 0.25 * spread))
         strict_pairs = []
         attempts = 0
-        while len(strict_pairs) < pairs and attempts < 200 * pairs:
+        while len(strict_pairs) < MIDPOINT_PAIRS and attempts < 200 * MIDPOINT_PAIRS:
             attempts += 1
             x, y = sample_x(), sample_x()
             if float(np.linalg.norm(x - y)) >= separation:
                 strict_pairs.append((x, y))
-        if len(strict_pairs) < pairs:
+        if len(strict_pairs) < MIDPOINT_PAIRS:
             checks.append(
                 CheckResult(
                     name="strict_convexity",
@@ -334,11 +282,9 @@ def lemma2_check(
                 )
             )
         else:
-            try:
-                rep = strict_convexity_certificate(h, strict_pairs, tol=STRICT_GAP)
-                checks.append(CheckResult(name="strict_convexity", passed=True, gap=rep.min_gap))
-            except NotStrictlyConvex as exc:
-                checks.append(
-                    CheckResult(name="strict_convexity", passed=False, gap=None, witness={"error": str(exc)})
-                )
+            gap, pair, _ = _least_gap(h, strict_pairs)
+            passed = bool(gap > STRICT_GAP)
+            checks.append(
+                CheckResult(name="strict_convexity", passed=passed, gap=gap, witness=None if passed else pair)
+            )
     return TrialResult(trial_id=0, instance=instance, checks=checks).settle()

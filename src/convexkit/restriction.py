@@ -127,9 +127,7 @@ def support_function(P: Polytope, v) -> float:
 
 
 def lemma1_check(
-    f,
-    S,
-    zeta,
+    g: RestrictedFunction,
     w,
     directions,
     *,
@@ -145,8 +143,7 @@ def lemma1_check(
     ``support_tol``.  Additionally the restriction must be midpoint convex on
     MIDPOINT_PAIRS seeded coordinate pairs up to CONVEXITY_SLACK.
     """
-    g = restrict(f, S, zeta)
-    fiber = g.fiber
+    f, fiber = g.f, g.fiber
     w = as_vector(w, fiber.fiber_dim)
     x = embed(fiber, w)
     P = restricted_subdifferential(g, w, active_tol)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LPInfeasible, LPUnbounded, SolverFailure
+from .errors import LPInfeasible, SolverFailure
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
@@ -59,7 +59,8 @@ def _run(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, allowed: np.ndarray)
         column = T[:, col]
         rows = np.where(column > PIVOT_TOL)[0]
         if rows.size == 0:
-            raise LPUnbounded("no blocking row for the entering column")
+            # every variable is boxed, so only a numerical breakdown gets here
+            raise SolverFailure("no blocking row for the entering column")
         ratios = T[rows, -1] / column[rows]
         best = float(np.min(ratios))
         ties = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]

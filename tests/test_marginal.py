@@ -12,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from convexkit import linalg
+from convexkit import linalg, marginal
 from convexkit.errors import (
     DimensionMismatch,
     DomainViolation,
-    NotStrictlyConvex,
     SingularKKT,
     UnboundedBelow,
     UnsupportedObjective,
@@ -28,8 +27,6 @@ from convexkit.marginal import (
     lemma2_check,
     marginalize,
     marginal_value,
-    midpoint_convexity_gap,
-    strict_convexity_certificate,
 )
 
 ONE_NORM = max_affine(
@@ -38,6 +35,12 @@ ONE_NORM = max_affine(
 SQUARED_NORM = quadratic(np.eye(2))
 # operator R^1 -> R^2 whose transpose sums the coordinates: fiber r1 + r2 = x
 SUM_FIBER = np.array([[1.0], [1.0]])
+
+
+def midpoint_convexity_gap(h, x, y):
+    """(h(x) + h(y)) / 2 - h((x + y) / 2); nonnegative when h is convex."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return 0.5 * (marginal_value(h, x).value + marginal_value(h, y).value) - marginal_value(h, 0.5 * (x + y)).value
 
 
 def coercive_max_affine(rng, dim, pieces):
@@ -218,24 +221,29 @@ def test_zero_outer_dimension_gives_global_min():
 
 def test_strictness_frozen_gaps():
     h = marginalize(SQUARED_NORM, SUM_FIBER)
-    rep = strict_convexity_certificate(h, [([0.0], [2.0]), ([-2.0], [2.0])])
-    assert_allclose(rep.gaps, (0.5, 2.0), atol=1e-9)
-    assert_allclose(rep.min_gap, 0.5, atol=1e-9)
-
-
-def test_strictness_rejects_close_pairs():
-    h = marginalize(SQUARED_NORM, SUM_FIBER)
-    with pytest.raises(ValueError):
-        strict_convexity_certificate(h, [([0.0], [1e-4])])
+    gaps = [midpoint_convexity_gap(h, x, y) for x, y in (([0.0], [2.0]), ([-2.0], [2.0]))]
+    assert_allclose(gaps, (0.5, 2.0), atol=1e-9)
+    assert_allclose(min(gaps), 0.5, atol=1e-9)
 
 
 def test_strictness_needs_positive_definite():
     assert not is_strictly_convex(ONE_NORM)
     assert not is_strictly_convex(quadratic(np.diag([1.0, 0.0])))
     assert is_strictly_convex(SQUARED_NORM)
-    h = marginalize(ONE_NORM, SUM_FIBER)
-    with pytest.raises(NotStrictlyConvex):
-        strict_convexity_certificate(h, [([0.0], [2.0])])
+
+
+def test_failed_strictness_records_gap_and_worst_pair(monkeypatch):
+    """A strictness failure carries the least gap and the pair that gave it."""
+    monkeypatch.setattr(marginal, "STRICT_GAP", 1e6)
+    result = lemma2_check(SQUARED_NORM, SUM_FIBER, seed=3)
+    assert result.status == "fail"
+    check = result.checks[-1]
+    assert check.name == "strict_convexity" and not check.passed
+    assert isinstance(check.gap, float) and 0.0 < check.gap <= 1e6
+    assert set(check.witness) == {"x", "y"}
+    h = marginalize(SQUARED_NORM, SUM_FIBER)
+    assert_allclose(midpoint_convexity_gap(h, check.witness["x"], check.witness["y"]), check.gap, rtol=1e-12)
+    assert all(c.passed for c in result.checks[:-1])
 
 
 def test_random_quadratic_marginals_are_convex():
@@ -297,7 +305,7 @@ def test_abs_marginal_midpoint_gap_nonnegative(x, y):
 
 
 def test_lemma2_check_quadratic_instance():
-    result = lemma2_check(SQUARED_NORM, SUM_FIBER, pairs=10, seed=3)
+    result = lemma2_check(SQUARED_NORM, SUM_FIBER, seed=3)
     assert result.status == "pass"
     names = [c.name for c in result.checks]
     assert names == [
@@ -313,7 +321,7 @@ def test_lemma2_check_piecewise_instance():
     rng = np.random.default_rng(5)
     f = coercive_max_affine(rng, 3, 4)
     S = rng.uniform(-1.0, 1.0, (3, 2))
-    result = lemma2_check(f, S, pairs=8, seed=9)
+    result = lemma2_check(f, S, seed=9)
     assert result.status == "pass"
     assert [c.name for c in result.checks] == [
         "midpoint_convexity",
@@ -323,7 +331,7 @@ def test_lemma2_check_piecewise_instance():
 
 
 def test_lemma2_check_is_deterministic():
-    a = lemma2_check(SQUARED_NORM, SUM_FIBER, pairs=6, seed=21)
-    b = lemma2_check(SQUARED_NORM, SUM_FIBER, pairs=6, seed=21)
+    a = lemma2_check(SQUARED_NORM, SUM_FIBER, seed=21)
+    b = lemma2_check(SQUARED_NORM, SUM_FIBER, seed=21)
     assert a.instance == b.instance
     assert [(c.name, c.gap) for c in a.checks] == [(c.name, c.gap) for c in b.checks]

@@ -111,7 +111,7 @@ def test_support_function_examples():
 
 def test_lemma1_check_passes_on_known_instance():
     u = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    result = lemma1_check(ONE_NORM, S_SUM, np.array([0.0]), (0.0,), [u, -u], seed=3)
+    result = lemma1_check(restrict(ONE_NORM, S_SUM, np.array([0.0])), (0.0,), [u, -u], seed=3)
     assert result.status == "pass"
     names = [c.name for c in result.checks]
     assert "restricted_midpoint_convexity" in names
@@ -120,13 +120,13 @@ def test_lemma1_check_passes_on_known_instance():
 
 def test_lemma1_check_rejects_non_kernel_direction():
     with pytest.raises(ValueError):
-        lemma1_check(ONE_NORM, S_SUM, np.array([0.0]), (0.0,), [np.array([1.0, 0.0])])
+        lemma1_check(restrict(ONE_NORM, S_SUM, np.array([0.0])), (0.0,), [np.array([1.0, 0.0])])
 
 
 def test_lemma1_check_quadratic_instance():
     f = quadratic(np.array([[2.0, 0.0], [0.0, 1.0]]), c=(1.0, -1.0))
     u = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    result = lemma1_check(f, S_SUM, np.array([1.0]), (0.5,), [u, -u], seed=5)
+    result = lemma1_check(restrict(f, S_SUM, np.array([1.0])), (0.5,), [u, -u], seed=5)
     assert result.status == "pass"
 
 
@@ -146,7 +146,7 @@ def test_lemma1_check_detects_wrong_projection(monkeypatch):
 
     monkeypatch.setattr(restriction, "restricted_subdifferential", rowspace_version)
     u = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    result = lemma1_check(ONE_NORM, S_SUM, np.array([0.0]), (0.0,), [u], seed=3)
+    result = lemma1_check(restrict(ONE_NORM, S_SUM, np.array([0.0])), (0.0,), [u], seed=3)
     assert result.status == "fail"
     bad = [c for c in result.checks if c.name.startswith("slice_interval")][0]
     assert not bad.passed

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from convexkit.errors import LPInfeasible
+from convexkit import simplex
+from convexkit.errors import LPInfeasible, SolverFailure
 from convexkit.simplex import LPSolution, solve_lp
 
 
@@ -77,6 +78,15 @@ def test_degenerate_rows_terminate():
         upper=np.ones(2) * 9.0,
     )
     assert got.value == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_missing_blocking_row_is_a_solver_failure():
+    """A column with no blocking row cannot occur on a boxed LP; meeting one is a breakdown."""
+    # one row x - s = 1 with s basic; x improves the objective and no row limits it
+    T = np.array([[-1.0, 1.0, 1.0]])
+    obj = np.array([-1.0, 0.0, 0.0])
+    with pytest.raises(SolverFailure):
+        simplex._run(T, obj, np.array([1]), np.ones(2, dtype=bool))
 
 
 def test_zero_objective_returns_feasible_point():
