@@ -39,7 +39,7 @@ from .functions import (
     subdifferential,
 )
 from .harness import RunConfig, brute_force_min_over_fiber, run_suite
-from .linalg import Subspace, kernel, orthonormalize, project, row_space, solve_anchor
+from .linalg import Subspace, kernel, project, row_space, solve_anchor
 from .marginal import (
     MarginalFunction,
     MinimizationWitness,
@@ -49,7 +49,6 @@ from .marginal import (
 )
 from .report import SuiteReport, report_to_csv, report_to_json
 from .restriction import (
-    AffineFiber,
     RestrictedFunction,
     lemma1_check,
     make_fiber,
@@ -61,7 +60,6 @@ from .restriction import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineFiber",
     "AffinePiece",
     "ArgminCertificate",
     "ConvexKitError",
@@ -100,7 +98,6 @@ __all__ = [
     "max_affine",
     "minimize_over",
     "one_dim_subdifferential",
-    "orthonormalize",
     "project",
     "quadratic",
     "report_to_csv",

@@ -36,6 +36,7 @@ MULTIPLIER_TOL = 1e-9  # multipliers above -MULTIPLIER_TOL, relative to the grad
 BLOCK_TOL = 1e-10  # rows this close to parallel to a step do not block it
 DISTINCT_TOL = 1e-2
 PROBE_DIRECTIONS = 8
+BISECTION_STEPS = 50
 MAX_MEMBERS = 6
 SEGMENT_LAMBDAS = tuple(k / 10.0 for k in range(1, 10))
 
@@ -233,7 +234,7 @@ def _membership_gap(f, C, x, m):
     return max(feasibility_violation(C, x), fn.evaluate(f, x) - m)
 
 
-def _extreme_member(f, C, base, v, m, tol, steps: int = 50):
+def _extreme_member(f, C, base, v, m, tol):
     """Farthest member along base + t v found by bisection on t."""
     v = np.asarray(v, dtype=float)
     norm = float(np.linalg.norm(v))
@@ -244,7 +245,7 @@ def _extreme_member(f, C, base, v, m, tol, steps: int = 50):
     lo = 0.0
     if argmin_membership(f, C, base + hi * v, m, tol):
         return base + hi * v
-    for _ in range(steps):
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if argmin_membership(f, C, base + mid * v, m, tol):
             lo = mid

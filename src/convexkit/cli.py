@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,12 +36,7 @@ QUERY_OPS = ("subdiff", "restricted-subdiff", "marginal", "argmin-member")
 class CliConfig:
     command: str
     suite: str = "all"
-    trials: int = RunConfig.trials
-    dim: int = RunConfig.dim
-    seed: int = RunConfig.seed
-    tol_active: float = RunConfig.tol_active
-    tol_support: float = RunConfig.tol_support
-    tol_membership: float = RunConfig.tol_membership
+    run: RunConfig = field(default_factory=RunConfig)
     out: str | None = None
     format: str = "json"
     op: str | None = None
@@ -75,8 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv=None) -> CliConfig:
-    ns = build_parser().parse_args(argv)
-    return CliConfig(**vars(ns))
+    """The parsed flags; those named after a RunConfig field make up its ``run``."""
+    flags = vars(build_parser().parse_args(argv))
+    run = {f.name: flags.pop(f.name) for f in fields(RunConfig) if f.name in flags}
+    return CliConfig(**flags, run=RunConfig(**run))
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -98,21 +95,13 @@ def _load_instance(path: str) -> dict:
 
 
 def _verify(config: CliConfig) -> int:
-    if config.trials < 0:
+    if config.run.trials < 0:
         print("error: --trials must be nonnegative", file=sys.stderr)
         return 2
-    if config.dim < 2:
+    if config.run.dim < 2:
         print("error: --dim must be at least 2", file=sys.stderr)
         return 2
-    run_config = RunConfig(
-        trials=config.trials,
-        dim=config.dim,
-        seed=config.seed,
-        tol_active=config.tol_active,
-        tol_support=config.tol_support,
-        tol_membership=config.tol_membership,
-    )
-    report = run_suite(config.suite, run_config)
+    report = run_suite(config.suite, config.run)
     out = config.out or ("report.json" if config.format == "json" else "report.csv")
     text = report_to_json(report) if config.format == "json" else report_to_csv(report)
     try:

@@ -146,11 +146,9 @@ def quadratic(Q, c=None, r0: float = 0.0) -> Quadratic:
 
 
 def max_affine(pieces) -> MaxAffine:
-    """Convenience constructor that infers the dimension from the pieces."""
-    items = [p if isinstance(p, AffinePiece) else AffinePiece(*p) for p in pieces]
-    if not items:
-        raise ValueError("a max-affine function needs at least one piece")
-    return MaxAffine(items[0].a.shape[0], tuple(items))
+    """Convenience constructor that infers the dimension from the first piece."""
+    pieces = tuple(p if isinstance(p, AffinePiece) else AffinePiece(*p) for p in pieces)
+    return MaxAffine(pieces[0].a.shape[0] if pieces else 0, pieces)
 
 
 @dataclass(frozen=True)

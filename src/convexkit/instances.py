@@ -18,7 +18,6 @@ Matrices are dense row-major lists of rows.
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch
 from .functions import MaxAffine, Quadratic, SumFunction, max_affine, quadratic
 from .linalg import as_matrix, as_vector
 
@@ -75,9 +74,6 @@ def domain_to_json(inequalities, box_radius: float) -> dict:
 
 
 def domain_from_json(doc: dict) -> tuple[list, float]:
+    """The inequality rows and box radius; PolyhedralDomain checks their dimensions."""
     rows = [(as_vector(item["g"]), float(item["h"])) for item in doc.get("inequalities", [])]
-    radius = float(doc["box_radius"])
-    dims = {g.shape[0] for g, _ in rows}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"inequality rows disagree on dimension: {sorted(dims)}")
-    return rows, radius
+    return rows, float(doc["box_radius"])

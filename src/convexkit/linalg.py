@@ -1,8 +1,11 @@
 """Dense real linear algebra: orthonormal bases, kernels, projections, anchors.
 
-Everything here is deterministic and allocation-light.  Rank decisions use
-modified Gram-Schmidt with one re-orthogonalization pass; thresholds are
-relative to the largest input norm so the routines are scale invariant.
+Everything here is deterministic and allocation-light.  ``row_space`` is the
+one Gram-Schmidt entry point: modified Gram-Schmidt with one
+re-orthogonalization pass over the rows of a matrix, with the rank threshold
+RANK_TOL relative to the largest row norm so it is scale invariant.
+``complement`` strips the identity vectors against such a basis, and
+``kernel`` is the complement of the row space.
 
 Solving ``S y = zeta`` for many right-hand sides goes through one reusable
 AnchorMap: ``anchor_map(S)`` factors S once (its row-space basis, ``M`` and
@@ -83,46 +86,30 @@ def _strip(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return u
 
 
-def orthonormalize(vectors, tol: float = RANK_TOL, *, ambient_dim: int | None = None) -> Subspace:
-    """Orthonormal basis for the span of ``vectors``.
+def row_space(S) -> Subspace:
+    """Orthonormal basis of the span of the rows of ``S``.
 
-    Modified Gram-Schmidt with re-orthogonalization.  A vector is dropped when
-    its residual after projection removal is at most ``tol`` times the largest
-    input norm.  ``ambient_dim`` is only needed when ``vectors`` is empty.
+    Modified Gram-Schmidt with re-orthogonalization over the rows in order.
+    A row is dropped when its residual after projection removal is at most
+    RANK_TOL times the largest row norm.  A matrix with no rows spans the
+    zero subspace.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    vs = [as_vector(v) for v in vectors]
-    dims = {v.shape[0] for v in vs}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"mixed vector dimensions: {sorted(dims)}")
-    if not vs:
-        if ambient_dim is None:
-            raise ValueError("ambient_dim is required for an empty vector list")
-        return Subspace(ambient_dim, np.zeros((0, ambient_dim)))
-    n = dims.pop()
-    scale = max(float(np.linalg.norm(v)) for v in vs)
-    threshold = tol * scale
-    rows = np.zeros((0, n))
-    for v in vs:
+    S = as_matrix(S)
+    threshold = RANK_TOL * max((float(np.linalg.norm(v)) for v in S), default=0.0)
+    rows = np.zeros((0, S.shape[1]))
+    for v in S:
         u = _strip(v.copy(), rows)
         norm = float(np.linalg.norm(u))
         if norm > threshold:
             rows = np.vstack([rows, u / norm])
-    return Subspace(n, rows)
+    return Subspace(S.shape[1], rows)
 
 
-def row_space(S, tol: float = RANK_TOL) -> Subspace:
-    """Orthonormal basis of the span of the rows of ``S``."""
-    S = as_matrix(S)
-    return orthonormalize(list(S), tol, ambient_dim=S.shape[1])
-
-
-def complement(W: Subspace, tol: float = RANK_TOL) -> Subspace:
+def complement(W: Subspace) -> Subspace:
     """Orthonormal basis of the orthogonal complement of ``W``.
 
     Each identity vector is stripped of its ``W`` and already-accepted
-    components; survivors (residual norm above ``tol``) are normalized and
+    components; survivors (residual norm above RANK_TOL) are normalized and
     kept.  Dimensions add up with ``W`` by construction.
     """
     n = W.ambient_dim
@@ -135,14 +122,14 @@ def complement(W: Subspace, tol: float = RANK_TOL) -> Subspace:
         # one more combined pass keeps the complement orthogonal to both
         u = _strip(_strip(u, pre), rows)
         norm = float(np.linalg.norm(u))
-        if norm > tol:
+        if norm > RANK_TOL:
             rows = np.vstack([rows, u / norm])
     return Subspace(n, rows)
 
 
-def kernel(S, tol: float = RANK_TOL) -> Subspace:
+def kernel(S) -> Subspace:
     """Orthonormal basis of the null space of ``S``: the complement of its row space."""
-    return complement(row_space(S, tol), tol)
+    return complement(row_space(S))
 
 
 def project(x, W: Subspace) -> np.ndarray:
@@ -167,11 +154,11 @@ class AnchorMap:
     M: np.ndarray
     normal: np.ndarray
 
-    def solve(self, zeta, tol: float = ANCHOR_RESIDUAL_TOL) -> np.ndarray:
-        """Minimum-norm solution; raises InfeasibleFiber when the residual exceeds ``tol``."""
-        zeta = as_vector(zeta, self.S.shape[0])
-        if tol <= 0:
-            raise ValueError("tol must be positive")
+    def solve(self, zeta: np.ndarray, tol: float = ANCHOR_RESIDUAL_TOL) -> np.ndarray:
+        """Minimum-norm solution; raises InfeasibleFiber when the residual exceeds ``tol``.
+
+        ``zeta`` is a float vector of length ``S.shape[0]``, checked by the caller.
+        """
         if self.rows.dim == 0:
             y = np.zeros(self.S.shape[1])
         else:
@@ -193,6 +180,7 @@ def anchor_map(S) -> AnchorMap:
     return AnchorMap(S, rows, M, M.T @ M)
 
 
-def solve_anchor(S, zeta, tol: float = ANCHOR_RESIDUAL_TOL) -> np.ndarray:
-    """Minimum-norm solution of ``S y = zeta``; see AnchorMap.solve."""
-    return anchor_map(S).solve(zeta, tol)
+def solve_anchor(S, zeta) -> np.ndarray:
+    """Minimum-norm solution of ``S y = zeta`` within ANCHOR_RESIDUAL_TOL; see AnchorMap.solve."""
+    amap = anchor_map(S)
+    return amap.solve(as_vector(zeta, amap.S.shape[0]))

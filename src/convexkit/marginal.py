@@ -83,9 +83,9 @@ class MarginalFunction:
         positive, which makes every query raise SingularKKT.
         """
         _, quad = fn.normal_form(self.f)
-        d, n = self.S.shape
+        n = self.S.shape[1]
         A_eq = self.S.T
-        K = kernel(A_eq) if n else Subspace(d, np.eye(d))
+        K = kernel(A_eq)
         floor = np.inf
         if K.dim:
             reduced = K.basis @ (2.0 * quad.Q) @ K.basis.T

@@ -2,6 +2,9 @@
 
 A suite report serializes to the same bytes for the same config and seed:
 no timestamps, no environment data, fixed key order, floats via repr.
+The checks build every instance, gap and witness from plain Python values
+(``instances.*_to_json``, ``float()``, ``bool()``), so the writers serialize
+them as they are.
 """
 
 from __future__ import annotations
@@ -68,24 +71,9 @@ class SuiteReport:
         return self.summary[FAIL] == 0
 
 
-def _plain(value):
-    """Recursively convert numpy scalars/arrays into JSON-clean python values."""
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, bool):
-        return value
-    if hasattr(value, "tolist"):
-        return _plain(value.tolist())
-    if isinstance(value, float):
-        return float(value)
-    return value
-
-
 def instance_digest(instance: dict) -> str:
     """Short stable content hash of an instance document."""
-    blob = json.dumps(_plain(instance), sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(instance, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
@@ -93,19 +81,19 @@ def report_to_dict(report: SuiteReport) -> dict:
     return {
         "suite": report.suite,
         "seed": report.seed,
-        "tolerances": _plain(report.tolerances),
+        "tolerances": report.tolerances,
         "trials": [
             {
                 "id": t.trial_id,
-                "instance": _plain(t.instance),
+                "instance": t.instance,
                 "status": t.status,
                 "skip_reason": t.skip_reason,
                 "checks": [
                     {
                         "name": c.name,
                         "pass": c.passed,
-                        "gap": _plain(c.gap),
-                        "witness": _plain(c.witness),
+                        "gap": c.gap,
+                        "witness": c.witness,
                     }
                     for c in t.checks
                 ],

@@ -48,7 +48,7 @@ def test_parser_help_mentions_both_commands():
 def test_parse_defaults():
     config = parse_args(["verify"])
     assert config == CliConfig(command="verify")
-    assert (config.suite, config.trials, config.seed) == ("all", 100, 42)
+    assert (config.suite, config.run.trials, config.run.seed) == ("all", 100, 42)
     assert (config.format, config.out) == ("json", None)
 
 

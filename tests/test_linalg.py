@@ -11,7 +11,6 @@ from convexkit.linalg import (
     as_matrix,
     as_vector,
     kernel,
-    orthonormalize,
     project,
     row_space,
     solve_anchor,
@@ -19,36 +18,16 @@ from convexkit.linalg import (
 from convexkit.restriction import make_fiber
 
 
-def test_orthonormalize_two_dependent_vectors():
-    W = orthonormalize([(1.0, 1.0), (2.0, 2.0)])
-    assert W.dim == 1
-    assert_allclose(np.abs(W.basis[0]), np.array([1.0, 1.0]) / np.sqrt(2), atol=1e-12)
-
-
-def test_orthonormalize_drops_near_dependent_vector():
-    # residual of the second vector is (0, 1e-13), below tol 1e-10
-    W = orthonormalize([(1.0, 0.0), (1.0, 1e-13)], tol=1e-10)
+def test_row_space_drops_near_dependent_row():
+    # residual of the second row is (0, 1e-13), below RANK_TOL = 1e-10
+    W = row_space(np.array([[1.0, 0.0], [1.0, 1e-13]]))
     assert W.dim == 1
 
 
-def test_orthonormalize_keeps_independent_vectors():
-    W = orthonormalize([(1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 0.0, 2.0)])
+def test_row_space_keeps_independent_rows():
+    W = row_space(np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]))
     assert W.dim == 3
     assert_allclose(W.basis @ W.basis.T, np.eye(3), atol=1e-12)
-
-
-def test_orthonormalize_empty_input_needs_ambient_dim():
-    W = orthonormalize([], ambient_dim=4)
-    assert W.dim == 0 and W.ambient_dim == 4
-    with pytest.raises(ValueError):
-        orthonormalize([])
-
-
-def test_orthonormalize_rejects_bad_tol_and_mixed_dims():
-    with pytest.raises(ValueError):
-        orthonormalize([(1.0, 0.0)], tol=0.0)
-    with pytest.raises(DimensionMismatch):
-        orthonormalize([(1.0, 0.0), (1.0, 0.0, 0.0)])
 
 
 def test_kernel_of_row_of_ones():
@@ -63,12 +42,19 @@ def test_row_space_of_dependent_rows():
     R = row_space(np.array([[1.0, 0.0], [2.0, 0.0]]))
     assert R.dim == 1
     assert_allclose(np.abs(R.basis[0]), np.array([1.0, 0.0]), atol=1e-12)
+    R = row_space(np.array([[1.0, 1.0], [2.0, 2.0]]))
+    assert R.dim == 1
+    assert_allclose(np.abs(R.basis[0]), np.array([1.0, 1.0]) / np.sqrt(2), atol=1e-12)
 
 
 def test_zero_map_kernel_is_everything():
     S = np.zeros((2, 3))
     assert kernel(S).dim == 3
     assert row_space(S).dim == 0
+    # a map with no rows: zero row space, the whole space as its kernel
+    W = row_space(np.zeros((0, 4)))
+    assert W.dim == 0 and W.ambient_dim == 4
+    assert_allclose(kernel(np.zeros((0, 4))).basis, np.eye(4), rtol=0, atol=0)
 
 
 def test_project_onto_diagonal_line():
@@ -77,7 +63,7 @@ def test_project_onto_diagonal_line():
 
 
 def test_project_onto_zero_subspace():
-    W = orthonormalize([], ambient_dim=3)
+    W = row_space(np.zeros((0, 3)))
     assert_allclose(project((1.0, 2.0, 3.0), W), np.zeros(3))
 
 
@@ -147,7 +133,7 @@ def test_projection_properties_random():
     for trial in range(200):
         n = int(rng.integers(1, 10))
         k = int(rng.integers(0, n + 1))
-        W = orthonormalize(rng.normal(size=(k, n)), ambient_dim=n)
+        W = row_space(rng.normal(size=(k, n)))
         x = rng.uniform(-5.0, 5.0, size=n)
         p = project(x, W)
         # idempotence

@@ -21,7 +21,7 @@ from convexkit.errors import (
     UnsupportedObjective,
 )
 from convexkit.functions import SumFunction, evaluate, max_affine, quadratic
-from convexkit.linalg import solve_anchor
+from convexkit.linalg import anchor_map
 from convexkit.marginal import (
     is_strictly_convex,
     lemma2_check,
@@ -117,6 +117,13 @@ def test_unbounded_direction_raises():
         marginal_value(h, [0.0])
 
 
+def test_fiber_outside_the_solver_box_is_unbounded_below():
+    """A fiber that misses the LP's safety box raises UnboundedBelow, not LPInfeasible."""
+    h = marginalize(max_affine([((1.0,), 0.0), ((-1.0,), 0.0)]), [[1.0]])
+    with pytest.raises(UnboundedBelow, match="fiber does not meet the solver box"):
+        marginal_value(h, [5000.0])
+
+
 def test_singular_quadratic_raises():
     f = quadratic(np.diag([1.0, 0.0]))
     h = marginalize(f, np.array([[1.0], [0.0]]))  # fiber direction e2 is flat
@@ -146,7 +153,7 @@ def _kkt_reference(f, S, x):
     d, n = S.shape
     system = np.vstack([np.hstack([2.0 * f.Q, S]), np.hstack([S.T, np.zeros((n, n))])])
     rhs = np.concatenate([-f.c, x])
-    r = solve_anchor(system, rhs, 1e-8 * (1.0 + float(np.linalg.norm(rhs))))[:d]
+    r = anchor_map(system).solve(rhs, 1e-8 * (1.0 + float(np.linalg.norm(rhs))))[:d]
     return r, float(evaluate(f, r))
 
 
@@ -244,6 +251,17 @@ def test_failed_strictness_records_gap_and_worst_pair(monkeypatch):
     h = marginalize(SQUARED_NORM, SUM_FIBER)
     assert_allclose(midpoint_convexity_gap(h, check.witness["x"], check.witness["y"]), check.gap, rtol=1e-12)
     assert all(c.passed for c in result.checks[:-1])
+
+
+def test_strictness_is_vacuous_on_a_tiny_domain():
+    """When no sampled pair is MIN_PAIR_SEPARATION apart, strictness passes with no gap."""
+    f = quadratic(1e-5 * np.array([[2.0, 0.5], [0.5, 1.0]]))
+    result = lemma2_check(f, 1e-5 * np.eye(2), seed=5)
+    assert result.status == "pass"
+    check = result.checks[-1]
+    assert check.name == "strict_convexity" and check.passed
+    assert check.gap is None
+    assert "strictness is vacuous" in check.witness["note"]
 
 
 def test_random_quadratic_marginals_are_convex():

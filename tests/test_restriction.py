@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from convexkit import restriction
+from convexkit import harness, restriction
 from convexkit.errors import InfeasibleFiber
 from convexkit.functions import Polytope, max_affine, quadratic
 from convexkit.linalg import kernel, project, row_space
@@ -52,6 +52,26 @@ def test_fiber_invariants_random():
         # embedded points stay on the fiber
         w = rng.uniform(-3, 3, fiber.fiber_dim)
         assert np.linalg.norm(S @ embed(fiber, w) - zeta) <= 1e-7
+
+
+def test_far_fibers_build_or_raise_infeasible_fiber():
+    """A large anchor gives a fiber or a typed InfeasibleFiber, never a bare ValueError."""
+    built = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        dim = rng.integers(3, 7)
+        rows = rng.integers(1, dim)
+        S = harness.gen_operator(rows, dim, rows, rng)
+        u = rng.uniform(-1, 1, dim)
+        zeta = S @ (1e8 * u)
+        try:
+            fiber = make_fiber(S, zeta)
+        except InfeasibleFiber:
+            continue
+        built += 1
+        assert np.linalg.norm(S @ fiber.anchor - zeta) <= restriction.FIBER_RESIDUAL_TOL
+        assert fiber.fiber_dim == dim - rows
+    assert built > 0
 
 
 def test_restrict_evaluate_diagonal_slice():

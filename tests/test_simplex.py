@@ -173,6 +173,37 @@ def test_against_vertex_enumeration_with_equalities():
         assert np.abs(A_eq @ got.x - b_eq).max() <= 1e-8
 
 
+def _degenerate_equality_lp(rng):
+    """Small integer LP on [0, 3]^n whose equality rows hold at an integer point x0.
+
+    Inequality rows are tight or one unit slack at x0, so phase 1 often ends
+    on a degenerate vertex with an artificial still basic at value zero.
+    """
+    n = int(rng.integers(2, 5))
+    x0 = rng.integers(0, 4, n).astype(float)
+    A_eq = rng.integers(-2, 3, (int(rng.integers(1, 3)), n)).astype(float)
+    A_ub = rng.integers(-2, 3, (int(rng.integers(0, 3)), n)).astype(float)
+    b_ub = A_ub @ x0 + rng.integers(0, 2, A_ub.shape[0])
+    c = rng.integers(-3, 4, n).astype(float)
+    return c, A_ub, b_ub, A_eq, A_eq @ x0, np.zeros(n), np.full(n, 3.0)
+
+
+def test_leftover_artificials_are_driven_out():
+    """Phase 2 starts with no artificial basic where a structural column can replace it.
+
+    An artificial left basic at zero can take a nonzero value in phase 2, which
+    breaks its equality row; about a quarter of these LPs reach that step.
+    """
+    for seed in range(300):
+        c, A_ub, b_ub, A_eq, b_eq, lower, upper = _degenerate_equality_lp(np.random.default_rng(seed))
+        oracle = _enumerate_optimum(c, A_ub, b_ub, A_eq, b_eq, lower, upper)
+        got = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lower=lower, upper=upper)
+        assert got.value == pytest.approx(oracle, abs=1e-7), seed
+        assert np.abs(A_eq @ got.x - b_eq).max() <= 1e-8, seed
+        assert np.all(A_ub @ got.x <= b_ub + 1e-8), seed
+        assert np.all((got.x >= lower - 1e-9) & (got.x <= upper + 1e-9)), seed
+
+
 def test_determinism():
     rng = np.random.default_rng(5)
     c = rng.uniform(-1, 1, 4)
