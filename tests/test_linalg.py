@@ -18,6 +18,22 @@ from convexkit.linalg import (
 from convexkit.restriction import make_fiber
 
 
+def test_orthonormalize_two_dependent_vectors():
+    # row_space orthonormalizes the rows in order
+    W = row_space(np.array([[1.0, 1.0], [2.0, 2.0]]))
+    assert W.dim == 1
+    assert_allclose(np.abs(W.basis[0]), np.array([1.0, 1.0]) / np.sqrt(2), atol=1e-12)
+
+
+def test_orthonormalize_empty_input_needs_ambient_dim():
+    # a (0, n) matrix carries its ambient dimension; a bare empty list does not
+    W = row_space(np.zeros((0, 4)))
+    assert W.dim == 0 and W.ambient_dim == 4
+    assert_allclose(kernel(np.zeros((0, 4))).basis, np.eye(4), rtol=0, atol=0)
+    with pytest.raises(DimensionMismatch):
+        row_space([])
+
+
 def test_row_space_drops_near_dependent_row():
     # residual of the second row is (0, 1e-13), below RANK_TOL = 1e-10
     W = row_space(np.array([[1.0, 0.0], [1.0, 1e-13]]))
@@ -42,19 +58,12 @@ def test_row_space_of_dependent_rows():
     R = row_space(np.array([[1.0, 0.0], [2.0, 0.0]]))
     assert R.dim == 1
     assert_allclose(np.abs(R.basis[0]), np.array([1.0, 0.0]), atol=1e-12)
-    R = row_space(np.array([[1.0, 1.0], [2.0, 2.0]]))
-    assert R.dim == 1
-    assert_allclose(np.abs(R.basis[0]), np.array([1.0, 1.0]) / np.sqrt(2), atol=1e-12)
 
 
 def test_zero_map_kernel_is_everything():
     S = np.zeros((2, 3))
     assert kernel(S).dim == 3
     assert row_space(S).dim == 0
-    # a map with no rows: zero row space, the whole space as its kernel
-    W = row_space(np.zeros((0, 4)))
-    assert W.dim == 0 and W.ambient_dim == 4
-    assert_allclose(kernel(np.zeros((0, 4))).basis, np.eye(4), rtol=0, atol=0)
 
 
 def test_project_onto_diagonal_line():
