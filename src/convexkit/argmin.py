@@ -12,7 +12,10 @@ program on the same lift, solved by a primal active-set method (status
 The segment check behind lemma3_check does not depend on the accuracy of the
 minimum: for any level m the set {x in C : f(x) <= m + tol} is convex, so
 convex combinations of harvested members must stay members at a relaxed
-tolerance.
+tolerance.  Every point check goes through one batched probe (constraint
+violation plus ``functions.evaluate_many``) whose rows equal the one-point
+checks bit for bit; the harvest bisects all its rays in lockstep, one probe
+per step, and the segment check probes all its points at once.
 """
 
 from __future__ import annotations
@@ -70,13 +73,22 @@ def box_domain(dim: int, radius: float) -> PolyhedralDomain:
     return PolyhedralDomain(dim, (), radius)
 
 
+def _larger(a, b):
+    """Elementwise ``max(a, b)`` as Python takes it: a unless b is larger, so ties keep a's signed zero."""
+    return np.where(b > a, b, a)
+
+
+def _violations(C: PolyhedralDomain, X) -> np.ndarray:
+    """Largest constraint violation of each row of X, zero inside the domain."""
+    worst = np.max(np.abs(X), axis=1) - C.box_radius
+    for g, h in C.inequalities:
+        worst = _larger(worst, (X[:, None, :] @ g[:, None])[:, 0, 0] - h)
+    return _larger(worst, 0.0)
+
+
 def feasibility_violation(C: PolyhedralDomain, x) -> float:
     """Largest constraint violation of x, zero when x is inside the domain."""
-    x = np.asarray(x, dtype=float)
-    worst = float(np.max(np.abs(x))) - C.box_radius
-    for g, h in C.inequalities:
-        worst = max(worst, float(g @ x) - h)
-    return max(worst, 0.0)
+    return float(_violations(C, np.asarray(x, dtype=float)[None])[0])
 
 
 def feasible_point(C: PolyhedralDomain) -> np.ndarray:
@@ -219,39 +231,41 @@ def minimize_over(f, C: PolyhedralDomain) -> ArgminCertificate:
     return _qp_minimize(f, blocks, quad, C)
 
 
+def _probe(f, C: PolyhedralDomain, X, m: float, tol: float):
+    """Membership at tol, and the signed gap (<= 0 for a clean member), of each row of X."""
+    violation = _violations(C, X)
+    values = fn.evaluate_many(f, X)
+    return (violation <= tol) & (values <= m + tol), _larger(violation, values - m)
+
+
 def argmin_membership(f, C: PolyhedralDomain, x, m: float, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
     """Is x feasible and within tol of the level m in objective value?"""
     x = np.asarray(x, dtype=float)
     if x.shape != (C.dim,):
         raise DimensionMismatch(f"point has shape {x.shape}, domain dimension is {C.dim}")
-    if feasibility_violation(C, x) > tol:
-        return False
-    return fn.evaluate(f, x) <= m + tol
+    return bool(_probe(f, C, x[None], m, tol)[0][0])
 
 
-def _membership_gap(f, C, x, m):
-    """Signed violation used as a gap metric: <= 0 means x is a clean member."""
-    return max(feasibility_violation(C, x), fn.evaluate(f, x) - m)
+def _extreme_members(f, C, base, V, m, tol):
+    """Farthest member along base + t v for every row v of V, by lockstep bisection on t.
 
-
-def _extreme_member(f, C, base, v, m, tol):
-    """Farthest member along base + t v found by bisection on t."""
-    v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return base
-    v = v / norm
-    hi = 2.0 * C.box_radius * np.sqrt(C.dim)
-    lo = 0.0
-    if argmin_membership(f, C, base + hi * v, m, tol):
-        return base + hi * v
+    Each ray is normalized and bisected on its own, exactly as one ray at a
+    time would be; the rays only share the batched membership probes.  A
+    zero ray yields base.
+    """
+    norms = np.array([np.linalg.norm(v) for v in V])
+    zero = norms == 0.0
+    U = V / np.where(zero, 1.0, norms)[:, None]
+    top = 2.0 * C.box_radius * np.sqrt(C.dim)
+    reach = _probe(f, C, base + top * U, m, tol)[0]
+    lo, hi = np.zeros(len(V)), np.full(len(V), top)
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        if argmin_membership(f, C, base + mid * v, m, tol):
-            lo = mid
-        else:
-            hi = mid
-    return base + lo * v
+        inside = _probe(f, C, base + mid[:, None] * U, m, tol)[0]
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    members = base + np.where(reach, top, lo)[:, None] * U
+    members[zero] = base
+    return members
 
 
 def _distinct(points, tol):
@@ -272,7 +286,9 @@ def lemma3_check(
     """One verification trial for convexity of the near-argmin set.
 
     Members of {x in C : f(x) <= m + tol} are harvested from the minimizer
-    witness and bisection line searches along seeded directions.  Trials whose
+    witness and bisection line searches along seeded directions and their
+    negatives, all bisected in lockstep (BISECTION_STEPS batched probes, each
+    ray's steps exactly those of its own bisection).  Trials whose
     harvest collapses to fewer than two points separated by DISTINCT_TOL are
     skipped as degenerate (a singleton argmin set is convex but carries no
     segment evidence).  Every convex combination of members at the lambdas
@@ -291,14 +307,9 @@ def lemma3_check(
     # The witness is often a vertex of the box, where almost no random
     # direction points back inside, so probe toward the box center and along
     # the axes before the random draws.
-    probes = [-base]
-    probes.extend(np.eye(C.dim))
-    probes.extend(rng.standard_normal(C.dim) for _ in range(PROBE_DIRECTIONS))
-    members = [base]
-    for v in probes:
-        members.append(_extreme_member(f, C, base, v, m, tol))
-        members.append(_extreme_member(f, C, base, -v, m, tol))
-    members = _distinct(members, DISTINCT_TOL)[:MAX_MEMBERS]
+    probes = np.vstack([-base, np.eye(C.dim), rng.standard_normal((PROBE_DIRECTIONS, C.dim))])
+    rays = np.stack([probes, -probes], axis=1).reshape(-1, C.dim)
+    members = _distinct([base, *_extreme_members(f, C, base, rays, m, tol)], DISTINCT_TOL)[:MAX_MEMBERS]
     if len(members) < 2:
         return TrialResult(
             trial_id=0,
@@ -308,28 +319,19 @@ def lemma3_check(
             skip_reason="SkippedDegenerate",
         )
 
-    witness_gap = _membership_gap(f, C, cert.witness, m)
-    checks = [
-        CheckResult(
-            name="witness_validity",
-            passed=bool(argmin_membership(f, C, cert.witness, m, tol)),
-            gap=float(witness_gap),
-        )
-    ]
-    worst = -np.inf
-    worst_point = None
-    for x, y in itertools.combinations(members, 2):
-        for lam in SEGMENT_LAMBDAS:
-            z = lam * x + (1.0 - lam) * y
-            gap = _membership_gap(f, C, z, m)
-            if gap > worst:
-                worst, worst_point = gap, z
+    inside, gap = _probe(f, C, base[None], m, tol)
+    checks = [CheckResult(name="witness_validity", passed=bool(inside[0]), gap=float(gap[0]))]
+    pairs = np.array(list(itertools.combinations(members, 2)))
+    lam = np.array(SEGMENT_LAMBDAS)[None, :, None]
+    points = (lam * pairs[:, None, 0] + (1.0 - lam) * pairs[:, None, 1]).reshape(-1, C.dim)
+    gaps = _probe(f, C, points, m, tol)[1]
+    worst = int(np.argmax(gaps))
     checks.append(
         CheckResult(
             name="segment_membership",
-            passed=bool(worst <= 10.0 * tol),
-            gap=float(worst),
-            witness={"point": [float(t) for t in worst_point]},
+            passed=bool(gaps[worst] <= 10.0 * tol),
+            gap=float(gaps[worst]),
+            witness={"point": [float(t) for t in points[worst]]},
         )
     )
     return TrialResult(trial_id=0, instance=instance, checks=checks).settle()

@@ -204,14 +204,20 @@ def evaluate(f: ConvexFunction, x) -> float:
 
 
 def evaluate_many(f: ConvexFunction, X) -> np.ndarray:
-    """Vectorized values at the rows of ``X`` (shape (N, dim))."""
+    """Values at the rows of ``X`` (shape (N, dim)); row i equals ``evaluate(f, X[i])`` bit for bit.
+
+    Every product is a matmul stacked over the rows, which makes the same
+    per-row BLAS call (gemv or dot) as the one-point product in ``evaluate``;
+    one matrix-matrix product over all rows would round differently.
+    """
     X = as_matrix(X)
     if X.shape[1] != f.dim:
         raise DimensionMismatch(f"points have dimension {X.shape[1]}, function has {f.dim}")
     blocks, quad = normal_form(f)
-    terms = [np.max(X @ b.matrix.T + b.offsets, axis=1) for b in blocks]
+    columns, rows = X[:, :, None], X[:, None, :]
+    terms = [np.max((b.matrix @ columns)[:, :, 0] + b.offsets, axis=1) for b in blocks]
     if quad is not None:
-        terms.append(np.einsum("ij,jk,ik->i", X, quad.Q, X) + X @ quad.c + quad.r0)
+        terms.append(((rows @ quad.Q) @ columns)[:, 0, 0] + (rows @ quad.c[:, None])[:, 0, 0] + quad.r0)
     return _total(terms)
 
 

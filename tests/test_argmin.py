@@ -5,12 +5,14 @@ The workhorse frozen instance is f(x) = max(0, x - 1, -x - 1) on the box
 which gives the segment check something real to chew on.
 """
 
+import itertools
 import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from convexkit import argmin, functions
 from convexkit.argmin import (
     ArgminCertificate,
     PolyhedralDomain,
@@ -247,3 +249,129 @@ def test_qp_minimum_is_certified_random():
             assert float(np.min(evaluate_many(f, samples))) >= cert.value - 1e-9 * (1.0 + abs(cert.value))
         residual, least = _kkt_certificate(f, C, cert.witness, 1e-9)
         assert residual <= 1e-8 and least >= -1e-8, (residual, least)
+
+
+def _reference_violation(C, x):
+    """The one-point constraint check the batched probe must reproduce."""
+    worst = float(np.max(np.abs(x))) - C.box_radius
+    for g, h in C.inequalities:
+        worst = max(worst, float(g @ x) - h)
+    return max(worst, 0.0)
+
+
+def _reference_membership(f, C, x, m, tol):
+    if _reference_violation(C, x) > tol:
+        return False
+    return evaluate(f, x) <= m + tol
+
+
+def _reference_gap(f, C, x, m):
+    return max(_reference_violation(C, x), evaluate(f, x) - m)
+
+
+def _reference_extreme_member(f, C, base, v, m, tol):
+    """One ray at a time: the scalar bisection the lockstep harvest must reproduce."""
+    v = np.asarray(v, dtype=float)
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        return base
+    v = v / norm
+    hi = 2.0 * C.box_radius * np.sqrt(C.dim)
+    lo = 0.0
+    if _reference_membership(f, C, base + hi * v, m, tol):
+        return base + hi * v
+    for _ in range(argmin.BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        if _reference_membership(f, C, base + mid * v, m, tol):
+            lo = mid
+        else:
+            hi = mid
+    return base + lo * v
+
+
+def _flat_instance(rng):
+    """A flat max-affine function, a rank-deficient quadratic or their sum, on a box cut by 0-3 halfspaces.
+
+    About a third of the quadratics have c = 0 on a bare box, so the
+    minimizer is the origin and the first probe ray, -base, is zero.
+    """
+    d = int(rng.integers(1, 5))
+    kind = int(rng.integers(0, 3))
+    radius = float(rng.uniform(1.0, 4.0))
+    parts = []
+    if kind != 1:
+        pieces = [(np.zeros(d), 0.0)]
+        pieces += [(rng.uniform(-2.0, 2.0, d), -float(rng.uniform(0.2, 2.0))) for _ in range(int(rng.integers(1, 6)))]
+        parts.append(max_affine(pieces))
+    if kind != 0:
+        A = rng.uniform(-1.0, 1.0, (int(rng.integers(0, d)), d))
+        centred = rng.integers(0, 3) == 0
+        c = np.zeros(d) if centred else A.T @ rng.uniform(-1.0, 1.0, len(A))
+        parts.append(quadratic(A.T @ A, c=c))
+        if centred:
+            return parts[-1], box_domain(d, radius)
+    f = parts[0] if len(parts) == 1 else SumFunction(d, tuple(parts))
+    centre = rng.uniform(-0.5, 0.5, d) * radius
+    cuts = []
+    for _ in range(int(rng.integers(0, 4))):
+        g = rng.uniform(-1.0, 1.0, d)
+        cuts.append((g, float(g @ centre) + float(rng.uniform(0.0, 1.0))))
+    return f, PolyhedralDomain(d, tuple(cuts), radius)
+
+
+def test_lockstep_harvest_matches_scalar_bisection():
+    """Members, witness and segment checks equal the one-ray-at-a-time code, bit for bit."""
+    rng = np.random.default_rng(61)
+    zero_rays = 0
+    for seed in range(300):
+        f, C = _flat_instance(rng)
+        tol = argmin.DEFAULT_MEMBERSHIP_TOL
+        cert = minimize_over(f, C)
+        m, base = cert.value, cert.witness
+        probe_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(34,)))
+        probes = [-base, *np.eye(C.dim), *(probe_rng.standard_normal(C.dim) for _ in range(argmin.PROBE_DIRECTIONS))]
+        rays = [r for v in probes for r in (v, -v)]
+        zero_rays += not np.any(probes[0])
+        want = [_reference_extreme_member(f, C, base, v, m, tol) for v in rays]
+        got = argmin._extreme_members(f, C, base, np.array(rays), m, tol)
+        assert np.array_equal(got, want)
+        for x in want[:6]:
+            x = x + rng.uniform(-0.5, 0.5, C.dim)
+            assert feasibility_violation(C, x) == _reference_violation(C, x)
+            assert argmin_membership(f, C, x, m, tol) == _reference_membership(f, C, x, m, tol)
+
+        result = lemma3_check(f, C, seed=seed, tol=tol)
+        members = argmin._distinct([base, *want], argmin.DISTINCT_TOL)[: argmin.MAX_MEMBERS]
+        if len(members) < 2:
+            assert result.status == "skip"
+            continue
+        witness, segment = result.checks
+        assert witness.passed == _reference_membership(f, C, base, m, tol)
+        assert witness.gap == _reference_gap(f, C, base, m)
+        worst, worst_point = -np.inf, None
+        for x, y in itertools.combinations(members, 2):
+            for lam in argmin.SEGMENT_LAMBDAS:
+                z = lam * x + (1.0 - lam) * y
+                gap = _reference_gap(f, C, z, m)
+                if gap > worst:
+                    worst, worst_point = gap, z
+        assert segment.gap == worst
+        assert np.array_equal(segment.witness["point"], worst_point)
+    assert zero_rays > 0
+
+
+def test_harvest_probes_in_batches(monkeypatch):
+    """One batched evaluation per bisection step, not one call per point."""
+    counts = {"evaluate": 0, "evaluate_many": 0}
+    for name in counts:
+        original = getattr(functions, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(functions, name, counted)
+    result = lemma3_check(FLAT_RECTANGLE, box_domain(2, 3.0), seed=8)
+    assert result.status == "pass"
+    assert 0 < counts["evaluate_many"] <= argmin.BISECTION_STEPS + 4
+    assert counts["evaluate"] <= 3

@@ -52,10 +52,31 @@ def test_evaluate_frozen_examples():
 
 
 def test_evaluate_many_matches_scalar():
+    """Row i of evaluate_many is evaluate at row i, bit for bit, on every family."""
     rng = np.random.default_rng(3)
+
+    def pieces(d):
+        return max_affine([(rng.uniform(-2.0, 2.0, d), float(rng.uniform(-2.0, 2.0))) for _ in range(int(rng.integers(1, 7)))])
+
+    def psd(d, rank):
+        A = rng.uniform(-1.0, 1.0, (rank, d))
+        return quadratic(A.T @ A, c=rng.uniform(-2.0, 2.0, d), r0=float(rng.uniform(-1.0, 1.0)))
+
+    for _ in range(30):
+        d = int(rng.integers(1, 7))
+        families = (
+            pieces(d),
+            psd(d, d),
+            psd(d, int(rng.integers(0, d))),
+            SumFunction(d, (psd(d, d), pieces(d), psd(d, int(rng.integers(0, d))), pieces(d))),
+        )
+        for f in families:
+            for rows in (1, 26, 200):
+                X = rng.uniform(-5.0, 5.0, size=(rows, d))
+                assert np.array_equal(evaluate_many(f, X), [evaluate(f, x) for x in X])
     X = rng.uniform(-3.0, 3.0, size=(40, 2))
     for f in (INF_NORM, ONE_NORM, SQUARED_NORM, SumFunction(2, (ONE_NORM, SQUARED_NORM))):
-        assert_allclose(evaluate_many(f, X), [evaluate(f, x) for x in X], atol=1e-12)
+        assert np.array_equal(evaluate_many(f, X), [evaluate(f, x) for x in X])
 
 
 def test_subdifferential_one_norm_at_origin_is_square():

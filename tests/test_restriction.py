@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from convexkit import harness, restriction
+from convexkit import functions, harness, restriction
 from convexkit.errors import InfeasibleFiber
-from convexkit.functions import Polytope, max_affine, quadratic
+from convexkit.functions import Polytope, SumFunction, max_affine, quadratic
 from convexkit.linalg import kernel, project, row_space
 from convexkit.restriction import (
     embed,
@@ -188,3 +188,53 @@ def test_restricted_convexity_random():
             w1, w2 = rng.uniform(-2, 2, k), rng.uniform(-2, 2, k)
             lhs = 0.5 * (restrict_evaluate(g, w1) + restrict_evaluate(g, w2))
             assert lhs - restrict_evaluate(g, 0.5 * (w1 + w2)) >= -1e-9
+
+
+def _reference_midpoint_sweep(g, seed):
+    """One pair at a time: the least midpoint gap and its pair, first minimum kept."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(11,)))
+    worst = None
+    for _ in range(restriction.MIDPOINT_PAIRS):
+        w1 = rng.uniform(-restriction.PAIR_SCALE, restriction.PAIR_SCALE, g.fiber.fiber_dim)
+        w2 = rng.uniform(-restriction.PAIR_SCALE, restriction.PAIR_SCALE, g.fiber.fiber_dim)
+        gap = 0.5 * (restrict_evaluate(g, w1) + restrict_evaluate(g, w2)) - restrict_evaluate(g, 0.5 * (w1 + w2))
+        if worst is None or gap < worst:
+            worst, pair = gap, (w1, w2)
+    return worst, pair
+
+
+def test_midpoint_sweep_matches_scalar_loop():
+    """The batched sweep reports the scalar loop's gap and pair, bit for bit, on every fiber dimension."""
+    rng = np.random.default_rng(29)
+    cases = [(ONE_NORM, np.eye(2), np.array([1.0, 2.0]))]  # S invertible: a 0-dimensional fiber
+    for _ in range(60):
+        n = int(rng.integers(2, 6))
+        S = rng.uniform(-1.0, 1.0, (int(rng.integers(1, n + 1)), n))
+        Q = rng.uniform(-1.0, 1.0, (int(rng.integers(0, n + 1)), n))
+        parts = [max_affine([(rng.uniform(-2, 2, n), rng.uniform(-2, 2)) for _ in range(6)]), quadratic(Q.T @ Q)]
+        f = parts[int(rng.integers(0, 2))] if rng.integers(0, 3) else SumFunction(n, tuple(parts))
+        cases.append((f, S, S @ rng.uniform(-1.0, 1.0, n)))
+    for seed, (f, S, zeta) in enumerate(cases):
+        g = restrict(f, S, zeta)
+        directions = [] if g.fiber.fiber_dim == 0 else [g.fiber.kernel_basis.basis[0]]
+        result = lemma1_check(g, np.zeros(g.fiber.fiber_dim), directions, seed=seed)
+        check = result.checks[-1]
+        assert check.name == "restricted_midpoint_convexity"
+        worst, (w1, w2) = _reference_midpoint_sweep(g, seed)
+        assert check.gap == worst
+        assert np.array_equal(check.witness["w1"], w1) and np.array_equal(check.witness["w2"], w2)
+        assert check.passed == (worst >= -restriction.CONVEXITY_SLACK)
+
+
+def test_midpoint_sweep_is_three_batched_evaluations(monkeypatch):
+    calls = []
+    original = functions.evaluate_many
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(functions, "evaluate_many", counted)
+    u = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    lemma1_check(restrict(ONE_NORM, S_SUM, np.array([0.0])), (0.0,), [u, -u], seed=3)
+    assert len(calls) == 3
