@@ -94,22 +94,13 @@ def feasibility_violation(C: PolyhedralDomain, x) -> float:
 def feasible_point(C: PolyhedralDomain) -> np.ndarray:
     """Any point of the domain, or InfeasibleDomain when it is empty.
 
-    The origin for a bare box; otherwise the simplex's own phase one, run as
-    a zero-cost linear program over C's box and halfspaces.
+    The origin for a bare box; otherwise the epigraph LP of no blocks: a
+    zero-cost linear program over C's box and halfspaces, which the simplex's
+    own phase one decides.
     """
     if not C.inequalities:
         return np.zeros(C.dim)
-    try:
-        sol = solve_lp(
-            np.zeros(C.dim),
-            A_ub=np.array([g for g, _ in C.inequalities]),
-            b_ub=np.array([h for _, h in C.inequalities]),
-            lower=np.full(C.dim, -C.box_radius),
-            upper=np.full(C.dim, C.box_radius),
-        )
-    except LPInfeasible as exc:
-        raise InfeasibleDomain(f"domain is empty: {exc}") from exc
-    return sol.x
+    return _lp_minimize((), C).witness
 
 
 @dataclass(frozen=True)
@@ -331,7 +322,7 @@ def lemma3_check(
             name="segment_membership",
             passed=bool(gaps[worst] <= 10.0 * tol),
             gap=float(gaps[worst]),
-            witness={"point": [float(t) for t in points[worst]]},
+            witness={"point": points[worst].tolist()},
         )
     )
     return TrialResult(trial_id=0, instance=instance, checks=checks).settle()

@@ -129,19 +129,19 @@ def _run_query(config: CliConfig) -> dict:
     if config.op == "subdiff":
         f = function_from_json(doc.get("f", doc))
         P = subdifferential(f, x)
-        return {"generators": [[float(v) for v in g] for g in P.generators]}
+        return {"generators": P.generators.tolist()}
     if config.op == "restricted-subdiff":
         f = function_from_json(doc["f"])
         g = restrict(f, doc["S"], doc["zeta"])
         P = restricted_subdifferential(g, x)
-        return {"generators": [[float(v) for v in row] for row in P.generators]}
+        return {"generators": P.generators.tolist()}
     if config.op == "marginal":
         inner = doc.get("marginal", doc)
         h = marginal_mod.marginalize(function_from_json(inner["f"]), inner["S"])
         witness = marginal_mod.marginal_value(h, x)
         return {
             "value": float(witness.value),
-            "argmin": [float(v) for v in witness.argmin],
+            "argmin": witness.argmin.tolist(),
             "status": witness.status,
         }
     if config.op == "argmin-member":

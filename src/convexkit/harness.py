@@ -159,9 +159,9 @@ class RunConfig:
     trials: int = 100
     dim: int = 6
     seed: int = 42
-    tol_active: float = 1e-9
-    tol_support: float = 1e-7
-    tol_membership: float = 1e-6
+    tol_active: float = fn.ACTIVE_TOL
+    tol_support: float = restriction.SUPPORT_TOL
+    tol_membership: float = argmin.DEFAULT_MEMBERSHIP_TOL
     oracle_pitch: float | None = None
 
 

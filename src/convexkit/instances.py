@@ -26,14 +26,14 @@ def function_to_json(f) -> dict:
     if isinstance(f, MaxAffine):
         return {
             "type": "max_affine",
-            "pieces": [{"a": [float(v) for v in p.a], "b": float(p.b)} for p in f.pieces],
+            "pieces": [{"a": p.a.tolist(), "b": p.b} for p in f.pieces],
         }
     if isinstance(f, Quadratic):
         return {
             "type": "quadratic",
-            "Q": [[float(v) for v in row] for row in f.Q],
-            "c": [float(v) for v in f.c],
-            "r0": float(f.r0),
+            "Q": f.Q.tolist(),
+            "c": f.c.tolist(),
+            "r0": f.r0,
         }
     if isinstance(f, SumFunction):
         return {"type": "sum", "parts": [function_to_json(p) for p in f.parts]}
@@ -57,11 +57,11 @@ def function_from_json(doc: dict):
 
 
 def matrix_to_json(M) -> list:
-    return [[float(v) for v in row] for row in as_matrix(M)]
+    return as_matrix(M).tolist()
 
 
 def vector_to_json(v) -> list:
-    return [float(x) for x in as_vector(v)]
+    return as_vector(v).tolist()
 
 
 def domain_to_json(inequalities, box_radius: float) -> dict:

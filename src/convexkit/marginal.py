@@ -8,10 +8,11 @@ The inner problem is solved exactly: an epigraph linear program for
 piecewise-linear objectives (inside a large safety box; a binding box is a
 premise violation and raises UnboundedBelow instead of returning a bogus
 minimum), and the KKT linear system for quadratics that are positive definite
-on the constraint null space.  The KKT system [[2Q, S], [S^T, 0]] depends only
-on f and S, so each MarginalFunction factors it once, on its first quadratic
-query, and every query after that is one small linear solve for its right-hand
-side [-c, x].
+on the constraint null space.  Everything but the query point depends only on
+f and S, so each MarginalFunction sets up its inner solver once, on its first
+query: the epigraph LP's arrays and lifted fiber rows [S^T, 0], which leave
+b_eq = x to each query, or the KKT system [[2Q, S], [S^T, 0]], factored once,
+which leaves one small linear solve for the right-hand side [-c, x].
 
 lemma2_check verifies both halves of the marginal-convexity result with one
 midpoint-gap routine: h((x + y) / 2) against the mean of h(x) and h(y), each
@@ -24,7 +25,7 @@ least gap and the pair that gave it, so the failure replays from the report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -55,6 +56,10 @@ STRICT_GAP = 1e-8
 MIN_PAIR_SEPARATION = 1e-3
 MIDPOINT_PAIRS = 20
 SAMPLE_SCALE = 2.0
+MIXED_OBJECTIVE = (
+    "sum mixes a nonzero quadratic with piecewise-linear parts; "
+    "no exact inner solver covers that combination"
+)
 
 
 @dataclass(frozen=True)
@@ -74,27 +79,22 @@ class MarginalFunction:
         return self.S.shape[1]
 
     @cached_property
-    def _kkt(self) -> tuple[float, AnchorMap | None]:
-        """The KKT system of a quadratic f, factored once per marginal.
+    def _inner(self):
+        """The inner solver, set up on the first query: a function of the query point.
 
-        Returns the least eigenvalue of the Hessian 2Q reduced to the fiber
-        kernel ker(S^T) (inf when the fibers are points) and the anchor map of
-        [[2Q, S], [S^T, 0]], or None in its place when that floor is not safely
-        positive, which makes every query raise SingularKKT.
+        Max-affine blocks, alone or beside a quadratic with Q = 0 and c = 0,
+        get their epigraph LP with the lifted fiber rows [S^T, 0], so a query
+        sets only b_eq = x.  A quadratic gets its KKT system, factored once.
+        Any other mix raises UnsupportedObjective on every query.
         """
-        _, quad = fn.normal_form(self.f)
-        n = self.S.shape[1]
-        A_eq = self.S.T
-        K = kernel(A_eq)
-        floor = np.inf
-        if K.dim:
-            reduced = K.basis @ (2.0 * quad.Q) @ K.basis.T
-            floor = float(np.min(np.linalg.eigvalsh(reduced)))
-            if floor <= KKT_SINGULAR_TOL * (1.0 + float(np.max(np.abs(reduced)))):
-                return floor, None
-        top = np.hstack([2.0 * quad.Q, A_eq.T])
-        bottom = np.hstack([A_eq, np.zeros((n, n))])
-        return floor, anchor_map(np.vstack([top, bottom]))
+        parts, quad = fn.normal_form(self.f)
+        if not parts:
+            return _kkt_system(quad, self.S)
+        if quad is not None and (quad.Q.any() or quad.c.any()):
+            return partial(_refuse, UnsupportedObjective, MIXED_OBJECTIVE)
+        epigraph = fn.epigraph(self.inner_dim, parts, BOX_RADIUS)
+        eq = np.hstack([self.S.T, np.zeros((self.outer_dim, len(parts)))])
+        return partial(_lp_inner, self.inner_dim, epigraph, eq, 0.0 if quad is None else quad.r0)
 
 
 def marginalize(f, S) -> MarginalFunction:
@@ -123,20 +123,11 @@ def _check_domain(h: MarginalFunction, x) -> np.ndarray:
     return x
 
 
-def _lp_inner(parts, constant, A_eq, x):
-    d = parts[0].dim
-    cost, rows, rhs, lower, upper = fn.epigraph(d, parts, BOX_RADIUS)
-    eq = np.hstack([A_eq, np.zeros((A_eq.shape[0], len(parts)))]) if A_eq.shape[0] else None
+def _lp_inner(d, epigraph, eq, constant, x) -> MinimizationWitness:
+    """The prepared epigraph LP solved for b_eq = x; the witness is its first d variables."""
+    cost, rows, rhs, lower, upper = epigraph
     try:
-        sol = solve_lp(
-            cost,
-            A_ub=rows,
-            b_ub=rhs,
-            A_eq=eq,
-            b_eq=x if eq is not None else None,
-            lower=lower,
-            upper=upper,
-        )
+        sol = solve_lp(cost, A_ub=rows, b_ub=rhs, A_eq=eq, b_eq=x, lower=lower, upper=upper)
     except LPInfeasible as exc:
         raise UnboundedBelow(
             f"fiber does not meet the solver box (radius {BOX_RADIUS:g}): {exc}"
@@ -146,22 +137,39 @@ def _lp_inner(parts, constant, A_eq, x):
         raise UnboundedBelow(
             "minimum sits on the safety box, attainment inside it is not certified"
         )
-    return r, float(sol.value + constant)
+    return MinimizationWitness(float(sol.value + constant), r, "exact-LP")
 
 
-def _kkt_inner(h: MarginalFunction, quad, x):
-    floor, system = h._kkt
-    if system is None:
-        raise SingularKKT(
-            f"objective is not positive definite along the fiber (floor {floor:.3e})"
-        )
+def _kkt_system(quad, S):
+    """The KKT solver of a quadratic f on the fibers of S^T: [[2Q, S], [S^T, 0]], factored once.
+
+    When the least eigenvalue of the Hessian 2Q reduced to the fiber kernel
+    ker(S^T) is not safely positive, every query raises SingularKKT instead.
+    """
+    n = S.shape[1]
+    K = kernel(S.T)
+    if K.dim:
+        reduced = K.basis @ (2.0 * quad.Q) @ K.basis.T
+        floor = float(np.min(np.linalg.eigvalsh(reduced)))
+        if floor <= KKT_SINGULAR_TOL * (1.0 + float(np.max(np.abs(reduced)))):
+            message = f"objective is not positive definite along the fiber (floor {floor:.3e})"
+            return partial(_refuse, SingularKKT, message)
+    return partial(_kkt_inner, quad, anchor_map(np.block([[2.0 * quad.Q, S], [S.T, np.zeros((n, n))]])))
+
+
+def _kkt_inner(quad, system: AnchorMap, x) -> MinimizationWitness:
     rhs = np.concatenate([-quad.c, x])
     try:
         sol = system.solve(rhs, 1e-8 * (1.0 + float(np.linalg.norm(rhs))))
     except InfeasibleFiber as exc:
         raise SingularKKT(f"KKT system is inconsistent: {exc}") from exc
     r = sol[: quad.dim]
-    return r, float(fn.evaluate(quad, r))
+    return MinimizationWitness(float(fn.evaluate(quad, r)), r, "exact-KKT")
+
+
+def _refuse(error, message, x):
+    """The inner solver of a marginal its set-up refused: every query raises."""
+    raise error(message)
 
 
 def marginal_value(h: MarginalFunction, x) -> MinimizationWitness:
@@ -173,21 +181,7 @@ def marginal_value(h: MarginalFunction, x) -> MinimizationWitness:
     with piecewise-linear parts.
     """
     x = _check_domain(h, x)
-    A_eq = h.S.T  # constraint S^T r = x, shape (n, d)
-    parts, quad = fn.normal_form(h.f)
-    if parts and quad is not None:
-        if float(np.max(np.abs(quad.Q))) == 0.0 and float(np.max(np.abs(quad.c))) == 0.0:
-            r, value = _lp_inner(parts, quad.r0, A_eq, x)
-            return MinimizationWitness(value, r, "exact-LP")
-        raise UnsupportedObjective(
-            "sum mixes a nonzero quadratic with piecewise-linear parts; "
-            "no exact inner solver covers that combination"
-        )
-    if parts:
-        r, value = _lp_inner(parts, 0.0, A_eq, x)
-        return MinimizationWitness(value, r, "exact-LP")
-    r, value = _kkt_inner(h, quad, x)
-    return MinimizationWitness(value, r, "exact-KKT")
+    return h._inner(x)
 
 
 def is_strictly_convex(f) -> bool:
@@ -211,7 +205,7 @@ def _least_gap(h: MarginalFunction, pairs):
         witnesses += zip(points, (wx, wy, wm))
         gap = 0.5 * (wx.value + wy.value) - wm.value
         if gap < least:
-            least, pair = gap, {"x": list(map(float, x)), "y": list(map(float, y))}
+            least, pair = gap, {"x": x.tolist(), "y": y.tolist()}
     return float(least), pair, witnesses
 
 

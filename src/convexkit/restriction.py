@@ -57,12 +57,13 @@ def make_fiber(S, zeta) -> AffineFiber:
     """Build the fiber of ``S`` over ``zeta``; raises InfeasibleFiber when empty.
 
     The only constructor of AffineFiber: the anchor is the minimum-norm
-    solution, so it satisfies the system within FIBER_RESIDUAL_TOL and lies
-    in the row space, orthogonal to the kernel basis.
+    solution, so it satisfies the system within FIBER_RESIDUAL_TOL relative
+    to 1 + |zeta| and lies in the row space, orthogonal to the kernel basis.
     """
     amap = anchor_map(S)
     zeta = as_vector(zeta, amap.S.shape[0])
-    return AffineFiber(amap.S, zeta, amap.solve(zeta, FIBER_RESIDUAL_TOL), complement(amap.rows))
+    tol = FIBER_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(zeta)))
+    return AffineFiber(amap.S, zeta, amap.solve(zeta, tol), complement(amap.rows))
 
 
 def embed(fiber: AffineFiber, w) -> np.ndarray:

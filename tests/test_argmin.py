@@ -6,6 +6,7 @@ which gives the segment check something real to chew on.
 """
 
 import itertools
+import re
 import time
 
 import numpy as np
@@ -23,8 +24,9 @@ from convexkit.argmin import (
     lemma3_check,
     minimize_over,
 )
-from convexkit.errors import DimensionMismatch, InfeasibleDomain
+from convexkit.errors import DimensionMismatch, InfeasibleDomain, LPInfeasible
 from convexkit.functions import MaxAffine, SumFunction, evaluate, evaluate_many, max_affine, quadratic
+from convexkit.simplex import solve_lp
 
 FLAT_INTERVAL = max_affine([((0.0,), 0.0), ((1.0,), -1.0), ((-1.0,), -1.0)])
 # flat on the rectangle [-1, 1] x [-2, 2], then growing linearly
@@ -102,6 +104,40 @@ def test_empty_domain_raises():
     for f in (PARABOLA, FLAT_INTERVAL):  # the QP and the LP path
         with pytest.raises(InfeasibleDomain):
             minimize_over(f, C)
+
+
+def _hand_built_feasible_point(C):
+    """A zero-cost LP over C's box and halfspaces, its arrays built by hand."""
+    try:
+        sol = solve_lp(
+            np.zeros(C.dim),
+            A_ub=np.array([g for g, _ in C.inequalities]),
+            b_ub=np.array([h for _, h in C.inequalities]),
+            lower=np.full(C.dim, -C.box_radius),
+            upper=np.full(C.dim, C.box_radius),
+        )
+    except LPInfeasible as exc:
+        raise InfeasibleDomain(f"domain is empty: {exc}") from exc
+    return sol.x
+
+
+def test_feasible_point_is_the_zero_block_epigraph_lp():
+    """feasible_point equals the hand-built LP bit for bit, and refuses an empty domain with its message."""
+    rng = np.random.default_rng(61)
+    empty = 0
+    for _ in range(100):
+        d = int(rng.integers(1, 6))
+        cuts = [(rng.uniform(-1.0, 1.0, d), float(rng.uniform(-2.0, 1.0))) for _ in range(int(rng.integers(1, 5)))]
+        C = PolyhedralDomain(d, tuple(cuts), float(rng.uniform(0.5, 4.0)))
+        try:
+            expected = _hand_built_feasible_point(C)
+        except InfeasibleDomain as exc:
+            empty += 1
+            with pytest.raises(InfeasibleDomain, match=f"^{re.escape(str(exc))}$"):
+                feasible_point(C)
+            continue
+        assert np.array_equal(feasible_point(C), expected)
+    assert 0 < empty < 50
 
 
 def test_domain_validation():

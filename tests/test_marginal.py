@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from convexkit import linalg, marginal
+from convexkit import functions, linalg, marginal
 from convexkit.errors import (
     DimensionMismatch,
     DomainViolation,
@@ -146,6 +146,13 @@ def test_mixed_sum_is_unsupported():
     for _ in range(2):
         with pytest.raises(UnsupportedObjective):
             marginal_value(h, [1.0])
+    # the domain x2 = 0 is checked first, on every query
+    h = marginalize(f, [[1.0, 0.0], [1.0, 0.0]])
+    for _ in range(2):
+        with pytest.raises(DomainViolation):
+            marginal_value(h, [0.0, 1.0])
+        with pytest.raises(UnsupportedObjective):
+            marginal_value(h, [1.0, 0.0])
 
 
 def _kkt_reference(f, S, x):
@@ -177,32 +184,45 @@ def test_factored_kkt_matches_per_query_solve():
             assert w.value == value
 
 
-def test_kkt_is_factored_once_per_marginal(monkeypatch):
-    """Row-space factorizations do not grow with the number of queries."""
+def _count_calls(monkeypatch, module, name):
     calls = []
-    original = linalg.row_space
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "row_space", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_kkt_is_factored_once_per_marginal(monkeypatch):
+    """Each marginal sets up its inner solver once: the KKT factorization or the epigraph LP."""
+    factorizations = _count_calls(monkeypatch, linalg, "row_space")
+    epigraphs = _count_calls(monkeypatch, functions, "epigraph")
     rng = np.random.default_rng(43)
     f = quadratic(np.diag([2.0, 1.0, 3.0]), c=(0.5, -1.0, 0.0))
     S = rng.uniform(-1.0, 1.0, (3, 2))
     h = marginalize(f, S)
     marginal_value(h, S.T @ rng.uniform(-1.0, 1.0, 3))
-    first = len(calls)
+    first = len(factorizations)
     assert first > 0
     for _ in range(59):
         marginal_value(h, S.T @ rng.uniform(-1.0, 1.0, 3))
-    assert len(calls) == first
-    # LP and mixed objectives factor nothing at all
-    calls.clear()
-    marginal_value(marginalize(ONE_NORM, SUM_FIBER), [1.0])
-    with pytest.raises(UnsupportedObjective):
-        marginal_value(marginalize(SumFunction(2, (ONE_NORM, SQUARED_NORM)), SUM_FIBER), [1.0])
-    assert calls == []
+    assert len(factorizations) == first
+    assert epigraphs == []
+    # a max-affine marginal builds its epigraph LP once; LP and mixed objectives factor nothing
+    factorizations.clear()
+    h = marginalize(ONE_NORM, SUM_FIBER)
+    for _ in range(60):
+        assert marginal_value(h, [rng.uniform(-1.0, 1.0)]).status == "exact-LP"
+    assert len(epigraphs) == 1
+    h = marginalize(SumFunction(2, (ONE_NORM, SQUARED_NORM)), SUM_FIBER)
+    for _ in range(2):
+        with pytest.raises(UnsupportedObjective):
+            marginal_value(h, [1.0])
+    assert len(epigraphs) == 1
+    assert factorizations == []
 
 
 def test_operator_shape_mismatch():
