@@ -28,7 +28,7 @@ import numpy as np
 from . import functions as fn
 from .errors import DimensionMismatch, InfeasibleDomain, LPInfeasible, SolverFailure
 from .instances import domain_to_json, function_to_json
-from .report import SKIP, CheckResult, TrialResult
+from .report import CheckResult, TrialResult
 from .simplex import solve_lp
 
 DEFAULT_MEMBERSHIP_TOL = 1e-6
@@ -302,13 +302,7 @@ def lemma3_check(
     rays = np.stack([probes, -probes], axis=1).reshape(-1, C.dim)
     members = _distinct([base, *_extreme_members(f, C, base, rays, m, tol)], DISTINCT_TOL)[:MAX_MEMBERS]
     if len(members) < 2:
-        return TrialResult(
-            trial_id=0,
-            instance=instance,
-            checks=[],
-            status=SKIP,
-            skip_reason="SkippedDegenerate",
-        )
+        return TrialResult(instance, skip_reason="SkippedDegenerate")
 
     inside, gap = _probe(f, C, base[None], m, tol)
     checks = [CheckResult(name="witness_validity", passed=bool(inside[0]), gap=float(gap[0]))]
@@ -325,4 +319,4 @@ def lemma3_check(
             witness={"point": points[worst].tolist()},
         )
     )
-    return TrialResult(trial_id=0, instance=instance, checks=checks).settle()
+    return TrialResult(instance, checks)

@@ -14,7 +14,7 @@ class InfeasibleFiber(ConvexKitError):
 
 
 class DomainViolation(ConvexKitError):
-    """A query point lies outside the function's domain subspace."""
+    """A query point or direction lies outside the subspace it must lie in."""
 
 
 class UnboundedBelow(ConvexKitError):

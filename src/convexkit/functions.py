@@ -153,20 +153,19 @@ def max_affine(pieces) -> MaxAffine:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Convex hull of finitely many generator points (rows)."""
+    """Convex hull of finitely many generator points (rows), in R^ambient_dim."""
 
-    ambient_dim: int
     generators: np.ndarray
 
     def __post_init__(self):
         g = as_matrix(self.generators)
         if g.shape[0] == 0:
             raise ValueError("a polytope needs at least one generator")
-        if g.shape[1] != self.ambient_dim:
-            raise DimensionMismatch(
-                f"generators live in R^{g.shape[1]}, ambient is R^{self.ambient_dim}"
-            )
         object.__setattr__(self, "generators", g)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.generators.shape[1]
 
 
 def normal_form(f: ConvexFunction) -> tuple[tuple[MaxAffine, ...], Quadratic | None]:
@@ -284,7 +283,7 @@ def subdifferential(f: ConvexFunction, x, active_tol: float = ACTIVE_TOL) -> Pol
     gens = sets[0]
     for more in sets[1:]:
         gens = (gens[:, None, :] + more[None, :, :]).reshape(len(gens) * len(more), f.dim)
-    return Polytope(f.dim, gens)
+    return Polytope(gens)
 
 
 def one_dim_subdifferential(f: ConvexFunction, x, v, active_tol: float = ACTIVE_TOL) -> tuple[float, float]:

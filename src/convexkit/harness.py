@@ -42,15 +42,8 @@ def _trial_seed(seed: int, stream: int, index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def gen_max_affine(dim: int, pieces: int, seed) -> fn.MaxAffine:
+def gen_max_affine(dim: int, pieces: int, rng: np.random.Generator) -> fn.MaxAffine:
     """Random pieces with coefficients and offsets in [-2, 2]."""
-    rng = _as_rng(seed)
     rows = [
         (rng.uniform(-2.0, 2.0, dim), float(rng.uniform(-2.0, 2.0)))
         for _ in range(pieces)
@@ -58,13 +51,12 @@ def gen_max_affine(dim: int, pieces: int, seed) -> fn.MaxAffine:
     return fn.max_affine(rows)
 
 
-def gen_coercive_max_affine(dim: int, pieces: int, seed) -> fn.MaxAffine:
+def gen_coercive_max_affine(dim: int, pieces: int, rng: np.random.Generator) -> fn.MaxAffine:
     """Random pieces plus the bounds 2 |r_j| - 2, which force attainment.
 
     The bounds alone give f >= 2 max_j |r_j| - 2, a coercive minorant, so the
     function grows along every ray and inner minima over fibers always exist.
     """
-    rng = _as_rng(seed)
     f = gen_max_affine(dim, pieces, rng)
     rows = [(p.a, p.b) for p in f.pieces]
     for j in range(dim):
@@ -75,22 +67,20 @@ def gen_coercive_max_affine(dim: int, pieces: int, seed) -> fn.MaxAffine:
     return fn.max_affine(rows)
 
 
-def gen_flat_max_affine(dim: int, pieces: int, seed) -> fn.MaxAffine:
+def gen_flat_max_affine(dim: int, pieces: int, rng: np.random.Generator) -> fn.MaxAffine:
     """max(0, affine pieces that are negative near the origin).
 
     The zero piece wins on a neighborhood of the origin, so the argmin set
     over a box has interior and segment checks get distinct members.
     """
-    rng = _as_rng(seed)
     rows = [(np.zeros(dim), 0.0)]
     for _ in range(pieces):
         rows.append((rng.uniform(-2.0, 2.0, dim), float(rng.uniform(-3.0, -1.0))))
     return fn.max_affine(rows)
 
 
-def gen_pd_quadratic(dim: int, seed) -> fn.Quadratic:
+def gen_pd_quadratic(dim: int, rng: np.random.Generator) -> fn.Quadratic:
     """A^T A + 0.1 I keeps the spectrum off the floor, so f is strictly convex."""
-    rng = _as_rng(seed)
     A = rng.uniform(-1.0, 1.0, (dim, dim))
     return fn.quadratic(
         A.T @ A + 0.1 * np.eye(dim),
@@ -99,7 +89,7 @@ def gen_pd_quadratic(dim: int, seed) -> fn.Quadratic:
     )
 
 
-def gen_operator(rows: int, cols: int, rank: int, seed) -> np.ndarray:
+def gen_operator(rows: int, cols: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """Random matrix of exact numerical rank, redrawn until well conditioned.
 
     Raises SolverFailure when OPERATOR_DRAWS draws give no well conditioned
@@ -107,7 +97,6 @@ def gen_operator(rows: int, cols: int, rank: int, seed) -> np.ndarray:
     """
     if rank > min(rows, cols) or rank < 0:
         raise ValueError(f"rank {rank} impossible for a {rows} x {cols} matrix")
-    rng = _as_rng(seed)
     if rank == 0:
         return np.zeros((rows, cols))
     for _ in range(OPERATOR_DRAWS):
@@ -259,7 +248,6 @@ def _lemma2_trial(index: int, config: RunConfig) -> TrialResult:
                 witness={"exact": float(witness.value), "grid": float(brute_value)},
             )
         )
-        result.settle()
     return result
 
 
@@ -304,9 +292,7 @@ def run_suite(which: str, config: RunConfig) -> SuiteReport:
     if which == "all":
         report = SuiteReport("all", config.seed, _tolerances(config))
         for name in ("lemma1", "lemma2", "lemma3"):
-            for trial in run_suite(name, config).trials:
-                trial.trial_id = len(report.trials)
-                report.trials.append(trial)
+            report.trials += run_suite(name, config).trials
         return report
     if which not in _TRIAL_RUNNERS:
         raise ValueError(f"unknown suite: {which!r}")
@@ -317,7 +303,6 @@ def run_suite(which: str, config: RunConfig) -> SuiteReport:
             trial = runner(index, config)
         except ConvexKitError as exc:
             trial = TrialResult(
-                trial_id=index,
                 instance={"suite": which, "error": str(exc)},
                 checks=[
                     CheckResult(
@@ -326,7 +311,6 @@ def run_suite(which: str, config: RunConfig) -> SuiteReport:
                         witness={"error": f"{type(exc).__name__}: {exc}"},
                     )
                 ],
-            ).settle()
-        trial.trial_id = index
+            )
         report.trials.append(trial)
     return report

@@ -10,8 +10,12 @@ RANK_TOL relative to the largest row norm so it is scale invariant.
 Solving ``S y = zeta`` for many right-hand sides goes through one reusable
 AnchorMap: ``anchor_map(S)`` factors S once (its row-space basis, ``M`` and
 ``M^T M``), and each ``AnchorMap.solve`` is one small linear solve that
-returns a freshly allocated array.  A map is never mutated after it is built.
-Every other function is pure and returns freshly allocated arrays.
+returns a freshly allocated array.  Its one residual rule,
+ANCHOR_RESIDUAL_TOL * (1 + |zeta|), serves every caller: fibers, the KKT
+systems of marginals and ``solve_anchor``.  A map is never mutated after it
+is built.  Every other function is pure and returns freshly allocated arrays.
+A rank-zero subspace or map needs no branch of its own: numpy's empty
+products give the zero vector.
 """
 
 from __future__ import annotations
@@ -55,27 +59,25 @@ class Subspace:
     """A linear subspace given by an orthonormal row basis.
 
     ``basis`` has shape (dim, ambient_dim); an empty basis (0 rows) is the
-    zero subspace.  Orthonormality is validated on construction.
+    zero subspace.  Orthonormality is validated on construction: every entry
+    of B B^T - I must be within 1e-10 of zero.
     """
 
-    ambient_dim: int
     basis: np.ndarray
 
     def __post_init__(self):
         b = as_matrix(self.basis)
-        if b.shape[1] != self.ambient_dim:
-            raise DimensionMismatch(
-                f"basis rows live in R^{b.shape[1]}, ambient is R^{self.ambient_dim}"
-            )
-        if b.shape[0] > 0:
-            gram = b @ b.T
-            if not np.allclose(gram, np.eye(b.shape[0]), atol=1e-10):
-                raise ValueError("basis rows are not orthonormal within 1e-10")
+        if not np.all(np.abs(b @ b.T - np.eye(b.shape[0])) <= 1e-10):
+            raise ValueError("basis rows are not orthonormal within 1e-10")
         object.__setattr__(self, "basis", b)
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[1]
 
 
 def _strip(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -102,7 +104,7 @@ def row_space(S) -> Subspace:
         norm = float(np.linalg.norm(u))
         if norm > threshold:
             rows = np.vstack([rows, u / norm])
-    return Subspace(S.shape[1], rows)
+    return Subspace(rows)
 
 
 def complement(W: Subspace) -> Subspace:
@@ -124,7 +126,7 @@ def complement(W: Subspace) -> Subspace:
         norm = float(np.linalg.norm(u))
         if norm > RANK_TOL:
             rows = np.vstack([rows, u / norm])
-    return Subspace(n, rows)
+    return Subspace(rows)
 
 
 def kernel(S) -> Subspace:
@@ -135,8 +137,6 @@ def kernel(S) -> Subspace:
 def project(x, W: Subspace) -> np.ndarray:
     """Orthogonal projection of ``x`` onto the subspace ``W``."""
     x = as_vector(x, W.ambient_dim)
-    if W.dim == 0:
-        return np.zeros(W.ambient_dim)
     return W.basis.T @ (W.basis @ x)
 
 
@@ -154,17 +154,14 @@ class AnchorMap:
     M: np.ndarray
     normal: np.ndarray
 
-    def solve(self, zeta: np.ndarray, tol: float = ANCHOR_RESIDUAL_TOL) -> np.ndarray:
-        """Minimum-norm solution; raises InfeasibleFiber when the residual exceeds ``tol``.
+    def solve(self, zeta: np.ndarray) -> np.ndarray:
+        """Minimum-norm solution; InfeasibleFiber when the residual exceeds ANCHOR_RESIDUAL_TOL * (1 + |zeta|).
 
         ``zeta`` is a float vector of length ``S.shape[0]``, checked by the caller.
         """
-        if self.rows.dim == 0:
-            y = np.zeros(self.S.shape[1])
-        else:
-            w = np.linalg.solve(self.normal, self.M.T @ zeta)
-            y = self.rows.basis.T @ w
+        y = self.rows.basis.T @ np.linalg.solve(self.normal, self.M.T @ zeta)
         residual = float(np.linalg.norm(self.S @ y - zeta))
+        tol = ANCHOR_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(zeta)))
         if residual > tol:
             raise InfeasibleFiber(
                 f"no solution within tolerance: residual {residual:.3e} > {tol:.3e}"
@@ -181,6 +178,6 @@ def anchor_map(S) -> AnchorMap:
 
 
 def solve_anchor(S, zeta) -> np.ndarray:
-    """Minimum-norm solution of ``S y = zeta`` within ANCHOR_RESIDUAL_TOL; see AnchorMap.solve."""
+    """Minimum-norm solution of ``S y = zeta``; see AnchorMap.solve for its residual bound."""
     amap = anchor_map(S)
     return amap.solve(as_vector(zeta, amap.S.shape[0]))

@@ -68,7 +68,6 @@ class MarginalFunction:
 
     f: fn.ConvexFunction
     S: np.ndarray
-    domain: Subspace
 
     @property
     def inner_dim(self) -> int:
@@ -77,6 +76,11 @@ class MarginalFunction:
     @property
     def outer_dim(self) -> int:
         return self.S.shape[1]
+
+    @cached_property
+    def domain(self) -> Subspace:
+        """The row space of S, where the marginal is defined."""
+        return row_space(self.S)
 
     @cached_property
     def _inner(self):
@@ -103,7 +107,7 @@ def marginalize(f, S) -> MarginalFunction:
         raise DimensionMismatch(
             f"operator has {S.shape[0]} rows, function lives on R^{f.dim}"
         )
-    return MarginalFunction(f, S, row_space(S))
+    return MarginalFunction(f, S)
 
 
 @dataclass(frozen=True)
@@ -160,7 +164,7 @@ def _kkt_system(quad, S):
 def _kkt_inner(quad, system: AnchorMap, x) -> MinimizationWitness:
     rhs = np.concatenate([-quad.c, x])
     try:
-        sol = system.solve(rhs, 1e-8 * (1.0 + float(np.linalg.norm(rhs))))
+        sol = system.solve(rhs)
     except InfeasibleFiber as exc:
         raise SingularKKT(f"KKT system is inconsistent: {exc}") from exc
     r = sol[: quad.dim]
@@ -281,4 +285,4 @@ def lemma2_check(f, S, *, seed: int = 0) -> TrialResult:
             checks.append(
                 CheckResult(name="strict_convexity", passed=passed, gap=gap, witness=None if passed else pair)
             )
-    return TrialResult(trial_id=0, instance=instance, checks=checks).settle()
+    return TrialResult(instance, checks)

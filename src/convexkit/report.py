@@ -4,7 +4,8 @@ A suite report serializes to the same bytes for the same config and seed:
 no timestamps, no environment data, fixed key order, floats via repr.
 The checks build every instance, gap and witness from plain Python values
 (``instances.*_to_json``, ``float()``, ``bool()``), so the writers serialize
-them as they are.
+them as they are.  Nothing derivable is stored: a trial's status follows from
+its skip reason and its checks, and its id is its position in the report.
 """
 
 from __future__ import annotations
@@ -39,17 +40,16 @@ class CheckResult:
 
 @dataclass
 class TrialResult:
-    trial_id: int
     instance: dict
     checks: list[CheckResult] = field(default_factory=list)
-    status: str = PASS
     skip_reason: str | None = None
 
-    def settle(self) -> "TrialResult":
-        """Derive pass/fail from the checks unless already marked as a skip."""
-        if self.status != SKIP:
-            self.status = PASS if all(c.passed for c in self.checks) else FAIL
-        return self
+    @property
+    def status(self) -> str:
+        """Skip when a skip reason is set, otherwise pass exactly when every check passed."""
+        if self.skip_reason is not None:
+            return SKIP
+        return PASS if all(c.passed for c in self.checks) else FAIL
 
 
 @dataclass
@@ -84,7 +84,7 @@ def report_to_dict(report: SuiteReport) -> dict:
         "tolerances": report.tolerances,
         "trials": [
             {
-                "id": t.trial_id,
+                "id": i,
                 "instance": t.instance,
                 "status": t.status,
                 "skip_reason": t.skip_reason,
@@ -98,7 +98,7 @@ def report_to_dict(report: SuiteReport) -> dict:
                     for c in t.checks
                 ],
             }
-            for t in report.trials
+            for i, t in enumerate(report.trials)
         ],
         "summary": report.summary,
     }
@@ -112,12 +112,12 @@ def report_to_csv(report: SuiteReport) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for t in report.trials:
+    for i, t in enumerate(report.trials):
         failed = [c.name for c in t.checks if not c.passed]
         writer.writerow(
             [
                 t.instance.get("suite", report.suite),
-                t.trial_id,
+                i,
                 instance_digest(t.instance),
                 t.status,
                 len(t.checks),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functions
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, DomainViolation
 from .functions import ACTIVE_TOL, Polytope, subdifferential
 from .instances import function_to_json, matrix_to_json, vector_to_json
 from .linalg import Subspace, anchor_map, as_vector, complement, project
@@ -30,7 +30,6 @@ from .report import CheckResult, TrialResult
 
 SUPPORT_TOL = 1e-7
 CONVEXITY_SLACK = 1e-9
-FIBER_RESIDUAL_TOL = 1e-8
 MIDPOINT_PAIRS = 20
 PAIR_SCALE = 2.0
 
@@ -57,13 +56,12 @@ def make_fiber(S, zeta) -> AffineFiber:
     """Build the fiber of ``S`` over ``zeta``; raises InfeasibleFiber when empty.
 
     The only constructor of AffineFiber: the anchor is the minimum-norm
-    solution, so it satisfies the system within FIBER_RESIDUAL_TOL relative
-    to 1 + |zeta| and lies in the row space, orthogonal to the kernel basis.
+    solution, so it satisfies the system within AnchorMap.solve's residual
+    bound and lies in the row space, orthogonal to the kernel basis.
     """
     amap = anchor_map(S)
     zeta = as_vector(zeta, amap.S.shape[0])
-    tol = FIBER_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(zeta)))
-    return AffineFiber(amap.S, zeta, amap.solve(zeta, tol), complement(amap.rows))
+    return AffineFiber(amap.S, zeta, amap.solve(zeta), complement(amap.rows))
 
 
 def embed(fiber: AffineFiber, w) -> np.ndarray:
@@ -113,9 +111,8 @@ def restricted_subdifferential(g: RestrictedFunction, w, active_tol: float = ACT
     P = subdifferential(g.f, x, active_tol)
     B = g.fiber.kernel_basis.basis
     if B.shape[0] == 0:
-        return Polytope(g.fiber.ambient_dim, np.zeros((1, g.fiber.ambient_dim)))
-    projected = (P.generators @ B.T) @ B
-    return Polytope(g.fiber.ambient_dim, projected)
+        return Polytope(np.zeros((1, g.fiber.ambient_dim)))
+    return Polytope((P.generators @ B.T) @ B)
 
 
 def support_function(P: Polytope, v) -> float:
@@ -135,10 +132,10 @@ def lemma1_check(
 ) -> TrialResult:
     """One verification trial for the restricted-subdifferential identity.
 
-    Per direction v (must lie in ker S): the one-dimensional subdifferential
-    interval of the ambient f at embed(w) along v has to match
-    [-support(P, -v), support(P, v)] for the projected polytope P within
-    ``support_tol``.  Additionally the restriction must be midpoint convex on
+    Per direction v (it must lie in ker S, else DomainViolation): the
+    one-dimensional subdifferential interval of the ambient f at embed(w)
+    along v has to match [-support(P, -v), support(P, v)] for the projected
+    polytope P within ``support_tol``.  Additionally the restriction must be midpoint convex on
     MIDPOINT_PAIRS seeded coordinate pairs up to CONVEXITY_SLACK.
     """
     f, fiber = g.f, g.fiber
@@ -161,7 +158,7 @@ def lemma1_check(
         v = as_vector(v, fiber.ambient_dim)
         kernel_residual = float(np.linalg.norm(v - project(v, fiber.kernel_basis)))
         if kernel_residual > 1e-9 * (1.0 + float(np.linalg.norm(v))):
-            raise ValueError(f"direction {i} does not lie in the kernel of S")
+            raise DomainViolation(f"direction {i} does not lie in the kernel of S")
         lo, hi = functions.one_dim_subdifferential(f, x, v, active_tol)
         want_hi = support_function(P, v)
         want_lo = -support_function(P, -v)
@@ -189,4 +186,4 @@ def lemma1_check(
             witness={"w1": vector_to_json(W1[worst]), "w2": vector_to_json(W2[worst])},
         )
     )
-    return TrialResult(trial_id=0, instance=instance, checks=checks).settle()
+    return TrialResult(instance, checks)

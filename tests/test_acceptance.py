@@ -12,11 +12,10 @@ import pytest
 
 from convexkit import marginal, restriction
 from convexkit.cli import main, parse_args
-from convexkit.functions import Polytope, evaluate, subdifferential
+from convexkit.functions import evaluate
 from convexkit.harness import RunConfig, run_suite
-from convexkit.linalg import row_space
 from convexkit.marginal import MinimizationWitness
-from convexkit.restriction import embed, make_fiber
+from convexkit.restriction import make_fiber
 
 
 @pytest.fixture
@@ -139,14 +138,7 @@ def test_criterion_6_argmin_segments(lemma3_run, verdict):
     verdict(6, f"lemma3 segments on 100 trials ({len(non_skipped)} non-skipped) in {elapsed:.2f}s", ok)
 
 
-def test_criterion_7_mutation_sensitivity(monkeypatch, verdict):
-    def rowspace_version(g, w, active_tol=1e-9):
-        P = subdifferential(g.f, embed(g.fiber, w), active_tol)
-        R = row_space(g.fiber.matrix)
-        if R.dim == 0:
-            return Polytope(g.fiber.ambient_dim, np.zeros((1, g.fiber.ambient_dim)))
-        return Polytope(g.fiber.ambient_dim, (P.generators @ R.basis.T) @ R.basis)
-
+def test_criterion_7_mutation_sensitivity(monkeypatch, verdict, rowspace_version):
     with monkeypatch.context() as patch:
         patch.setattr(restriction, "restricted_subdifferential", rowspace_version)
         mutated = run_suite("lemma1", RunConfig(trials=100, dim=6, seed=42))

@@ -8,8 +8,6 @@ from numpy.testing import assert_allclose
 
 from convexkit import restriction
 from convexkit.cli import CliConfig, build_parser, main, parse_args
-from convexkit.functions import Polytope
-from convexkit.linalg import row_space
 
 ABS_DOC = {"type": "max_affine", "pieces": [{"a": [1.0], "b": 0.0}, {"a": [-1.0], "b": 0.0}]}
 ONE_NORM_DOC = {
@@ -91,15 +89,7 @@ def test_verify_reruns_are_byte_identical(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_verify_exit_one_when_checks_fail(tmp_path, monkeypatch, capsys):
-    def rowspace_version(g, w, active_tol=1e-9):
-        from convexkit.functions import subdifferential
-        from convexkit.restriction import embed
-
-        P = subdifferential(g.f, embed(g.fiber, w), active_tol)
-        R = row_space(g.fiber.matrix)
-        return Polytope(g.fiber.ambient_dim, (P.generators @ R.basis.T) @ R.basis)
-
+def test_verify_exit_one_when_checks_fail(tmp_path, monkeypatch, capsys, rowspace_version):
     monkeypatch.setattr(restriction, "restricted_subdifferential", rowspace_version)
     out = tmp_path / "bad.json"
     rc = main(parse_args(["verify", "--suite", "lemma1", "--trials", "2", "--out", str(out)]))
@@ -107,6 +97,14 @@ def test_verify_exit_one_when_checks_fail(tmp_path, monkeypatch, capsys):
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["summary"]["fail"] == 2
     capsys.readouterr()
+
+
+def test_verify_unwritable_out_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    rc = main(parse_args(["verify", "--suite", "lemma1", "--trials", "1", "--out", str(out)]))
+    assert rc == 2
+    assert not out.exists()
+    assert "could not write report" in capsys.readouterr().err
 
 
 def test_verify_rejects_bad_flag_values(tmp_path, capsys):
@@ -132,6 +130,14 @@ def test_query_restricted_subdiff(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     got = {tuple(np.round(g, 9)) for g in doc["generators"]}
     assert got == {(0.0, 0.0), (1.0, -1.0), (-1.0, 1.0)}
+
+
+def test_query_restricted_subdiff_at_the_point_of_r0(tmp_path, capsys):
+    """An invertible S leaves a one-point fiber, whose coordinates --x '' gives as R^0."""
+    inst = _write(tmp_path / "r0.json", {"f": ONE_NORM_DOC, "S": [[1.0, 0.0], [0.0, 1.0]], "zeta": [1.0, 2.0]})
+    rc = main(parse_args(["query", "restricted-subdiff", "--instance", inst, "--x", ""]))
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out) == {"generators": [[0.0, 0.0]]}
 
 
 def test_query_marginal(tmp_path, capsys):

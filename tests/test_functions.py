@@ -235,7 +235,7 @@ def test_validation_errors():
     with pytest.raises(DimensionMismatch):
         evaluate(ABS, (1.0, 2.0))
     with pytest.raises(ValueError):
-        Polytope(2, np.zeros((0, 2)))
+        Polytope(np.zeros((0, 2)))
 
 
 def test_psd_accepts_semidefinite():

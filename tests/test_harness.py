@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from convexkit import argmin, harness, marginal, restriction, simplex
 from convexkit.errors import FiberTooLarge
-from convexkit.functions import Polytope, evaluate, quadratic, subdifferential
+from convexkit.functions import evaluate, quadratic
 from convexkit.harness import (
     RunConfig,
     brute_force_min_over_fiber,
@@ -18,10 +18,8 @@ from convexkit.harness import (
     run_suite,
     trial_rng,
 )
-from convexkit.linalg import row_space
 from convexkit.marginal import MinimizationWitness
-from convexkit.report import report_to_json
-from convexkit.restriction import embed
+from convexkit.report import report_to_dict, report_to_json
 
 
 def test_trial_rng_is_keyed_by_stream_and_index():
@@ -40,27 +38,27 @@ def test_gen_operator_has_requested_rank():
         rows = int(rng.integers(1, 6))
         cols = int(rng.integers(1, 6))
         rank = int(rng.integers(0, min(rows, cols) + 1))
-        S = gen_operator(rows, cols, rank, int(rng.integers(0, 10000)))
+        S = gen_operator(rows, cols, rank, np.random.default_rng(int(rng.integers(0, 10000))))
         assert S.shape == (rows, cols)
         assert np.linalg.matrix_rank(S, tol=1e-8) == rank
 
 
 def test_gen_operator_rejects_impossible_rank():
     with pytest.raises(ValueError):
-        gen_operator(2, 3, 3, 0)
+        gen_operator(2, 3, 3, np.random.default_rng(0))
 
 
 def test_coercive_generator_minorant():
     """The added bound pieces guarantee f(r) >= 2 max|r_j| - 2 everywhere."""
     rng = np.random.default_rng(9)
-    f = gen_coercive_max_affine(4, 5, 11)
+    f = gen_coercive_max_affine(4, 5, np.random.default_rng(11))
     for _ in range(200):
         r = rng.uniform(-10.0, 10.0, 4)
         assert evaluate(f, r) >= 2.0 * float(np.max(np.abs(r))) - 2.0 - 1e-12
 
 
 def test_flat_generator_is_zero_near_origin():
-    f = gen_flat_max_affine(3, 5, 17)
+    f = gen_flat_max_affine(3, 5, np.random.default_rng(17))
     assert evaluate(f, np.zeros(3)) == 0.0
     rng = np.random.default_rng(1)
     for _ in range(100):
@@ -69,7 +67,7 @@ def test_flat_generator_is_zero_near_origin():
 
 def test_pd_quadratic_generator_spectrum():
     for seed in range(5):
-        f = gen_pd_quadratic(4, seed)
+        f = gen_pd_quadratic(4, np.random.default_rng(seed))
         assert float(np.min(np.linalg.eigvalsh(f.Q))) >= 0.1 - 1e-12
 
 
@@ -117,7 +115,7 @@ def test_all_concatenates_with_sequential_ids():
     config = RunConfig(trials=3, seed=7)
     report = run_suite("all", config)
     assert report.suite == "all"
-    assert [t.trial_id for t in report.trials] == list(range(9))
+    assert [t["id"] for t in report_to_dict(report)["trials"]] == list(range(9))
     suites = [t.instance["suite"] for t in report.trials]
     assert suites == ["lemma1"] * 3 + ["lemma2"] * 3 + ["lemma3"] * 3
 
@@ -150,17 +148,8 @@ def test_oracle_mode_appends_agreement_checks():
         assert oracle[0].gap <= 1e-2
 
 
-def test_mutated_projection_fails_lemma1_suite(monkeypatch):
+def test_mutated_projection_fails_lemma1_suite(monkeypatch, rowspace_version):
     """A row-space projection must be caught by the slice interval checks."""
-
-    def rowspace_version(g, w, active_tol=1e-9):
-        x = embed(g.fiber, w)
-        P = subdifferential(g.f, x, active_tol)
-        R = row_space(g.fiber.matrix)
-        if R.dim == 0:
-            return Polytope(g.fiber.ambient_dim, np.zeros((1, g.fiber.ambient_dim)))
-        return Polytope(g.fiber.ambient_dim, (P.generators @ R.basis.T) @ R.basis)
-
     monkeypatch.setattr(restriction, "restricted_subdifferential", rowspace_version)
     report = run_suite("lemma1", RunConfig(trials=5, seed=42))
     assert report.summary["fail"] == 5
@@ -191,7 +180,7 @@ def test_solver_failure_is_a_recorded_trial(monkeypatch):
     monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)  # the max-affine trials' LP
     monkeypatch.setattr(argmin, "QP_MAX_STEPS", 0)  # the quadratic trials' QP
     report = run_suite("lemma3", RunConfig(trials=4, seed=42))
-    assert [t.trial_id for t in report.trials] == [0, 1, 2, 3]
+    assert [t["id"] for t in report_to_dict(report)["trials"]] == [0, 1, 2, 3]
     for trial in report.trials:
         assert trial.status == "fail"
         assert trial.checks[0].name == "no_error"
@@ -202,8 +191,18 @@ def test_operator_redraws_out_is_a_recorded_trial(monkeypatch):
     """An operator that cannot be drawn fails its trial; the run returns every trial."""
     monkeypatch.setattr(harness, "OPERATOR_DRAWS", 0)
     report = run_suite("lemma2", RunConfig(trials=4, seed=42))
-    assert [t.trial_id for t in report.trials] == [0, 1, 2, 3]
+    assert [t["id"] for t in report_to_dict(report)["trials"]] == [0, 1, 2, 3]
     for trial in report.trials:
         assert trial.status == "fail"
         assert trial.checks[0].name == "no_error"
         assert trial.checks[0].witness["error"].startswith("SolverFailure")
+
+
+def test_off_kernel_direction_is_a_recorded_trial(monkeypatch):
+    """A direction off ker S fails its trial with DomainViolation; the run returns every trial."""
+    monkeypatch.setattr(restriction, "project", lambda v, W: np.zeros_like(v))
+    report = run_suite("lemma1", RunConfig(trials=3, seed=42))
+    assert report.summary == {"pass": 0, "fail": 3, "skip": 0}
+    for trial in report.trials:
+        assert trial.checks[0].name == "no_error"
+        assert trial.checks[0].witness["error"].startswith("DomainViolation")

@@ -67,7 +67,7 @@ def test_zero_map_kernel_is_everything():
 
 
 def test_project_onto_diagonal_line():
-    W = Subspace(2, np.array([[1.0, -1.0]]) / np.sqrt(2))
+    W = Subspace(np.array([[1.0, -1.0]]) / np.sqrt(2))
     assert_allclose(project((1.0, 0.0), W), [0.5, -0.5], atol=1e-12)
 
 
@@ -95,8 +95,12 @@ def test_solve_anchor_zero_map():
 
 
 def test_subspace_validates_orthonormality():
+    """Orthonormality is checked entrywise to 1e-10, with no relative slack."""
     with pytest.raises(ValueError):
-        Subspace(2, np.array([[1.0, 1.0]]))  # not unit length
+        Subspace(np.array([[1.0, 1.0]]))  # not unit length
+    with pytest.raises(ValueError):
+        Subspace(np.array([[1.0 + 1e-7, 0.0]]))
+    assert Subspace(np.array([[1.0, 0.0], [0.0, 1.0 + 1e-11]])).dim == 2
 
 
 def test_as_vector_and_as_matrix_validation():

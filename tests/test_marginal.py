@@ -160,7 +160,7 @@ def _kkt_reference(f, S, x):
     d, n = S.shape
     system = np.vstack([np.hstack([2.0 * f.Q, S]), np.hstack([S.T, np.zeros((n, n))])])
     rhs = np.concatenate([-f.c, x])
-    r = anchor_map(system).solve(rhs, 1e-8 * (1.0 + float(np.linalg.norm(rhs))))[:d]
+    r = anchor_map(system).solve(rhs)[:d]
     return r, float(evaluate(f, r))
 
 

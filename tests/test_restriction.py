@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from convexkit import functions, harness, restriction
-from convexkit.errors import InfeasibleFiber
+from convexkit import functions, harness, linalg, restriction
+from convexkit.errors import DomainViolation, InfeasibleFiber
 from convexkit.functions import Polytope, SumFunction, max_affine, quadratic
-from convexkit.linalg import kernel, project, row_space
+from convexkit.linalg import kernel, project, row_space, solve_anchor
 from convexkit.restriction import (
     embed,
     lemma1_check,
@@ -55,7 +55,10 @@ def test_fiber_invariants_random():
 
 
 def test_far_fibers_build_or_raise_infeasible_fiber():
-    """A large consistent zeta builds its fiber within a residual relative to |zeta|; one pushed off the range is refused."""
+    """A large consistent zeta builds its fiber within a residual relative to |zeta|; one pushed off the range is refused.
+
+    ``solve_anchor`` follows the same rule on the same inputs.
+    """
     for seed in range(200):
         rng = np.random.default_rng(seed)
         dim = rng.integers(3, 7)
@@ -65,11 +68,16 @@ def test_far_fibers_build_or_raise_infeasible_fiber():
         zeta = S @ (1e8 * u)
         scale = 1.0 + np.linalg.norm(zeta)
         fiber = make_fiber(S, zeta)
-        assert np.linalg.norm(S @ fiber.anchor - zeta) <= restriction.FIBER_RESIDUAL_TOL * scale
+        assert np.linalg.norm(S @ fiber.anchor - zeta) <= linalg.ANCHOR_RESIDUAL_TOL * scale
         assert fiber.fiber_dim == dim - rows
+        y = solve_anchor(S, zeta)
+        assert np.linalg.norm(S @ y - zeta) <= linalg.ANCHOR_RESIDUAL_TOL * scale
         # a repeated row whose target differs by 1e-6 relative leaves no fiber
+        off_S, off_zeta = np.vstack([S, S[:1]]), np.append(zeta, zeta[0] + 1e-6 * scale)
         with pytest.raises(InfeasibleFiber):
-            make_fiber(np.vstack([S, S[:1]]), np.append(zeta, zeta[0] + 1e-6 * scale))
+            make_fiber(off_S, off_zeta)
+        with pytest.raises(InfeasibleFiber):
+            solve_anchor(off_S, off_zeta)
 
 
 def test_restrict_evaluate_diagonal_slice():
@@ -122,7 +130,7 @@ def test_projection_containment_random():
 
 
 def test_support_function_examples():
-    square = Polytope(2, np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
+    square = Polytope(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
     assert support_function(square, (1.0, 0.0)) == 1.0
     assert support_function(square, (1.0, 1.0)) == 2.0
 
@@ -137,7 +145,7 @@ def test_lemma1_check_passes_on_known_instance():
 
 
 def test_lemma1_check_rejects_non_kernel_direction():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainViolation):
         lemma1_check(restrict(ONE_NORM, S_SUM, np.array([0.0])), (0.0,), [np.array([1.0, 0.0])])
 
 
@@ -148,20 +156,8 @@ def test_lemma1_check_quadratic_instance():
     assert result.status == "pass"
 
 
-def test_lemma1_check_detects_wrong_projection(monkeypatch):
+def test_lemma1_check_detects_wrong_projection(monkeypatch, rowspace_version):
     """Projecting onto the row space instead of the kernel must fail the check."""
-
-    def rowspace_version(g, w, active_tol=1e-9):
-        from convexkit.functions import subdifferential
-
-        x = embed(g.fiber, w)
-        P = subdifferential(g.f, x, active_tol)
-        R = row_space(g.fiber.matrix)
-        if R.dim == 0:
-            return Polytope(g.fiber.ambient_dim, np.zeros((1, g.fiber.ambient_dim)))
-        projected = (P.generators @ R.basis.T) @ R.basis
-        return Polytope(g.fiber.ambient_dim, projected)
-
     monkeypatch.setattr(restriction, "restricted_subdifferential", rowspace_version)
     u = np.array([1.0, -1.0]) / np.sqrt(2.0)
     result = lemma1_check(restrict(ONE_NORM, S_SUM, np.array([0.0])), (0.0,), [u], seed=3)
