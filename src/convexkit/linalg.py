@@ -10,7 +10,8 @@ RANK_TOL relative to the largest row norm so it is scale invariant.
 Solving ``S y = zeta`` for many right-hand sides goes through one reusable
 AnchorMap: ``anchor_map(S)`` factors S once (its row-space basis, ``M`` and
 ``M^T M``), and each ``AnchorMap.solve`` is one small linear solve that
-returns a freshly allocated array.  Its one residual rule,
+returns a freshly allocated array, or one stacked solve for a stack of
+right-hand sides whose rows equal their one-row solves bit for bit.  Its one residual rule,
 ANCHOR_RESIDUAL_TOL * (1 + |zeta|), serves every caller: fibers, the KKT
 systems of marginals and ``solve_anchor``.  A map is never mutated after it
 is built.  Every other function is pure and returns freshly allocated arrays.
@@ -134,6 +135,16 @@ def kernel(S) -> Subspace:
     return complement(row_space(S))
 
 
+def row_norms(V: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of V, equal to ``np.linalg.norm`` of that row bit for bit.
+
+    ``np.linalg.norm`` of a vector is the square root of its BLAS dot with
+    itself; a stacked matmul makes that same dot per C-ordered row, while a
+    reduction such as ``norm(V, axis=1)`` sums in a different order.
+    """
+    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
+
+
 def project(x, W: Subspace) -> np.ndarray:
     """Orthogonal projection of ``x`` onto the subspace ``W``."""
     x = as_vector(x, W.ambient_dim)
@@ -157,16 +168,24 @@ class AnchorMap:
     def solve(self, zeta: np.ndarray) -> np.ndarray:
         """Minimum-norm solution; InfeasibleFiber when the residual exceeds ANCHOR_RESIDUAL_TOL * (1 + |zeta|).
 
-        ``zeta`` is a float vector of length ``S.shape[0]``, checked by the caller.
+        ``zeta`` is a float vector of length ``S.shape[0]``, checked by the
+        caller, or a (k, S.shape[0]) stack of them.  A stack gets one solution
+        per row, each equal to that row's own solve bit for bit: on C-ordered
+        rows the stacked matmuls and ``np.linalg.solve`` make the same per-row
+        gemv and gesv calls.  The error names the first row that misses the
+        bound.
         """
-        y = self.rows.basis.T @ np.linalg.solve(self.normal, self.M.T @ zeta)
-        residual = float(np.linalg.norm(self.S @ y - zeta))
-        tol = ANCHOR_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(zeta)))
-        if residual > tol:
+        Z = np.ascontiguousarray(np.atleast_2d(zeta))
+        Y = (self.rows.basis.T @ np.linalg.solve(self.normal, self.M.T @ Z[:, :, None]))[:, :, 0]
+        residual = row_norms((self.S @ Y[:, :, None])[:, :, 0] - Z)
+        tol = ANCHOR_RESIDUAL_TOL * (1.0 + row_norms(Z))
+        bad = np.flatnonzero(residual > tol)
+        if bad.size:
+            i = bad[0]
             raise InfeasibleFiber(
-                f"no solution within tolerance: residual {residual:.3e} > {tol:.3e}"
+                f"no solution within tolerance: residual {residual[i]:.3e} > {tol[i]:.3e}"
             )
-        return y
+        return Y if zeta.ndim == 2 else Y[0]
 
 
 def anchor_map(S) -> AnchorMap:

@@ -14,9 +14,17 @@ query: the epigraph LP's arrays and lifted fiber rows [S^T, 0], which leave
 b_eq = x to each query, or the KKT system [[2Q, S], [S^T, 0]], factored once,
 which leaves one small linear solve for the right-hand side [-c, x].
 
+marginal_values answers a (k, n) stack of queries in one go: one stacked
+projection checks the domain, the LPs of all rows run through the simplex in
+lockstep, and the KKT right-hand sides are solved as one stack.  Row i's
+witness equals marginal_value's for that row bit for bit, and the error raised
+is the one the rows one by one would raise first.  marginal_value is the stack
+of one, which takes the simplex's one-LP loop.
+
 lemma2_check verifies both halves of the marginal-convexity result with one
 midpoint-gap routine: h((x + y) / 2) against the mean of h(x) and h(y), each
-value an exact marginal_value with its argmin witness.  The gaps must clear
+value an exact marginal value with its argmin witness, and the queries of
+each gap check asked as one marginal_values stack.  The gaps must clear
 -CONVEXITY_SLACK on every sampled pair, and exceed STRICT_GAP on well-separated
 pairs when f is a positive definite quadratic.  A failed gap check records the
 least gap and the pair that gave it, so the failure replays from the report.
@@ -40,7 +48,7 @@ from .errors import (
     UnsupportedObjective,
 )
 from .instances import function_to_json, matrix_to_json
-from .linalg import AnchorMap, Subspace, anchor_map, as_matrix, as_vector, kernel, project, row_space
+from .linalg import AnchorMap, Subspace, anchor_map, as_matrix, as_vector, kernel, row_norms, row_space
 # unused, but bound here so that bench/tracing.py can wrap this binding site
 from .linalg import solve_anchor  # noqa: F401
 from .report import CheckResult, TrialResult
@@ -84,8 +92,9 @@ class MarginalFunction:
 
     @cached_property
     def _inner(self):
-        """The inner solver, set up on the first query: a function of the query point.
+        """The inner solver, set up on the first query: a function of a (k, outer_dim) query stack.
 
+        It returns the k witnesses in order, or raises the first row's error.
         Max-affine blocks, alone or beside a quadratic with Q = 0 and c = 0,
         get their epigraph LP with the lifted fiber rows [S^T, 0], so a query
         sets only b_eq = x.  A quadratic gets its KKT system, factored once.
@@ -117,31 +126,24 @@ class MinimizationWitness:
     status: str  # "exact-LP" or "exact-KKT"
 
 
-def _check_domain(h: MarginalFunction, x) -> np.ndarray:
-    x = as_vector(x, h.outer_dim)
-    gap = float(np.linalg.norm(x - project(x, h.domain)))
-    if gap > DOMAIN_TOL * (1.0 + float(np.linalg.norm(x))):
-        raise DomainViolation(
-            f"query lies {gap:.3e} outside the row space of the operator"
-        )
-    return x
-
-
-def _lp_inner(d, epigraph, eq, constant, x) -> MinimizationWitness:
-    """The prepared epigraph LP solved for b_eq = x; the witness is its first d variables."""
+def _lp_inner(d, epigraph, eq, constant, X) -> list[MinimizationWitness]:
+    """The prepared epigraph LP solved for b_eq = x at every row; a witness is its first d variables."""
     cost, rows, rhs, lower, upper = epigraph
-    try:
-        sol = solve_lp(cost, A_ub=rows, b_ub=rhs, A_eq=eq, b_eq=x, lower=lower, upper=upper)
-    except LPInfeasible as exc:
-        raise UnboundedBelow(
-            f"fiber does not meet the solver box (radius {BOX_RADIUS:g}): {exc}"
-        ) from exc
-    r = sol.x[:d]
-    if float(np.max(np.abs(r))) > BOX_RADIUS - 1e-6 * BOX_RADIUS:
-        raise UnboundedBelow(
-            "minimum sits on the safety box, attainment inside it is not certified"
-        )
-    return MinimizationWitness(float(sol.value + constant), r, "exact-LP")
+    witnesses = []
+    for sol in solve_lp(cost, A_ub=rows, b_ub=rhs, A_eq=eq, b_eq=X, lower=lower, upper=upper):
+        if isinstance(sol, LPInfeasible):
+            raise UnboundedBelow(
+                f"fiber does not meet the solver box (radius {BOX_RADIUS:g}): {sol}"
+            ) from sol
+        if isinstance(sol, Exception):
+            raise sol
+        r = sol.x[:d]
+        if float(np.max(np.abs(r))) > BOX_RADIUS - 1e-6 * BOX_RADIUS:
+            raise UnboundedBelow(
+                "minimum sits on the safety box, attainment inside it is not certified"
+            )
+        witnesses.append(MinimizationWitness(float(sol.value + constant), r, "exact-LP"))
+    return witnesses
 
 
 def _kkt_system(quad, S):
@@ -161,19 +163,43 @@ def _kkt_system(quad, S):
     return partial(_kkt_inner, quad, anchor_map(np.block([[2.0 * quad.Q, S], [S.T, np.zeros((n, n))]])))
 
 
-def _kkt_inner(quad, system: AnchorMap, x) -> MinimizationWitness:
-    rhs = np.concatenate([-quad.c, x])
+def _kkt_inner(quad, system: AnchorMap, X) -> list[MinimizationWitness]:
+    rhs = np.hstack([np.broadcast_to(-quad.c, (len(X), quad.dim)), X])
     try:
         sol = system.solve(rhs)
     except InfeasibleFiber as exc:
         raise SingularKKT(f"KKT system is inconsistent: {exc}") from exc
-    r = sol[: quad.dim]
-    return MinimizationWitness(float(fn.evaluate(quad, r)), r, "exact-KKT")
+    R = sol[:, : quad.dim].copy()
+    return [MinimizationWitness(float(v), r, "exact-KKT") for v, r in zip(fn.evaluate_many(quad, R), R)]
 
 
-def _refuse(error, message, x):
+def _refuse(error, message, X):
     """The inner solver of a marginal its set-up refused: every query raises."""
     raise error(message)
+
+
+def marginal_values(h: MarginalFunction, X) -> list[MinimizationWitness]:
+    """Exact h at every row of X, shape (k, outer_dim), with argmin witnesses in row order.
+
+    Each witness equals ``marginal_value``'s for its row bit for bit, and the
+    error raised is the one ``marginal_value`` on the rows one by one would
+    raise first: all rows are checked against the domain in one stacked
+    projection, and the rows before the first one off it are solved as one
+    stack, the LP in lockstep and the KKT system in one stacked solve.
+    """
+    X = np.ascontiguousarray(as_matrix(X))  # strided rows would take other BLAS paths
+    if X.shape[1] != h.outer_dim:
+        raise DimensionMismatch(f"expected dimension {h.outer_dim}, got {X.shape[1]}")
+    B = h.domain.basis
+    gaps = row_norms(X - (B.T @ (B @ X[:, :, None]))[:, :, 0])
+    off = np.flatnonzero(gaps > DOMAIN_TOL * (1.0 + row_norms(X)))
+    clean = off[0] if off.size else len(X)
+    witnesses = h._inner(X[:clean]) if clean else []
+    if off.size:
+        raise DomainViolation(
+            f"query lies {gaps[clean]:.3e} outside the row space of the operator"
+        )
+    return witnesses
 
 
 def marginal_value(h: MarginalFunction, x) -> MinimizationWitness:
@@ -184,8 +210,7 @@ def marginal_value(h: MarginalFunction, x) -> MinimizationWitness:
     the fiber, and UnsupportedObjective for sums mixing a nonzero quadratic
     with piecewise-linear parts.
     """
-    x = _check_domain(h, x)
-    return h._inner(x)
+    return marginal_values(h, as_vector(x, h.outer_dim)[None])[0]
 
 
 def is_strictly_convex(f) -> bool:
@@ -199,18 +224,19 @@ def is_strictly_convex(f) -> bool:
 def _least_gap(h: MarginalFunction, pairs):
     """The least midpoint gap (h(x) + h(y)) / 2 - h((x + y) / 2) over the pairs.
 
-    Returns that gap, its pair as a report witness, and every query point with
-    its marginal_value witness, three to a pair.
+    Returns that gap, its pair as a report witness, and the query points,
+    three to a pair (x, y, midpoint), with their witnesses from one
+    ``marginal_values`` stack.
     """
-    least, pair, witnesses = np.inf, None, []
-    for x, y in pairs:
-        points = (x, y, 0.5 * (x + y))
-        wx, wy, wm = (marginal_value(h, p) for p in points)
-        witnesses += zip(points, (wx, wy, wm))
+    points = np.array([p for x, y in pairs for p in (x, y, 0.5 * (x + y))])
+    witnesses = marginal_values(h, points)
+    least, pair = np.inf, None
+    for i, (x, y) in enumerate(pairs):
+        wx, wy, wm = witnesses[3 * i : 3 * i + 3]
         gap = 0.5 * (wx.value + wy.value) - wm.value
         if gap < least:
             least, pair = gap, {"x": x.tolist(), "y": y.tolist()}
-    return float(least), pair, witnesses
+    return float(least), pair, points, witnesses
 
 
 def lemma2_check(f, S, *, seed: int = 0) -> TrialResult:
@@ -235,13 +261,13 @@ def lemma2_check(f, S, *, seed: int = 0) -> TrialResult:
     def sample_x():
         return h.S.T @ rng.uniform(-SAMPLE_SCALE, SAMPLE_SCALE, d)
 
-    gap, pair, witnesses = _least_gap(h, [(sample_x(), sample_x()) for _ in range(MIDPOINT_PAIRS)])
-    max_residual = 0.0
-    max_value_err = 0.0
-    for point, w in witnesses:
-        max_residual = max(max_residual, float(np.linalg.norm(h.S.T @ w.argmin - point)))
-        err = abs(fn.evaluate(f, w.argmin) - w.value) / (1.0 + abs(w.value))
-        max_value_err = max(max_value_err, err)
+    gap, pair, points, witnesses = _least_gap(h, [(sample_x(), sample_x()) for _ in range(MIDPOINT_PAIRS)])
+    R = np.array([w.argmin for w in witnesses])
+    values = np.array([w.value for w in witnesses])
+    residuals = row_norms((h.S.T @ R[:, :, None])[:, :, 0] - points)
+    value_errs = np.abs(fn.evaluate_many(f, R) - values) / (1.0 + np.abs(values))
+    max_residual = float(np.max(residuals, initial=0.0))
+    max_value_err = float(np.max(value_errs, initial=0.0))
 
     checks = [
         CheckResult(name="midpoint_convexity", passed=bool(gap >= -CONVEXITY_SLACK), gap=gap, witness=pair),
@@ -280,7 +306,7 @@ def lemma2_check(f, S, *, seed: int = 0) -> TrialResult:
                 )
             )
         else:
-            gap, pair, _ = _least_gap(h, strict_pairs)
+            gap, pair, _, _ = _least_gap(h, strict_pairs)
             passed = bool(gap > STRICT_GAP)
             checks.append(
                 CheckResult(name="strict_convexity", passed=passed, gap=gap, witness=None if passed else pair)

@@ -105,13 +105,14 @@ def restricted_subdifferential(g: RestrictedFunction, w, active_tol: float = ACT
     """Subdifferential of the restriction: ambient generators projected onto ker(S).
 
     Output generators are ambient vectors lying inside the kernel subspace.
-    A zero-dimensional fiber yields the singleton origin.
+    A zero-dimensional fiber yields the singleton origin, without building
+    the ambient subdifferential it would discard.
     """
     x = embed(g.fiber, w)
-    P = subdifferential(g.f, x, active_tol)
     B = g.fiber.kernel_basis.basis
     if B.shape[0] == 0:
         return Polytope(np.zeros((1, g.fiber.ambient_dim)))
+    P = subdifferential(g.f, x, active_tol)
     return Polytope((P.generators @ B.T) @ B)
 
 

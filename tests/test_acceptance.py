@@ -46,7 +46,9 @@ def lemma1_run():
 
 @pytest.fixture(scope="module")
 def lemma2_run():
-    return run_suite("lemma2", RunConfig(trials=200, dim=6, seed=42))
+    start = time.perf_counter()
+    report = run_suite("lemma2", RunConfig(trials=200, dim=6, seed=42))
+    return report, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +88,7 @@ def test_criterion_2_restricted_convexity(lemma1_run, verdict):
 
 
 def test_criterion_3_marginal_convexity(lemma2_run, verdict):
-    report = lemma2_run
+    report, elapsed = lemma2_run
     families = {"max_affine": 0, "quadratic": 0}
     for trial in report.trials:
         families[trial.instance["marginal"]["f"]["type"]] += 1
@@ -96,12 +98,13 @@ def test_criterion_3_marginal_convexity(lemma2_run, verdict):
         and len(mids) == 200
         and all(c.passed and c.gap >= -1e-8 for _, c in mids)
         and all(t.status == "pass" for t in report.trials)
+        and elapsed < 5.0
     )
-    verdict(3, "lemma2 midpoint convexity, 100 trials per family", ok)
+    verdict(3, f"lemma2 midpoint convexity, 100 trials per family in {elapsed:.2f}s", ok)
 
 
 def test_criterion_4_marginal_strictness(lemma2_run, verdict):
-    report = lemma2_run
+    report, _ = lemma2_run
     strict = list(_checks(report, "strict_convexity"))
     ok = (
         len(strict) == 100

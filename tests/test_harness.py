@@ -185,6 +185,17 @@ def test_solver_failure_is_a_recorded_trial(monkeypatch):
         assert trial.status == "fail"
         assert trial.checks[0].name == "no_error"
         assert trial.checks[0].witness["error"].startswith("SolverFailure")
+    # lemma2: the max-affine (even) trials' stacked LPs fail, the quadratic trials' KKT solves pass
+    report = run_suite("lemma2", RunConfig(trials=4, seed=42))
+    assert [t["id"] for t in report_to_dict(report)["trials"]] == [0, 1, 2, 3]
+    for index, trial in enumerate(report.trials):
+        if index % 2:
+            assert trial.status == "pass"
+            assert trial.instance["marginal"]["f"]["type"] == "quadratic"
+        else:
+            assert trial.status == "fail"
+            assert [c.name for c in trial.checks] == ["no_error"]
+            assert trial.checks[0].witness["error"].startswith("SolverFailure: simplex did not terminate")
 
 
 def test_operator_redraws_out_is_a_recorded_trial(monkeypatch):

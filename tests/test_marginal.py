@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from convexkit import functions, linalg, marginal
+from convexkit import functions, harness, linalg, marginal
 from convexkit.errors import (
+    ConvexKitError,
     DimensionMismatch,
     DomainViolation,
     SingularKKT,
@@ -27,6 +28,7 @@ from convexkit.marginal import (
     lemma2_check,
     marginalize,
     marginal_value,
+    marginal_values,
 )
 
 ONE_NORM = max_affine(
@@ -182,6 +184,78 @@ def test_factored_kkt_matches_per_query_solve():
             assert w.status == "exact-KKT"
             assert np.array_equal(w.argmin, r)
             assert w.value == value
+
+
+def _one_point_kkt(f, S, x):
+    """The KKT witness of x by one-point arithmetic: the factored system solved for one vector."""
+    d, n = S.shape
+    amap = anchor_map(np.block([[2.0 * f.Q, S], [S.T, np.zeros((n, n))]]))
+    rhs = np.concatenate([-f.c, x])
+    r = (amap.rows.basis.T @ np.linalg.solve(amap.normal, amap.M.T @ rhs))[:d]
+    return r, float(evaluate(f, r))
+
+
+def test_marginal_values_match_one_by_one():
+    """Each row of a stack gets marginal_value's witness bit for bit, on LP and KKT marginals."""
+    statuses = set()
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 7))
+        n = int(rng.integers(1, d + 1))
+        S = harness.gen_operator(d, n, int(rng.integers(1, min(d, n) + 1)), rng)
+        f = harness.gen_pd_quadratic(d, rng) if seed % 2 else harness.gen_coercive_max_affine(d, 4, rng)
+        h = marginalize(f, S)
+        X = np.array([S.T @ rng.uniform(-2.0, 2.0, d) for _ in range(int(rng.integers(1, 40)))])
+        for x, w in zip(X, marginal_values(h, X)):
+            one = marginal_value(marginalize(f, S), x)
+            assert (w.status, repr(w.value), w.argmin.tobytes()) == (one.status, repr(one.value), one.argmin.tobytes())
+            if w.status == "exact-KKT":
+                r, value = _one_point_kkt(f, S, x)
+                assert (repr(w.value), w.argmin.tobytes()) == (repr(value), r.tobytes())
+            statuses.add(w.status)
+    assert statuses == {"exact-LP", "exact-KKT"}
+
+
+def _first_error(h, X):
+    """The error marginal_value raises first on the rows one by one."""
+    for x in X:
+        try:
+            marginal_value(h, x)
+        except ConvexKitError as exc:
+            return exc
+    raise AssertionError("no row raises")
+
+
+def test_marginal_values_raise_the_first_error_in_row_order():
+    """A stack raises what marginal_value on its rows one by one would raise first, after a clean row."""
+    # ONE_NORM on the fibers r1 + r2 = x1, domain x2 = 0; x1 = 5000 misses the box |r| <= 1000
+    lp = marginalize(ONE_NORM, [[1.0, 0.0], [1.0, 0.0]])
+    clean, off, far = [1.0, 0.0], [0.0, 1.0], [5000.0, 0.0]
+    # a positive definite quadratic on a 1e-4-scaled operator: its KKT normal equations
+    # miss the residual bound, except at x = 0 when there is no linear term
+    rng = np.random.default_rng(1)
+    d = int(rng.integers(2, 7))
+    n = int(rng.integers(1, d + 1))
+    S = 1e-4 * harness.gen_operator(d, n, int(rng.integers(1, min(d, n) + 1)), rng)
+    small = marginalize(quadratic(harness.gen_pd_quadratic(d, rng).Q), S)
+    inconsistent = S.T @ rng.uniform(-2.0, 2.0, d)
+    mixed = marginalize(SumFunction(2, (ONE_NORM, SQUARED_NORM)), [[1.0, 0.0], [1.0, 0.0]])
+    cases = [
+        (lp, [clean, off, far], DomainViolation),
+        (lp, [clean, far, off], UnboundedBelow),
+        (small, [np.zeros(S.shape[1]), inconsistent, 2.0 * inconsistent], SingularKKT),
+        (mixed, [off, clean], DomainViolation),
+        (mixed, [clean, off], UnsupportedObjective),
+    ]
+    for h, X, error in cases:
+        X = np.array(X, dtype=float)
+        first = _first_error(h, X)
+        assert type(first) is error
+        with pytest.raises(error) as raised:
+            marginal_values(h, X)
+        assert str(raised.value) == str(first)
+    assert marginal_values(small, np.zeros((1, S.shape[1])))[0].value == 0.0
+    assert marginal_values(lp, np.zeros((0, 2))) == []
 
 
 def _count_calls(monkeypatch, module, name):
@@ -373,3 +447,52 @@ def test_lemma2_check_is_deterministic():
     b = lemma2_check(SQUARED_NORM, SUM_FIBER, seed=21)
     assert a.instance == b.instance
     assert [(c.name, c.gap) for c in a.checks] == [(c.name, c.gap) for c in b.checks]
+
+
+def _reference_lemma2_checks(f, S, seed):
+    """lemma2_check's checks computed one query at a time: marginal_value, np.linalg.norm and evaluate per point."""
+    h = marginalize(f, S)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(22,)))
+
+    def sample_x():
+        return S.T @ rng.uniform(-marginal.SAMPLE_SCALE, marginal.SAMPLE_SCALE, S.shape[0])
+
+    def least_gap(pairs):
+        least, pair, witnesses = np.inf, None, []
+        for x, y in pairs:
+            points = (x, y, 0.5 * (x + y))
+            wx, wy, wm = (marginal_value(h, p) for p in points)
+            witnesses += zip(points, (wx, wy, wm))
+            gap = 0.5 * (wx.value + wy.value) - wm.value
+            if gap < least:
+                least, pair = gap, {"x": x.tolist(), "y": y.tolist()}
+        return float(least), pair, witnesses
+
+    gap, pair, witnesses = least_gap([(sample_x(), sample_x()) for _ in range(marginal.MIDPOINT_PAIRS)])
+    residual = max(float(np.linalg.norm(S.T @ w.argmin - p)) for p, w in witnesses)
+    value_err = max(abs(evaluate(f, w.argmin) - w.value) / (1.0 + abs(w.value)) for _, w in witnesses)
+    checks = [("midpoint_convexity", gap, pair), ("witness_feasibility", residual, None), ("witness_value", value_err, None)]
+    if is_strictly_convex(f):
+        probes = [sample_x() for _ in range(8)]
+        spread = max(float(np.linalg.norm(p - q)) for i, p in enumerate(probes) for q in probes[i + 1 :])
+        separation = max(marginal.MIN_PAIR_SEPARATION, min(0.1, 0.25 * spread))
+        pairs = []
+        while len(pairs) < marginal.MIDPOINT_PAIRS:  # every instance here has a wide domain
+            x, y = sample_x(), sample_x()
+            if float(np.linalg.norm(x - y)) >= separation:
+                pairs.append((x, y))
+        gap, pair, _ = least_gap(pairs)
+        checks.append(("strict_convexity", gap, None if gap > marginal.STRICT_GAP else pair))
+    return checks
+
+
+def test_lemma2_check_matches_one_query_at_a_time():
+    """The stacked queries and checks report the one-query-at-a-time gaps and pairs, bit for bit."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 7))
+        n = int(rng.integers(1, d + 1))
+        S = harness.gen_operator(d, n, int(rng.integers(1, min(d, n) + 1)), rng)
+        f = harness.gen_pd_quadratic(d, rng) if seed % 2 else harness.gen_coercive_max_affine(d, 4, rng)
+        got = [(c.name, repr(c.gap), c.witness) for c in lemma2_check(f, S, seed=seed).checks]
+        assert got == [(name, repr(gap), witness) for name, gap, witness in _reference_lemma2_checks(f, S, seed)]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from convexkit import simplex
+from convexkit import functions, harness, marginal, simplex
 from convexkit.errors import LPInfeasible, SolverFailure
 from convexkit.simplex import LPSolution, solve_lp
 
@@ -87,6 +87,8 @@ def test_missing_blocking_row_is_a_solver_failure():
     obj = np.array([-1.0, 0.0, 0.0])
     with pytest.raises(SolverFailure):
         simplex._run(T, obj, np.array([1]), np.ones(2, dtype=bool))
+    failures = simplex._run_stack(T[None], obj[None], np.array([[1]]), np.ones(2, dtype=bool))
+    assert [str(e) for e in failures] == ["no blocking row for the entering column"]
 
 
 def test_zero_objective_returns_feasible_point():
@@ -214,3 +216,77 @@ def test_determinism():
     b2 = solve_lp(c, **kw)
     assert a.value == b2.value
     assert np.array_equal(a.x, b2.x)
+
+
+def _epigraph_stack(seed):
+    """A random lemma2 epigraph LP and a stack of fiber rows b_eq = S^T r, about a fifth far outside the box."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 7))
+    n = int(rng.integers(1, d + 1))
+    S = harness.gen_operator(d, n, int(rng.integers(1, min(d, n) + 1)), rng)
+    f = harness.gen_coercive_max_affine(d, int(rng.integers(2, 7)), rng)
+    if seed % 2:
+        f = functions.SumFunction(d, (f, harness.gen_max_affine(d, int(rng.integers(1, 4)), rng)))
+    blocks, _ = functions.normal_form(f)
+    c, A_ub, b_ub, lower, upper = functions.epigraph(d, blocks, marginal.BOX_RADIUS)
+    A_eq = np.hstack([S.T, np.zeros((n, len(blocks)))])
+    B_eq = rng.uniform(-2.0, 2.0, (int(rng.integers(2, 30)), d)) @ S
+    B_eq[rng.random(len(B_eq)) < 0.2] *= 1e4  # these fibers miss the box, so phase 1 fails
+    return c, A_ub, b_ub, A_eq, B_eq, lower, upper
+
+
+def _degenerate_equality_stack(seed):
+    """One of the degenerate equality LPs above with a stack of right-hand sides A_eq @ x0, x0 integer."""
+    rng = np.random.default_rng(seed)
+    c, A_ub, b_ub, A_eq, _, lower, upper = _degenerate_equality_lp(rng)
+    B_eq = rng.integers(0, 4, (int(rng.integers(2, 12)), len(c))) @ A_eq.T
+    return c, A_ub, b_ub, A_eq, B_eq.astype(float), lower, upper
+
+
+def _one_row(c, A_ub, b_ub, A_eq, b_eq, lower, upper):
+    try:
+        return solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lower=lower, upper=upper)
+    except (LPInfeasible, SolverFailure) as exc:
+        return exc
+
+
+def _fingerprint(outcome):
+    if isinstance(outcome, LPSolution):
+        return "LPSolution", outcome.x.tobytes(), repr(outcome.value)
+    return type(outcome).__name__, str(outcome)
+
+
+@pytest.mark.parametrize("max_pivots", [simplex.MAX_PIVOTS, 0, 3])
+def test_stacked_solves_match_one_row_solves(monkeypatch, max_pivots):
+    """Row i of a stacked solve is the one-row solve of b_eq[i]: x bytes, value, or error type and message."""
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", max_pivots)
+    kinds = set()
+    for seed in range(60):
+        c, A_ub, b_ub, A_eq, B_eq, lower, upper = (_epigraph_stack if seed % 3 else _degenerate_equality_stack)(seed)
+        stacked = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=B_eq, lower=lower, upper=upper)
+        assert len(stacked) == len(B_eq)
+        for b_eq, outcome in zip(B_eq, stacked):
+            want = _one_row(c, A_ub, b_ub, A_eq, b_eq, lower, upper)
+            assert _fingerprint(outcome) == _fingerprint(want), seed
+            kinds.add(type(want).__name__)
+    if max_pivots == 0:
+        assert kinds == {"SolverFailure"}
+    else:
+        assert {"LPSolution", "LPInfeasible"} <= kinds
+
+
+def test_stack_shapes(monkeypatch):
+    """Stacks of any height give the one-row outcomes; an empty stack gives none; bounds refuse every row."""
+    c, A_ub, b_ub, A_eq, B_eq, lower, upper = _epigraph_stack(15)  # 28 rows, 4 of them infeasible
+    want = [_fingerprint(_one_row(c, A_ub, b_ub, A_eq, b_eq, lower, upper)) for b_eq in B_eq]
+    for budget in (1, 10_000, 2**15, 2**30):  # stacks of 1, 4, 13 and all 28 rows
+        monkeypatch.setattr(simplex, "STACK_FLOATS", budget)
+        got = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=B_eq, lower=lower, upper=upper)
+        assert [_fingerprint(o) for o in got] == want
+    c, A_eq = np.array([0.0, 1.0]), np.array([[1.0, 1.0]])
+    box = dict(lower=-5.0 * np.ones(2), upper=5.0 * np.ones(2))
+    [one] = solve_lp(c, A_eq=A_eq, b_eq=[[2.0]], **box)
+    assert _fingerprint(one) == _fingerprint(solve_lp(c, A_eq=A_eq, b_eq=[2.0], **box))
+    assert solve_lp(c, A_eq=A_eq, b_eq=np.zeros((0, 1)), **box) == []
+    empty = solve_lp(c, A_eq=A_eq, b_eq=[[2.0], [3.0]], lower=np.ones(2), upper=np.zeros(2))
+    assert [type(e) for e in empty] == [LPInfeasible, LPInfeasible]
