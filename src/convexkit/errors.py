@@ -14,7 +14,7 @@ class InfeasibleFiber(ConvexKitError):
 
 
 class DomainViolation(ConvexKitError):
-    """A query point or direction lies outside the subspace it must lie in."""
+    """A query point or direction lies outside the subspace it must lie in, or a direction is zero."""
 
 
 class UnboundedBelow(ConvexKitError):

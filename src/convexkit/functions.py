@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, SubdifferentialTooLarge
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_rows, as_vector, row_norms
 
 ACTIVE_TOL = 1e-9
 PSD_FLOOR = -1e-8
@@ -286,15 +286,18 @@ def subdifferential(f: ConvexFunction, x, active_tol: float = ACTIVE_TOL) -> Pol
     return Polytope(gens)
 
 
-def one_dim_subdifferential(f: ConvexFunction, x, v, active_tol: float = ACTIVE_TOL) -> tuple[float, float]:
-    """Subdifferential interval of t -> f(x + t v) at t = 0.
+def one_dim_subdifferential(f: ConvexFunction, x, v, active_tol: float = ACTIVE_TOL) -> tuple:
+    """Subdifferential interval of t -> f(x + t v) at t = 0, for one direction or each row of a (k, dim) stack.
 
-    Returns (lo, hi) = (left derivative, right derivative); lo <= hi always.
-    Support values add over a Minkowski sum, so each summand's interval is
-    found on its own generators and the intervals are summed.
+    Returns (lo, hi) = (left derivative, right derivative), two floats or two
+    arrays; lo <= hi always.  Support values add over a Minkowski sum, so each
+    summand's interval is found on its own generators and the intervals are
+    summed.  The active sets are found once per call; each row's interval
+    equals its own call's bit for bit, as stacked matmuls make per-row gemvs.
     """
-    v = as_vector(v, f.dim)
-    if float(np.linalg.norm(v)) == 0.0:
+    V = as_rows(v, f.dim)
+    if not row_norms(V).all():
         raise ValueError("direction must be nonzero")
-    along = [s @ v for s in _summand_generators(f, x, active_tol)]
-    return _total([float(np.min(a)) for a in along]), _total([float(np.max(a)) for a in along])
+    along = [(s @ V[:, :, None])[:, :, 0] for s in _summand_generators(f, x, active_tol)]
+    lo, hi = _total([a.min(axis=1) for a in along]), _total([a.max(axis=1) for a in along])
+    return (lo, hi) if np.ndim(v) == 2 else (float(lo[0]), float(hi[0]))

@@ -32,13 +32,13 @@ ANCHOR_RESIDUAL_TOL = 1e-8
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
-    """Coerce to a finite 1-d float array, optionally checking its length."""
-    v = np.asarray(x, dtype=float)
+    """Coerce to a finite C-ordered 1-d float array (a strided row rounds as its copy), optionally checking its length."""
+    v = np.asarray(x, dtype=float, order="C")
     if v.ndim != 1:
         raise DimensionMismatch(f"expected a vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
@@ -50,9 +50,15 @@ def as_matrix(a, shape: tuple[int, int] | None = None) -> np.ndarray:
         raise DimensionMismatch(f"expected a matrix, got shape {m.shape}")
     if shape is not None and m.shape != shape:
         raise DimensionMismatch(f"expected shape {shape}, got {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def as_rows(x, dim: int) -> np.ndarray:
+    """A vector of length ``dim`` as a one-row stack, or a (k, dim) stack, finite and C-ordered."""
+    a = np.asarray(x, dtype=float)
+    return np.ascontiguousarray(as_matrix(a, (len(a), dim))) if a.ndim == 2 else as_vector(a, dim)[None]
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,7 @@ class Subspace:
 
     def __post_init__(self):
         b = as_matrix(self.basis)
-        if not np.all(np.abs(b @ b.T - np.eye(b.shape[0])) <= 1e-10):
+        if not (np.abs(b @ b.T - np.eye(b.shape[0])) <= 1e-10).all():
             raise ValueError("basis rows are not orthonormal within 1e-10")
         object.__setattr__(self, "basis", b)
 
@@ -146,9 +152,13 @@ def row_norms(V: np.ndarray) -> np.ndarray:
 
 
 def project(x, W: Subspace) -> np.ndarray:
-    """Orthogonal projection of ``x`` onto the subspace ``W``."""
-    x = as_vector(x, W.ambient_dim)
-    return W.basis.T @ (W.basis @ x)
+    """Orthogonal projection of ``x`` onto the subspace ``W``, or of each row of a (k, n) stack.
+
+    Each row equals its own projection bit for bit: on C-ordered rows the
+    stacked matmuls make the same per-row gemv calls.
+    """
+    P = (W.basis.T @ (W.basis @ as_rows(x, W.ambient_dim)[:, :, None]))[:, :, 0]
+    return P if np.ndim(x) == 2 else P[0]
 
 
 @dataclass(frozen=True)

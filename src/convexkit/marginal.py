@@ -48,7 +48,7 @@ from .errors import (
     UnsupportedObjective,
 )
 from .instances import function_to_json, matrix_to_json
-from .linalg import AnchorMap, Subspace, anchor_map, as_matrix, as_vector, kernel, row_norms, row_space
+from .linalg import AnchorMap, Subspace, anchor_map, as_matrix, as_vector, kernel, project, row_norms, row_space
 # unused, but bound here so that bench/tracing.py can wrap this binding site
 from .linalg import solve_anchor  # noqa: F401
 from .report import CheckResult, TrialResult
@@ -190,8 +190,7 @@ def marginal_values(h: MarginalFunction, X) -> list[MinimizationWitness]:
     X = np.ascontiguousarray(as_matrix(X))  # strided rows would take other BLAS paths
     if X.shape[1] != h.outer_dim:
         raise DimensionMismatch(f"expected dimension {h.outer_dim}, got {X.shape[1]}")
-    B = h.domain.basis
-    gaps = row_norms(X - (B.T @ (B @ X[:, :, None]))[:, :, 0])
+    gaps = row_norms(X - project(X, h.domain))
     off = np.flatnonzero(gaps > DOMAIN_TOL * (1.0 + row_norms(X)))
     clean = off[0] if off.size else len(X)
     witnesses = h._inner(X[:clean]) if clean else []

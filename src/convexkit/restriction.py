@@ -11,6 +11,8 @@ dimensionally wrong for the restriction and the checks below catch it.)
 The projection identity is verified per direction through one-dimensional
 slices: for v in ker(S), the interval of t -> f(x + t v) at 0 must equal
 [-support(P, -v), support(P, v)] where P is the projected subdifferential.
+A trial's directions are checked as one C-ordered stack with one active-set
+pass, each row bit for bit as one direction at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import functions
 from .errors import DimensionMismatch, DomainViolation
 from .functions import ACTIVE_TOL, Polytope, subdifferential
 from .instances import function_to_json, matrix_to_json, vector_to_json
-from .linalg import Subspace, anchor_map, as_vector, complement, project
+from .linalg import Subspace, anchor_map, as_rows, as_vector, complement, project, row_norms
 # unused, but bound here so that bench/tracing.py can wrap these binding sites
 from .linalg import kernel, solve_anchor  # noqa: F401
 from .report import CheckResult, TrialResult
@@ -65,18 +67,14 @@ def make_fiber(S, zeta) -> AffineFiber:
 
 
 def embed(fiber: AffineFiber, w) -> np.ndarray:
-    """Map fiber coordinates w to the ambient point anchor + B^T w."""
-    w = as_vector(w, fiber.fiber_dim)
-    if fiber.fiber_dim == 0:
-        return fiber.anchor.copy()
-    return fiber.anchor + fiber.kernel_basis.basis.T @ w
+    """Map fiber coordinates w, or each row of a (k, fiber_dim) stack, to the ambient point anchor + B^T w.
 
-
-def _embed_rows(fiber: AffineFiber, W) -> np.ndarray:
-    """``embed`` of every row of W, bit for bit: a stacked matmul makes embed's per-row gemv."""
-    if fiber.fiber_dim == 0:
-        return np.tile(fiber.anchor, (len(W), 1))
-    return fiber.anchor + (fiber.kernel_basis.basis.T @ W[:, :, None])[:, :, 0]
+    Each row equals its own embedding bit for bit (see ``project``); a
+    zero-dimensional fiber gives copies of the anchor, signed zeros included.
+    """
+    W, B = as_rows(w, fiber.fiber_dim), fiber.kernel_basis.basis
+    X = fiber.anchor + (B.T @ W[:, :, None])[:, :, 0] if len(B) else np.tile(fiber.anchor, (len(W), 1))
+    return X if np.ndim(w) == 2 else X[0]
 
 
 @dataclass(frozen=True)
@@ -116,10 +114,13 @@ def restricted_subdifferential(g: RestrictedFunction, w, active_tol: float = ACT
     return Polytope((P.generators @ B.T) @ B)
 
 
-def support_function(P: Polytope, v) -> float:
-    """h_P(v) = max over generators of the inner product with v."""
-    v = as_vector(v, P.ambient_dim)
-    return float(np.max(P.generators @ v))
+def support_function(P: Polytope, v) -> float | np.ndarray:
+    """h_P(v) = max over generators of the inner product with v: a float, or an array for a (k, dim) stack.
+
+    Each row equals its own call bit for bit (see ``project``).
+    """
+    h = (P.generators @ as_rows(v, P.ambient_dim)[:, :, None])[:, :, 0].max(axis=1)
+    return h if np.ndim(v) == 2 else float(h[0])
 
 
 def lemma1_check(
@@ -133,11 +134,12 @@ def lemma1_check(
 ) -> TrialResult:
     """One verification trial for the restricted-subdifferential identity.
 
-    Per direction v (it must lie in ker S, else DomainViolation): the
-    one-dimensional subdifferential interval of the ambient f at embed(w)
-    along v has to match [-support(P, -v), support(P, v)] for the projected
-    polytope P within ``support_tol``.  Additionally the restriction must be midpoint convex on
-    MIDPOINT_PAIRS seeded coordinate pairs up to CONVEXITY_SLACK.
+    Per direction v (nonzero and in ker S, else DomainViolation; errors come
+    in direction order): the one-dimensional subdifferential interval of the
+    ambient f at embed(w) along v has to match [-support(P, -v), support(P, v)]
+    for the projected polytope P within ``support_tol``.  Additionally the
+    restriction must be midpoint convex on MIDPOINT_PAIRS seeded coordinate
+    pairs up to CONVEXITY_SLACK, evaluated in one batch.
     """
     f, fiber = g.f, g.fiber
     w = as_vector(w, fiber.fiber_dim)
@@ -155,28 +157,39 @@ def lemma1_check(
     }
     checks: list[CheckResult] = []
 
-    for i, v in enumerate(directions):
-        v = as_vector(v, fiber.ambient_dim)
-        kernel_residual = float(np.linalg.norm(v - project(v, fiber.kernel_basis)))
-        if kernel_residual > 1e-9 * (1.0 + float(np.linalg.norm(v))):
-            raise DomainViolation(f"direction {i} does not lie in the kernel of S")
-        lo, hi = functions.one_dim_subdifferential(f, x, v, active_tol)
-        want_hi = support_function(P, v)
-        want_lo = -support_function(P, -v)
-        gap = max(abs(lo - want_lo), abs(hi - want_hi))
-        checks.append(
-            CheckResult(
-                name=f"slice_interval_{i}",
-                passed=gap <= support_tol,
-                gap=gap,
-                witness={"direction": vector_to_json(v), "interval": [lo, hi], "projected": [want_lo, want_hi]},
+    # a direction of the wrong length is raised after the domain errors of those before it
+    V, late = [], None
+    for v in directions:
+        try:
+            V.append(as_vector(v, fiber.ambient_dim))
+        except DimensionMismatch as error:
+            late = error
+            break
+    V = np.array(V).reshape(len(V), fiber.ambient_dim)
+    norms = row_norms(V)
+    off = row_norms(V - project(V, fiber.kernel_basis)) > 1e-9 * (1.0 + norms)
+    bad = np.flatnonzero(off | (norms == 0.0))
+    if bad.size:
+        raise DomainViolation(f"direction {bad[0]} " + ("does not lie in the kernel of S" if off[bad[0]] else "is zero"))
+    if late is not None:
+        raise late
+    if len(V):  # a zero-dimensional fiber has no direction to check and needs no active set
+        bounds = (*functions.one_dim_subdifferential(f, x, V, active_tol), -support_function(P, -V), support_function(P, V))
+        for i, (v, lo, hi, want_lo, want_hi) in enumerate(zip(*(b.tolist() for b in (V, *bounds)))):
+            gap = max(abs(lo - want_lo), abs(hi - want_hi))
+            checks.append(
+                CheckResult(
+                    name=f"slice_interval_{i}",
+                    passed=gap <= support_tol,
+                    gap=gap,
+                    witness={"direction": v, "interval": [lo, hi], "projected": [want_lo, want_hi]},
+                )
             )
-        )
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(11,)))
     W = rng.uniform(-PAIR_SCALE, PAIR_SCALE, (MIDPOINT_PAIRS, 2, fiber.fiber_dim))
     W1, W2 = W[:, 0], W[:, 1]
-    v1, v2, vm = (functions.evaluate_many(f, _embed_rows(fiber, V)) for V in (W1, W2, 0.5 * (W1 + W2)))
+    v1, v2, vm = functions.evaluate_many(f, embed(fiber, np.concatenate([W1, W2, 0.5 * (W1 + W2)]))).reshape(3, -1)
     gaps = 0.5 * (v1 + v2) - vm
     worst = int(np.argmin(gaps))
     checks.append(

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from convexkit import functions
 from convexkit.errors import ConvexKitError, DimensionMismatch, SubdifferentialTooLarge
 from convexkit.functions import (
     AffinePiece,
@@ -191,6 +192,50 @@ def test_subgradient_inequality_random():
             fx, fy = evaluate(f, x), evaluate(f, y)
             for g in subdifferential(f, x).generators:
                 assert fy >= fx + g @ (y - x) - 1e-8 * (1 + abs(fx) + abs(fy))
+
+
+def test_one_dim_subdifferential_stack_matches_one_row_calls(monkeypatch):
+    """A stack of directions gets each row's own interval bit for bit, at heights 0, 1 and 5, from one active-set pass."""
+    calls = []
+    original = functions._summand_generators
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(functions, "_summand_generators", counted)
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        d = int(rng.integers(1, 7))
+        x = rng.uniform(-1.0, 1.0, d)
+        A = rng.uniform(-2.0, 2.0, (5, d))
+        kinked = max_affine(list(zip(A, 1.0 - A @ x)))  # all five pieces active at x
+        Q = rng.uniform(-1.0, 1.0, (d, d))
+        for f in (kinked, quadratic(Q.T @ Q, c=rng.uniform(-1.0, 1.0, d)), SumFunction(d, (kinked, quadratic(Q.T @ Q), kinked))):
+            for height in (0, 1, 5):
+                V = rng.uniform(-3.0, 3.0, (height, d))
+                V[:, 1:][rng.uniform(size=(height, d - 1)) < 0.3] = 0.0  # zero entries, never a zero row
+                calls.clear()
+                lo, hi = one_dim_subdifferential(f, x, V)
+                assert len(calls) == 1 and lo.shape == hi.shape == (height,)
+                rows = [one_dim_subdifferential(f, x, v) for v in V]
+                assert all(type(a) is float and type(b) is float for a, b in rows)
+                assert lo.tobytes() == np.array([a for a, _ in rows], dtype=float).tobytes()
+                assert hi.tobytes() == np.array([b for _, b in rows], dtype=float).tobytes()
+    with pytest.raises(ValueError):
+        one_dim_subdifferential(ABS, (0.0,), np.array([[1.0], [0.0]]))
+
+
+def test_evaluate_on_strided_rows_matches_their_copies():
+    """A row of an F-ordered matrix is a strided vector; as_vector makes it C-ordered, so it rounds as its copy does."""
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        d = int(rng.integers(2, 8))
+        A = rng.uniform(-1.0, 1.0, (d, d))
+        f = SumFunction(d, (max_affine([(rng.uniform(-2, 2, d), rng.uniform(-2, 2)) for _ in range(6)]), quadratic(A.T @ A, c=rng.uniform(-1, 1, d))))
+        X = np.asfortranarray(rng.uniform(-5.0, 5.0, (100, d)))
+        for x in X:
+            assert repr(evaluate(f, x)) == repr(evaluate(f, x.copy()))
 
 
 def test_interval_endpoints_order_random():

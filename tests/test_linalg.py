@@ -77,6 +77,22 @@ def test_project_onto_zero_subspace():
     assert_allclose(project((1.0, 2.0, 3.0), W), np.zeros(3))
 
 
+def test_project_stack_matches_one_row_calls():
+    """Each row of a projected stack is its own projection bit for bit, at heights 0, 1 and 5."""
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        W = row_space(rng.normal(size=(int(rng.integers(0, n + 1)), n)))
+        for height in (0, 1, 5):
+            X = rng.uniform(-5.0, 5.0, (height, n))
+            got = project(X, W)
+            assert got.shape == (height, n)
+            assert got.tobytes() == np.array([project(x, W) for x in X]).reshape(height, n).tobytes()
+            assert got.tobytes() == project(np.asfortranarray(X), W).tobytes()  # strided rows too
+    with pytest.raises(DimensionMismatch):
+        project(np.zeros((2, 3)), Subspace(np.eye(2)))
+
+
 def test_solve_anchor_minimum_norm():
     y = solve_anchor(np.array([[1.0, 1.0]]), np.array([2.0]))
     assert_allclose(y, [1.0, 1.0], atol=1e-10)
@@ -115,6 +131,10 @@ def test_as_vector_and_as_matrix_validation():
         as_matrix([[np.inf, 0.0]])
     with pytest.raises(DimensionMismatch):
         as_matrix([1.0, 2.0])
+    with pytest.raises(DimensionMismatch):
+        as_vector(1.0)  # C order leaves a scalar a scalar
+    strided = np.asfortranarray(np.ones((3, 4)))[0]
+    assert not strided.flags.c_contiguous and as_vector(strided).flags.c_contiguous
 
 
 def _random_operator(rng, d, n, rank):

@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from convexkit import functions, harness, linalg, restriction
-from convexkit.errors import DomainViolation, InfeasibleFiber
+from convexkit.errors import DimensionMismatch, DomainViolation, InfeasibleFiber
 from convexkit.functions import Polytope, SumFunction, max_affine, quadratic
 from convexkit.linalg import kernel, project, row_space, solve_anchor
+from convexkit.report import CheckResult, SuiteReport, TrialResult, report_to_json
 from convexkit.restriction import (
     embed,
     lemma1_check,
@@ -223,7 +224,7 @@ def test_midpoint_sweep_matches_scalar_loop():
         assert check.passed == (worst >= -restriction.CONVEXITY_SLACK)
 
 
-def test_midpoint_sweep_is_three_batched_evaluations(monkeypatch):
+def test_midpoint_sweep_is_one_batched_evaluation(monkeypatch):
     calls = []
     original = functions.evaluate_many
 
@@ -234,4 +235,116 @@ def test_midpoint_sweep_is_three_batched_evaluations(monkeypatch):
     monkeypatch.setattr(functions, "evaluate_many", counted)
     u = np.array([1.0, -1.0]) / np.sqrt(2.0)
     lemma1_check(restrict(ONE_NORM, S_SUM, np.array([0.0])), (0.0,), [u, -u], seed=3)
-    assert len(calls) == 3
+    assert len(calls) == 1
+
+
+def _reference_lemma1_check(g, w, directions, seed):
+    """lemma1_check one direction at a time, each product on its own vector as before stacks."""
+    f, fiber = g.f, g.fiber
+    K = fiber.kernel_basis.basis
+    x = fiber.anchor + K.T @ w if fiber.fiber_dim else fiber.anchor.copy()
+    P = restricted_subdifferential(g, w)
+    checks = []
+    for i, v in enumerate(directions):
+        v = np.asarray(v, dtype=float)
+        if float(np.linalg.norm(v - K.T @ (K @ v))) > 1e-9 * (1.0 + float(np.linalg.norm(v))):
+            raise DomainViolation(f"direction {i} does not lie in the kernel of S")
+        if float(np.linalg.norm(v)) == 0.0:
+            raise DomainViolation(f"direction {i} is zero")
+        along = [s @ v for s in functions._summand_generators(f, x, functions.ACTIVE_TOL)]
+        lo, hi = functions._total([float(np.min(a)) for a in along]), functions._total([float(np.max(a)) for a in along])
+        want_hi, want_lo = float(np.max(P.generators @ v)), -float(np.max(P.generators @ -v))
+        gap = max(abs(lo - want_lo), abs(hi - want_hi))
+        checks.append(
+            CheckResult(f"slice_interval_{i}", gap <= restriction.SUPPORT_TOL, gap,
+                        {"direction": v.tolist(), "interval": [lo, hi], "projected": [want_lo, want_hi]})
+        )
+    worst, (w1, w2) = _reference_midpoint_sweep(g, seed)
+    checks.append(
+        CheckResult("restricted_midpoint_convexity", bool(worst >= -restriction.CONVEXITY_SLACK), float(worst),
+                    {"w1": w1.tolist(), "w2": w2.tolist()})
+    )
+    return checks
+
+
+def _random_lemma1_trial(rng, n):
+    """A fiber, a point on it, five kernel directions and a function with kinks at that point.
+
+    The function is a max-affine block, a quadratic, or a sum of both kinds;
+    its blocks are shifted so that several pieces meet at the embedded point.
+    """
+    rows = n if rng.integers(0, 8) == 0 else int(rng.integers(1, n))  # n rows: a zero-dimensional fiber
+    S = rng.uniform(-1.0, 1.0, (rows, n))
+    fiber = make_fiber(S, S @ rng.uniform(-1.0, 1.0, n))
+    k = fiber.fiber_dim
+    w = rng.uniform(-1.0, 1.0, k)
+    x = embed(fiber, w)
+
+    def block(shared):
+        A = rng.uniform(-2.0, 2.0, (6, n))
+        b = rng.uniform(-0.5, 0.5, 6)
+        b[:shared] = 1.0 - A[:shared] @ x  # the first pieces all take the value 1 at x
+        return max_affine(list(zip(A, b)))
+
+    Q = rng.uniform(-1.0, 1.0, (int(rng.integers(0, n + 1)), n))
+    quad = quadratic(Q.T @ Q, c=rng.uniform(-1.0, 1.0, n))
+    parts = [block(int(rng.integers(1, 5))) for _ in range(int(rng.integers(1, 4)))]
+    f = [parts[0], quad, SumFunction(n, (*parts, quad)), SumFunction(n, tuple(parts))][int(rng.integers(0, 4))]
+    directions = []
+    for _ in range(0 if k == 0 else 5):
+        v = fiber.kernel_basis.basis.T @ rng.uniform(-1.0, 1.0, k)
+        directions.append(v / np.linalg.norm(v) if rng.integers(0, 2) else 3.0 * v)
+    return restriction.RestrictedFunction(f, fiber), w, directions
+
+
+def test_lemma1_check_matches_one_direction_at_a_time():
+    """Stacked slice checks give the one-direction loop's gaps, intervals, projections and report bytes."""
+    rng = np.random.default_rng(41)
+    dims = 0
+    for seed in range(80):
+        g, w, directions = _random_lemma1_trial(rng, int(rng.integers(2, 7)))
+        dims += g.fiber.fiber_dim == 0
+        got = lemma1_check(g, w, directions, seed=seed)
+        want = TrialResult(got.instance, _reference_lemma1_check(g, w, directions, seed))
+        assert len(got.checks) == len(want.checks) == len(directions) + 1
+        for a, b in zip(got.checks, want.checks):
+            assert (a.name, a.passed, repr(a.gap)) == (b.name, b.passed, repr(b.gap))
+            assert repr(a.witness) == repr(b.witness)
+        tolerances = {"support": restriction.SUPPORT_TOL}
+        assert report_to_json(SuiteReport("lemma1", seed, tolerances, [got])) == report_to_json(
+            SuiteReport("lemma1", seed, tolerances, [want])
+        )
+    assert dims >= 5  # zero-dimensional fibers are among the trials
+
+
+def test_lemma1_check_raises_in_direction_order():
+    """Each direction's error comes before anything from the directions after it."""
+    g = restrict(ONE_NORM, S_SUM, np.array([0.0]))
+    u = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    with pytest.raises(DomainViolation, match="direction 0 is zero"):
+        lemma1_check(g, (0.0,), [np.zeros(2)])
+    with pytest.raises(DomainViolation, match="direction 1 is zero"):
+        lemma1_check(g, (0.0,), [u, np.zeros(2), np.array([1.0, 0.0])])
+    with pytest.raises(DomainViolation, match="direction 1 does not lie"):
+        lemma1_check(g, (0.0,), [u, np.array([1.0, 0.0]), np.zeros(2)])
+    with pytest.raises(DomainViolation, match="direction 0 does not lie"):
+        lemma1_check(g, (0.0,), [np.array([1.0, 0.0]), np.zeros(3)])
+    with pytest.raises(DimensionMismatch):
+        lemma1_check(g, (0.0,), [u, np.zeros(3), np.array([1.0, 0.0])])
+
+
+def test_support_function_stack_matches_one_row_calls():
+    """support_function of a stack is its one-direction call on every row, bit for bit, at heights 0, 1 and 5."""
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        G = rng.uniform(-2.0, 2.0, (int(rng.integers(1, 9)), n))
+        G[rng.uniform(size=G.shape) < 0.2] = 0.0
+        P = Polytope(np.vstack([G, -0.0 * G[:1]]))  # a generator of signed zeros
+        for height in (0, 1, 5):
+            V = rng.uniform(-3.0, 3.0, (height, n))
+            V[rng.uniform(size=V.shape) < 0.2] = 0.0
+            got = support_function(P, V)
+            assert got.shape == (height,)
+            assert got.tobytes() == np.array([support_function(P, v) for v in V], dtype=float).tobytes()
+            assert all(type(support_function(P, v)) is float for v in V)
