@@ -25,7 +25,7 @@ from .errors import ConvexKitError
 from .functions import evaluate, subdifferential
 from .harness import RunConfig, run_suite
 from .instances import domain_from_json, function_from_json
-from .report import report_to_csv, report_to_json
+from .report import json_text, report_to_csv, report_to_json
 from .restriction import restrict, restricted_subdifferential
 
 SUITES = ("lemma1", "lemma2", "lemma3", "all")
@@ -105,7 +105,7 @@ def _verify(config: CliConfig) -> int:
     out = config.out or ("report.json" if config.format == "json" else "report.csv")
     text = report_to_json(report) if config.format == "json" else report_to_csv(report)
     try:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
         print(f"error: could not write report: {exc}", file=sys.stderr)
@@ -168,7 +168,7 @@ def _query(config: CliConfig) -> int:
     except ConvexKitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(result, sort_keys=True, indent=2))
+    print(json_text(result))
     return 0
 
 

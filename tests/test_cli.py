@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from convexkit import restriction
-from convexkit.cli import CliConfig, build_parser, main, parse_args
+from convexkit.cli import CliConfig, _run_query, build_parser, main, parse_args
 
 ABS_DOC = {"type": "max_affine", "pieces": [{"a": [1.0], "b": 0.0}, {"a": [-1.0], "b": 0.0}]}
 ONE_NORM_DOC = {
@@ -197,3 +197,22 @@ def test_query_input_errors_exit_two(tmp_path, capsys):
     rc = main(parse_args(["query", "restricted-subdiff", "--instance", inst, "--x", "0"]))
     assert rc == 2  # document has no S/zeta keys
     capsys.readouterr()
+
+
+def test_query_stdout_is_json_dumps_of_the_answer(tmp_path, capsys):
+    """Each op prints ``json.dumps(answer, sort_keys=True, indent=2)`` and a newline."""
+    sum_doc = {"type": "sum", "parts": [ONE_NORM_DOC] * 3}
+    cases = [
+        ("subdiff", {"f": sum_doc}, "0,0"),
+        ("restricted-subdiff", {"f": sum_doc, "S": [[1.0, 1.0]], "zeta": [0.0]}, "0"),
+        ("marginal", {"marginal": {"f": QUAD_DOC, "S": [[1.0], [-1.0]]}}, "-0.5"),
+        (
+            "argmin-member",
+            {"f": FLAT_DOC, "domain": {"inequalities": [{"g": [1.0], "h": 0.25}], "box_radius": 3.0}},
+            "0.5",
+        ),
+    ]
+    for op, doc, x in cases:
+        config = parse_args(["query", op, "--instance", _write(tmp_path / f"{op}.json", doc), "--x", x])
+        assert main(config) == 0
+        assert capsys.readouterr().out == json.dumps(_run_query(config), sort_keys=True, indent=2) + "\n"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from convexkit import argmin, harness, marginal, restriction, simplex
+from convexkit import argmin, cli, harness, marginal, restriction, simplex
 from convexkit.errors import FiberTooLarge
 from convexkit.functions import evaluate, quadratic
 from convexkit.harness import (
@@ -217,3 +217,35 @@ def test_off_kernel_direction_is_a_recorded_trial(monkeypatch):
     for trial in report.trials:
         assert trial.checks[0].name == "no_error"
         assert trial.checks[0].witness["error"].startswith("DomainViolation")
+
+
+def test_value_error_is_a_recorded_trial(monkeypatch, tmp_path, capsys):
+    """A trial raising a non-ConvexKitError fails alone; the run and the CLI report every trial."""
+    clean = report_to_dict(run_suite("lemma1", RunConfig(trials=4, seed=42)))["trials"]
+    runner = harness._TRIAL_RUNNERS["lemma1"]
+
+    def raising(index, config):
+        if index == 2:
+            quadratic([[1.0, 2.0], [0.0, 1.0]])  # Quadratic refuses an asymmetric Q
+        return runner(index, config)
+
+    monkeypatch.setitem(harness._TRIAL_RUNNERS, "lemma1", raising)
+    report = run_suite("lemma1", RunConfig(trials=4, seed=42))
+    trials = report_to_dict(report)["trials"]
+    assert [t["id"] for t in trials] == [0, 1, 2, 3]
+    assert [trials[i] for i in (0, 1, 3)] == [clean[i] for i in (0, 1, 3)]
+    assert trials[2]["status"] == "fail"
+    assert trials[2]["instance"] == {"suite": "lemma1", "error": "Q must be symmetric within 1e-10"}
+    assert trials[2]["checks"] == [
+        {
+            "name": "no_error",
+            "pass": False,
+            "gap": None,
+            "witness": {"error": "ValueError: Q must be symmetric within 1e-10"},
+        }
+    ]
+
+    out = tmp_path / "r.json"
+    assert cli.main(cli.parse_args(["verify", "--suite", "lemma1", "--trials", "4", "--out", str(out)])) == 1
+    assert out.read_bytes() == report_to_json(report).encode()
+    assert "lemma1: pass=3 fail=1 skip=0" in capsys.readouterr().out
