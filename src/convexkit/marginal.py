@@ -19,7 +19,7 @@ projection checks the domain, the LPs of all rows run through the simplex in
 lockstep, and the KKT right-hand sides are solved as one stack.  Row i's
 witness equals marginal_value's for that row bit for bit, and the error raised
 is the one the rows one by one would raise first.  marginal_value is the stack
-of one, which takes the simplex's one-LP loop.
+of one, and the simplex solves it as a stack of one LP.
 
 lemma2_check verifies both halves of the marginal-convexity result with one
 midpoint-gap routine: h((x + y) / 2) against the mean of h(x) and h(y), each

@@ -11,22 +11,33 @@ index), so cycling cannot occur and runs are deterministic.
 The implementation is the classic tableau form.  Variables are shifted to
 z = x - lower >= 0, upper bounds become explicit rows, every row gets a slack
 or an artificial variable, phase 1 minimizes the artificial sum, phase 2 the
-shifted objective.  Desk-scale problems only: everything is dense numpy.
+shifted objective.  The objective is the tableau's last row, so a pivot
+updates it with the others.  A guard column sits between the slacks and the
+artificials: zero in every row and -inf in the objective, it is always
+eligible and never blocked, so a tableau with no other eligible column enters
+it and stops.  Desk-scale problems only: everything is dense numpy.
 
-A stack of LPs that differ only in b_eq (``b_eq`` of shape (k, m_eq)) is
-solved in one go.  Which rows get an artificial depends only on A_ub, b_ub
-and the bounds, so the k tableaux share their shape and starting basis, and
-Bland pivots run on all unfinished tableaux in lockstep.  Each row makes
-exactly the pivots, ratios and ties of its own one-LP run, with the same
-IEEE operations: updates are masked, so a finished row or a zero coefficient
-is never touched, and MAX_PIVOTS counts per row.  The rows are taken in
+One routine solves every call, as a stack of LPs that differ only in b_eq
+(``b_eq`` of shape (k, m_eq)); a lone LP is the stack of one.  Which rows get
+an artificial depends only on A_ub, b_ub and the bounds, so the k tableaux
+share their shape and starting basis, and Bland pivots run on all unfinished
+tableaux in lockstep.  Each row makes exactly the pivots, ratios and ties it
+would make alone, and MAX_PIVOTS counts per row.  The rows are taken in
 stacks of at most STACK_FLOATS tableau entries, which bounds the memory of a
-tall stack; a stack of one takes the one-LP loop, which is cheaper at that
-height.
+tall stack.
+
+Every basic column stays a unit column, exactly: a pivot divides its row by
+the pivot entry, and x / x is 1, and subtracts multiples of that row, which
+leave zeros in the column.  So the objective build subtracts row i with the
+cost of its basic variable, unchanged by the rows before it, and skips the
+rows whose basic cost is zero.  Every row gives the x and value of the
+one-LP two-phase routine that the tests keep as the reference, bit for bit on
+finite tableaux.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,211 +56,163 @@ class LPSolution:
     value: float
 
 
-def _pivot(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] = T[row] / T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row])
-    obj -= obj[col] * T[row]
-    basis[row] = col
+def _pivot_stack(T, basis, s, row, col, column) -> None:
+    """Pivot every tableau j of the stack on its entry (row[j], col[j]); s is arange(len(T)).
 
-
-def _build_objective(cost: np.ndarray, T: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    obj = np.append(cost, 0.0)
-    for i, b in enumerate(basis):
-        if obj[b] != 0.0:
-            obj = obj - obj[b] * T[i]
-    return obj
-
-
-def _run(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, allowed: np.ndarray) -> None:
-    for _ in range(MAX_PIVOTS):
-        eligible = np.where(allowed & (obj[:-1] < -PIVOT_TOL))[0]
-        if eligible.size == 0:
-            return
-        col = int(eligible[0])  # Bland: smallest eligible index enters
-        column = T[:, col]
-        rows = np.where(column > PIVOT_TOL)[0]
-        if rows.size == 0:
-            # every variable is boxed, so only a numerical breakdown gets here
-            raise SolverFailure("no blocking row for the entering column")
-        ratios = T[rows, -1] / column[rows]
-        best = float(np.min(ratios))
-        ties = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
-        row = int(ties[np.argmin(basis[ties])])  # Bland: smallest basic index leaves
-        _pivot(T, obj, basis, row, col)
-    raise SolverFailure(f"simplex did not terminate within {MAX_PIVOTS} pivots")
-
-
-def _solution(T: np.ndarray, basis: np.ndarray, c: np.ndarray, lower: np.ndarray) -> LPSolution:
-    z = np.zeros(T.shape[1] - 1)
-    z[basis] = T[:, -1]
-    x = z[: c.shape[0]] + lower
-    return LPSolution(x=x, value=float(c @ x))
-
-
-def _solve_one(T, basis, c, lower, n_art) -> LPSolution:
-    """The two phases on one tableau, modified in place; raises LPInfeasible or SolverFailure."""
-    m, total = T.shape[0], T.shape[1] - 1
-    structural = total - n_art
-    allowed = np.arange(total) < structural  # artificials never enter
-
-    # phase 1: minimize the artificial sum
-    if n_art:
-        cost1 = np.zeros(total)
-        cost1[structural:] = 1.0
-        obj = _build_objective(cost1, T, basis)
-        _run(T, obj, basis, allowed)
-        if -obj[-1] > FEAS_TOL:
-            raise LPInfeasible(f"phase 1 optimum {-obj[-1]:.3e} above feasibility tolerance")
-        # drive leftover artificials out of the basis where possible
-        for i in range(m):
-            if basis[i] >= structural:
-                pivots = np.where(np.abs(T[i, :structural]) > PIVOT_TOL)[0]
-                if pivots.size:
-                    _pivot(T, obj, basis, i, int(pivots[0]))
-                # else: redundant row; its artificial stays basic at value zero
-
-    # phase 2: original objective on the shifted variables
-    cost2 = np.zeros(total)
-    cost2[: c.shape[0]] = c
-    obj = _build_objective(cost2, T, basis)
-    _run(T, obj, basis, allowed)
-    return _solution(T, basis, c, lower)
-
-
-def _pivot_stack(T, obj, basis, row, col) -> None:
-    """``_pivot`` on every tableau of the stack, row s at (row[s], col[s])."""
-    s = np.arange(len(T))
-    T[s, row] = T[s, row] / T[s, row, col][:, None]
-    factors = T[s, :, col]
-    factors[s, row] = 0.0
-    T -= factors[:, :, None] * T[s, row][:, None, :]
-    obj -= obj[s, col][:, None] * T[s, row]
+    column[j] is tableau j's column col[j], objective entry included.
+    """
+    pivot_row = T[s, row] / column[s, row][:, None]
+    T -= column[:, :, None] * pivot_row[:, None, :]
+    T[s, row] = pivot_row + 0.0  # pivot_row - 0.0 * pivot_row, bit for bit on finite entries
     basis[s, row] = col
 
 
-def _build_objectives(cost, T, basis) -> np.ndarray:
-    """``_build_objective`` for every tableau of the stack, each with its own basis."""
-    s = np.arange(len(T))
-    obj = np.tile(np.append(cost, 0.0), (len(T), 1))
-    for i in range(T.shape[1]):
-        coef = obj[s, basis[:, i]]
-        hit = coef != 0.0
-        obj[hit] = obj[hit] - coef[hit, None] * T[hit, i]
-    return obj
+def _set_objective(T, basis, cost) -> None:
+    """Write cost, reduced to zero on the basic columns, into the objective row of every tableau.
+
+    Row i of tableau j is subtracted cost[basis[j, i]] times, in row order,
+    where that cost is nonzero: the unit columns keep each basic variable's
+    objective entry at its cost until its row is reached.
+    """
+    coef = cost[basis][:, :, None]
+    terms = np.zeros(T.shape)
+    terms[:, 0, :-1] = cost
+    # a row whose basic cost is zero subtracts +0.0, which leaves every entry as it is
+    np.multiply(coef, T[:, :-1], out=terms[:, 1:], where=coef != 0.0)
+    np.subtract.reduce(terms, axis=1, out=T[:, -1])
 
 
-def _run_stack(T, obj, basis, allowed) -> list:
-    """``_run`` on every tableau of the stack in lockstep; per row None or its SolverFailure.
+def _run_stack(T, basis, structural) -> list:
+    """Bland pivots on every tableau of the stack in lockstep; per row None or its SolverFailure.
 
-    The rows are pivoted in place until one stops, then on compact copies of
-    the unfinished rows.  A row that stops is written back at once and never
-    touched again.
+    Columns up to ``structural``, the guard, may enter.  The rows are pivoted
+    in place until one stops, then on compact copies of the unfinished rows.
+    A row that stops is written back at once and never touched again.
     """
     failures = [None] * len(T)
     if not failures:
         return failures
     live = np.arange(len(T))
-    t, o, b = T, obj, basis
+    t, b, s = T, basis, live
+    obj, rhs = t[:, -1, : structural + 1], t[:, :-1, -1]
+    no_ratios = np.empty(rhs.shape)
+    no_ratios.fill(np.nan)
     for _ in range(MAX_PIVOTS):
-        eligible = allowed & (o[:, :-1] < -PIVOT_TOL)
-        col = np.argmax(eligible, axis=1)  # Bland: smallest eligible index enters
-        column = t[np.arange(len(t)), :, col]
-        blocking = column > PIVOT_TOL
-        going = eligible.any(axis=1)
-        stop = ~(going & blocking.any(axis=1))
-        if stop.any():
-            for s in np.flatnonzero(stop & going):
-                failures[live[s]] = SolverFailure("no blocking row for the entering column")
-            T[live[stop]], obj[live[stop]], basis[live[stop]] = t[stop], o[stop], b[stop]
-            keep = ~stop
-            live, t, o, b, col, column, blocking = (a[keep] for a in (live, t, o, b, col, column, blocking))
-            if not live.size:
+        col = (obj < -PIVOT_TOL).argmax(axis=1)  # Bland: smallest eligible index enters
+        column = t[s, :, col]
+        entries = column[:, :-1]
+        ratios = np.divide(rhs, entries, out=no_ratios[: live.size].copy(), where=entries > PIVOT_TOL)
+        # each tableau's tie bound on its least ratio, in Python floats; NaN where no row blocks
+        bound = [r + 1e-12 * (1.0 + abs(r)) for r in np.fmin.reduce(ratios, axis=1).tolist()]
+        if any(map(math.isnan, bound)):  # a tableau stops
+            stop = np.isnan(bound)
+            for j, entering in enumerate(col.tolist()):
+                if stop[j] and entering < structural:  # the guard enters only at an optimum
+                    failures[live[j]] = SolverFailure("no blocking row for the entering column")
+            if t is not T:
+                T[live[stop]], basis[live[stop]] = t[stop], b[stop]
+            if all(map(math.isnan, bound)):
                 return failures
-        ratios = np.divide(t[:, :, -1], column, out=np.full(column.shape, np.inf), where=blocking)
-        best = np.min(ratios, axis=1)
-        ties = blocking & (ratios <= (best + 1e-12 * (1.0 + np.abs(best)))[:, None])
-        row = np.argmin(np.where(ties, b, t.shape[2]), axis=1)  # Bland: smallest basic index leaves
-        _pivot_stack(t, o, b, row, col)
-    for s in live:
-        failures[s] = SolverFailure(f"simplex did not terminate within {MAX_PIVOTS} pivots")
-    T[live], obj[live], basis[live] = t, o, b
+            keep = ~stop
+            live, t, b, col, column, ratios = (a[keep] for a in (live, t, b, col, column, ratios))
+            s = s[: live.size]
+            obj, rhs = t[:, -1, : structural + 1], t[:, :-1, -1]
+            bound = [r for r, kept in zip(bound, keep) if kept]
+        ties = ratios <= np.array(bound)[:, None]
+        row = np.where(ties, b, t.shape[2]).argmin(axis=1)  # Bland: smallest basic index leaves
+        _pivot_stack(t, b, s, row, col, column)
+    for j in live:
+        failures[j] = SolverFailure(f"simplex did not terminate within {MAX_PIVOTS} pivots")
+    T[live], basis[live] = t, b
     return failures
 
 
-def _solve_stack(T, basis, c, lower, n_art) -> list:
-    """``_solve_one`` on every tableau of the stack; its outcome per row, in order."""
-    k, m, total = T.shape[0], T.shape[1], T.shape[2] - 1
-    structural = total - n_art
-    allowed = np.arange(total) < structural
-    basis = np.tile(basis, (k, 1))
+def _solution(T: np.ndarray, basis: np.ndarray, c: np.ndarray, lower: np.ndarray) -> LPSolution:
+    z = np.zeros(T.shape[1] - 1)
+    z[basis] = T[:-1, -1]
+    x = z[: c.shape[0]] + lower
+    return LPSolution(x=x, value=float(c @ x))
+
+
+def _solve_stack(T, basis, n_art, c, lower) -> list:
+    """The two phases on every tableau of the stack, modified in place; its outcome per row, in order."""
+    k, total = T.shape[0], T.shape[2] - 1
+    structural = total - n_art - 1  # then the guard, then the artificials, which never enter
+    cost = np.zeros(total)
+    cost[structural] = -np.inf  # the guard
     outcomes = [None] * k
     ids = np.arange(k)  # the rows still being solved
 
+    # phase 1: minimize the artificial sum
     if n_art:
-        cost1 = np.zeros(total)
-        cost1[structural:] = 1.0
-        obj = _build_objectives(cost1, T, basis)
-        for s, failure in enumerate(_run_stack(T, obj, basis, allowed)):
-            if failure is None and -obj[s, -1] > FEAS_TOL:
-                failure = LPInfeasible(f"phase 1 optimum {-obj[s, -1]:.3e} above feasibility tolerance")
+        cost1 = cost.copy()
+        cost1[structural + 1 :] = 1.0
+        _set_objective(T, basis, cost1)
+        for s, failure in enumerate(_run_stack(T, basis, structural)):
+            if failure is None and -T[s, -1, -1] > FEAS_TOL:
+                failure = LPInfeasible(f"phase 1 optimum {-T[s, -1, -1]:.3e} above feasibility tolerance")
             outcomes[s] = failure
         ids = np.array([s for s in range(k) if outcomes[s] is None], dtype=int)
         if len(ids) < k:
-            T, obj, basis = T[ids], obj[ids], basis[ids]
-        # drive leftover artificials out, row i of every tableau in turn, as _solve_one does
-        for i in range(m):
+            T, basis = T[ids], basis[ids]
+        # drive leftover artificials out of the basis where possible, row i of every tableau in turn;
+        # a row with none to pivot on is redundant, and its artificial stays basic at value zero
+        for i in (basis > structural).any(axis=0).nonzero()[0]:
             pivots = np.abs(T[:, i, :structural]) > PIVOT_TOL
-            rows = np.flatnonzero((basis[:, i] >= structural) & pivots.any(axis=1))
+            rows = np.flatnonzero((basis[:, i] > structural) & pivots.any(axis=1))
             if rows.size:
-                sub = T[rows], obj[rows], basis[rows]
-                _pivot_stack(*sub, np.full(rows.size, i), np.argmax(pivots[rows], axis=1))
-                T[rows], obj[rows], basis[rows] = sub
+                t, b, s = T[rows], basis[rows], np.arange(rows.size)
+                col = pivots[rows].argmax(axis=1)
+                _pivot_stack(t, b, s, np.full(rows.size, i), col, t[s, :, col])
+                T[rows], basis[rows] = t, b
 
-    cost2 = np.zeros(total)
-    cost2[: c.shape[0]] = c
-    obj = _build_objectives(cost2, T, basis)
-    for s, failure in enumerate(_run_stack(T, obj, basis, allowed)):
+    # phase 2: the original objective on the shifted variables
+    cost[: c.shape[0]] = c
+    _set_objective(T, basis, cost)
+    for s, failure in enumerate(_run_stack(T, basis, structural)):
         outcomes[ids[s]] = failure if failure is not None else _solution(T[s], basis[s], c, lower)
     return outcomes
 
 
 def _tableaux(c, A_ub, b_ub, A_eq, B_eq, lower, upper):
-    """The starting tableaux of the LPs, one per row of B_eq, and their shared basis and artificial count."""
-    n = c.shape[0]
-    # shift to z = x - lower, append upper-bound rows z <= upper - lower
-    width = upper - lower
-    rows_ub = np.vstack([A_ub, np.eye(n)])
-    rhs_ub = np.concatenate([b_ub - A_ub @ lower, width])
-    rhs_eq = B_eq - A_eq @ lower
+    """The starting tableaux of the LPs, one per row of B_eq, their bases and the artificial count.
 
-    m_ub, m_eq = rows_ub.shape[0], A_eq.shape[0]
+    Columns: the n shifted variables, the slacks, the guard, the artificials,
+    the right-hand side.  Rows: the inequality rows, the upper-bound rows,
+    the equality rows, and the objective row, left zero here.
+    """
+    n, m_eq = c.shape[0], A_eq.shape[0]
+    # shift to z = x - lower, append upper-bound rows z <= upper - lower
+    rhs_ub = np.concatenate([b_ub - A_ub @ lower, upper - lower])
+    m_ub = rhs_ub.shape[0]
     m = m_ub + m_eq
     structural = n + m_ub
     # rows whose slack is unusable as an initial basic variable get an artificial:
     # every equality row, and every flipped inequality row (the same rows in every tableau)
+    art_rows = np.concatenate([(rhs_ub < 0).nonzero()[0], np.arange(m_ub, m)])
+    n_art = art_rows.size
+    width = structural + 1 + n_art + 1
     basis = np.arange(n, n + m)
-    art_rows = np.flatnonzero(np.concatenate([rhs_ub < 0, np.ones(m_eq, dtype=bool)]))
-    basis[art_rows] = structural + np.arange(art_rows.size)
+    basis[art_rows] = structural + 1 + np.arange(n_art)
 
-    T = np.zeros((len(B_eq), m, structural + art_rows.size + 1))
-    T[:, :, :structural] = np.vstack([np.hstack([rows_ub, np.eye(m_ub)]), np.hstack([A_eq, np.zeros((m_eq, m_ub))])])
-    T[:, :m_ub, -1] = rhs_ub
-    T[:, m_ub:, -1] = rhs_eq
-    # flip rows with negative right-hand side
-    neg = T[:, :, -1] < 0
-    T[neg] *= -1.0
-    T[:, :, structural:-1] = np.eye(m)[:, art_rows]
-    return T, basis, art_rows.size
-
-
-def _outcome(T, basis, c, lower, n_art):
-    """``_solve_one``'s solution, or the error it raised."""
-    try:
-        return _solve_one(T, basis.copy(), c, lower, n_art)
-    except (LPInfeasible, SolverFailure) as exc:
-        return exc
+    shared = np.zeros((m, width))
+    shared[: m_ub - n, :n] = A_ub
+    shared[m_ub:, :n] = A_eq
+    shared[:m_ub, -1] = rhs_ub
+    shared[art_rows, basis[art_rows]] = 1.0
+    flat = shared.reshape(-1)  # a diagonal of a block is every (width + 1)-th entry from its corner
+    flat[(m_ub - n) * width : m_ub * width : width + 1] = 1.0  # the upper-bound rows
+    flat[n : m_ub * width : width + 1] = 1.0  # the slacks
+    T = np.empty((len(B_eq), m + 1, width))
+    rows = T[:, :m]
+    rows[:] = shared
+    rows[:, m_ub:, -1] = B_eq - A_eq @ lower
+    # flip rows with negative right-hand side, all but their artificial columns
+    sign = np.where(rows[:, :, -1:] < 0, -1.0, 1.0)
+    rows[:, :, : structural + 1] *= sign
+    rows[:, :, -1:] *= sign
+    T[:, m] = 0.0
+    return T, basis[None].repeat(len(B_eq), axis=0), n_art
 
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, lower, upper):
@@ -265,7 +228,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, lower, upper):
     upper = np.asarray(upper, dtype=float)
     if lower.shape != (n,) or upper.shape != (n,):
         raise ValueError("bounds must match the variable count")
-    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise ValueError("all variables must have finite bounds")
 
     A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float).reshape(-1, n)
@@ -274,20 +237,17 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, lower, upper):
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
     B_eq = b_eq if b_eq.ndim == 2 else b_eq.reshape(1, -1)
 
-    if np.any(upper < lower):
+    if (upper < lower).any():
         outcomes = [LPInfeasible("empty box: some upper bound is below its lower bound") for _ in B_eq]
     else:
-        # a tableau has m rows and at most n + m_ub + m + 1 columns
+        # a tableau has m + 1 rows and at most n + m_ub + m + 2 columns
         m_ub = A_ub.shape[0] + n
         m = m_ub + A_eq.shape[0]
-        height = max(1, STACK_FLOATS // (m * (n + m_ub + m + 1)))
+        height = max(1, STACK_FLOATS // ((m + 1) * (n + m_ub + m + 2)))
         outcomes = []
         for start in range(0, len(B_eq), height):
             T, basis, n_art = _tableaux(c, A_ub, b_ub, A_eq, B_eq[start : start + height], lower, upper)
-            if len(T) == 1:
-                outcomes.append(_outcome(T[0], basis, c, lower, n_art))
-            else:
-                outcomes += _solve_stack(T, basis, c, lower, n_art)
+            outcomes += _solve_stack(T, basis, n_art, c, lower)
     if b_eq.ndim == 2:
         return outcomes
     if isinstance(outcomes[0], Exception):

@@ -4,6 +4,11 @@ The oracle for random problems is exhaustive vertex enumeration: every basic
 point of the constraint system is generated by intersecting n constraint
 hyperplanes (rows or bound faces), feasibility-filtered, and the best value
 kept.  That is exact for nondegenerate LPs of this size.
+
+The bit-exact reference for the lockstep solver is the solver's earlier
+one-LP two-phase routine and tableau builder, kept below unchanged but for
+reading the tolerances and pivot limit through the module: every row of every
+stack must give its x bytes and repr(value), or its error type and message.
 """
 
 import itertools
@@ -80,15 +85,42 @@ def test_degenerate_rows_terminate():
     assert got.value == pytest.approx(-1.0, abs=1e-9)
 
 
+def _lone_tableau(a, rhs):
+    """The tableau of the row a x + s = rhs with s basic and the objective -x: columns x, s, guard, rhs."""
+    return np.array([[a, 1.0, 0.0, rhs], [-1.0, 0.0, -np.inf, 0.0]])
+
+
+def _after_reference_run(T):
+    """The reference ``_run`` on T's rows and objective without the guard column; its tableau or error."""
+    rows, obj, basis = np.delete(T[:-1], 2, axis=1), np.delete(T[-1], 2), np.array([1])
+    try:
+        _run(rows, obj, basis, np.ones(2, dtype=bool))
+    except SolverFailure as exc:
+        return exc
+    return rows.tobytes(), obj.tobytes(), basis.tobytes()
+
+
 def test_missing_blocking_row_is_a_solver_failure():
-    """A column with no blocking row cannot occur on a boxed LP; meeting one is a breakdown."""
-    # one row x - s = 1 with s basic; x improves the objective and no row limits it
-    T = np.array([[-1.0, 1.0, 1.0]])
-    obj = np.array([-1.0, 0.0, 0.0])
-    with pytest.raises(SolverFailure):
-        simplex._run(T, obj, np.array([1]), np.ones(2, dtype=bool))
-    failures = simplex._run_stack(T[None], obj[None], np.array([[1]]), np.ones(2, dtype=bool))
-    assert [str(e) for e in failures] == ["no blocking row for the entering column"]
+    """A column with no blocking row cannot occur on a boxed LP; meeting one is a breakdown.
+
+    Alone, and in the middle row of a stack whose other rows finish as the
+    reference does.  The breakdown tableau is -x + s = 1 with s basic: x
+    improves the objective and no row limits it.
+    """
+    message = "no blocking row for the entering column"
+    assert str(_after_reference_run(_lone_tableau(-1.0, 1.0))) == message
+    [lone] = simplex._run_stack(_lone_tableau(-1.0, 1.0)[None], np.array([[1]]), 2)
+    assert isinstance(lone, SolverFailure) and str(lone) == message
+
+    rows = [(1.0, 1.0), (-1.0, 1.0), (2.0, 3.0)]
+    stack = np.array([_lone_tableau(*r) for r in rows])
+    basis = np.ones((3, 1), dtype=int)
+    failures = simplex._run_stack(stack, basis, 2)
+    assert failures[0] is None and failures[2] is None
+    assert isinstance(failures[1], SolverFailure) and str(failures[1]) == message
+    for i in (0, 2):
+        got = np.delete(stack[i, :-1], 2, axis=1), np.delete(stack[i, -1], 2), basis[i]
+        assert tuple(a.tobytes() for a in got) == _after_reference_run(_lone_tableau(*rows[i]))
 
 
 def test_zero_objective_returns_feasible_point():
@@ -243,7 +275,135 @@ def _degenerate_equality_stack(seed):
     return c, A_ub, b_ub, A_eq, B_eq.astype(float), lower, upper
 
 
+# --- the reference: the one-LP two-phase routine, as the solver had it ----------
+
+
+def _pivot(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    T[row] = T[row] / T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    obj -= obj[col] * T[row]
+    basis[row] = col
+
+
+def _build_objective(cost: np.ndarray, T: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    obj = np.append(cost, 0.0)
+    for i, b in enumerate(basis):
+        if obj[b] != 0.0:
+            obj = obj - obj[b] * T[i]
+    return obj
+
+
+def _run(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, allowed: np.ndarray) -> None:
+    for _ in range(simplex.MAX_PIVOTS):
+        eligible = np.where(allowed & (obj[:-1] < -simplex.PIVOT_TOL))[0]
+        if eligible.size == 0:
+            return
+        col = int(eligible[0])  # Bland: smallest eligible index enters
+        column = T[:, col]
+        rows = np.where(column > simplex.PIVOT_TOL)[0]
+        if rows.size == 0:
+            # every variable is boxed, so only a numerical breakdown gets here
+            raise SolverFailure("no blocking row for the entering column")
+        ratios = T[rows, -1] / column[rows]
+        best = float(np.min(ratios))
+        ties = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
+        row = int(ties[np.argmin(basis[ties])])  # Bland: smallest basic index leaves
+        _pivot(T, obj, basis, row, col)
+    raise SolverFailure(f"simplex did not terminate within {simplex.MAX_PIVOTS} pivots")
+
+
+def _solution(T: np.ndarray, basis: np.ndarray, c: np.ndarray, lower: np.ndarray) -> LPSolution:
+    z = np.zeros(T.shape[1] - 1)
+    z[basis] = T[:, -1]
+    x = z[: c.shape[0]] + lower
+    return LPSolution(x=x, value=float(c @ x))
+
+
+def _solve_one(T, basis, c, lower, n_art) -> LPSolution:
+    """The two phases on one tableau, modified in place; raises LPInfeasible or SolverFailure."""
+    m, total = T.shape[0], T.shape[1] - 1
+    structural = total - n_art
+    allowed = np.arange(total) < structural  # artificials never enter
+
+    # phase 1: minimize the artificial sum
+    if n_art:
+        cost1 = np.zeros(total)
+        cost1[structural:] = 1.0
+        obj = _build_objective(cost1, T, basis)
+        _run(T, obj, basis, allowed)
+        if -obj[-1] > simplex.FEAS_TOL:
+            raise LPInfeasible(f"phase 1 optimum {-obj[-1]:.3e} above feasibility tolerance")
+        # drive leftover artificials out of the basis where possible
+        for i in range(m):
+            if basis[i] >= structural:
+                pivots = np.where(np.abs(T[i, :structural]) > simplex.PIVOT_TOL)[0]
+                if pivots.size:
+                    _pivot(T, obj, basis, i, int(pivots[0]))
+                # else: redundant row; its artificial stays basic at value zero
+
+    # phase 2: original objective on the shifted variables
+    cost2 = np.zeros(total)
+    cost2[: c.shape[0]] = c
+    obj = _build_objective(cost2, T, basis)
+    _run(T, obj, basis, allowed)
+    return _solution(T, basis, c, lower)
+
+
+def _tableaux(c, A_ub, b_ub, A_eq, B_eq, lower, upper):
+    """The starting tableaux of the LPs, one per row of B_eq, and their shared basis and artificial count."""
+    n = c.shape[0]
+    # shift to z = x - lower, append upper-bound rows z <= upper - lower
+    width = upper - lower
+    rows_ub = np.vstack([A_ub, np.eye(n)])
+    rhs_ub = np.concatenate([b_ub - A_ub @ lower, width])
+    rhs_eq = B_eq - A_eq @ lower
+
+    m_ub, m_eq = rows_ub.shape[0], A_eq.shape[0]
+    m = m_ub + m_eq
+    structural = n + m_ub
+    # rows whose slack is unusable as an initial basic variable get an artificial:
+    # every equality row, and every flipped inequality row (the same rows in every tableau)
+    basis = np.arange(n, n + m)
+    art_rows = np.flatnonzero(np.concatenate([rhs_ub < 0, np.ones(m_eq, dtype=bool)]))
+    basis[art_rows] = structural + np.arange(art_rows.size)
+
+    T = np.zeros((len(B_eq), m, structural + art_rows.size + 1))
+    T[:, :, :structural] = np.vstack([np.hstack([rows_ub, np.eye(m_ub)]), np.hstack([A_eq, np.zeros((m_eq, m_ub))])])
+    T[:, :m_ub, -1] = rhs_ub
+    T[:, m_ub:, -1] = rhs_eq
+    # flip rows with negative right-hand side
+    neg = T[:, :, -1] < 0
+    T[neg] *= -1.0
+    T[:, :, structural:-1] = np.eye(m)[:, art_rows]
+    return T, basis, art_rows.size
+
+
+def _outcome(T, basis, c, lower, n_art):
+    """``_solve_one``'s solution, or the error it raised."""
+    try:
+        return _solve_one(T, basis.copy(), c, lower, n_art)
+    except (LPInfeasible, SolverFailure) as exc:
+        return exc
+
+
+def _reference(c, A_ub, b_ub, A_eq, b_eq, lower, upper):
+    """The reference outcome of the LP with right-hand side b_eq: its LPSolution or its error."""
+    n = c.shape[0]
+    if np.any(upper < lower):
+        return LPInfeasible("empty box: some upper bound is below its lower bound")
+    A_ub = np.zeros((0, n)) if A_ub is None else A_ub
+    b_ub = np.zeros(0) if b_ub is None else b_ub
+    T, basis, n_art = _tableaux(c, A_ub, b_ub, A_eq, np.reshape(b_eq, (1, -1)), lower, upper)
+    return _outcome(T[0], basis, c, lower, n_art)
+
+
+# --- stacked solves against the reference ---------------------------------------
+
+
 def _one_row(c, A_ub, b_ub, A_eq, b_eq, lower, upper):
+    """solve_lp's 1-D b_eq call: its solution, or the error it raised."""
     try:
         return solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lower=lower, upper=upper)
     except (LPInfeasible, SolverFailure) as exc:
@@ -258,7 +418,10 @@ def _fingerprint(outcome):
 
 @pytest.mark.parametrize("max_pivots", [simplex.MAX_PIVOTS, 0, 3])
 def test_stacked_solves_match_one_row_solves(monkeypatch, max_pivots):
-    """Row i of a stacked solve is the one-row solve of b_eq[i]: x bytes, value, or error type and message."""
+    """Row i of a stacked solve, and the 1-D call on b_eq[i], give the reference outcome of b_eq[i].
+
+    With MAX_PIVOTS = 0 every row fails phase 1, so every phase-2 stack is empty.
+    """
     monkeypatch.setattr(simplex, "MAX_PIVOTS", max_pivots)
     kinds = set()
     for seed in range(60):
@@ -266,8 +429,9 @@ def test_stacked_solves_match_one_row_solves(monkeypatch, max_pivots):
         stacked = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=B_eq, lower=lower, upper=upper)
         assert len(stacked) == len(B_eq)
         for b_eq, outcome in zip(B_eq, stacked):
-            want = _one_row(c, A_ub, b_ub, A_eq, b_eq, lower, upper)
+            want = _reference(c, A_ub, b_ub, A_eq, b_eq, lower, upper)
             assert _fingerprint(outcome) == _fingerprint(want), seed
+            assert _fingerprint(_one_row(c, A_ub, b_ub, A_eq, b_eq, lower, upper)) == _fingerprint(want), seed
             kinds.add(type(want).__name__)
     if max_pivots == 0:
         assert kinds == {"SolverFailure"}
@@ -275,18 +439,71 @@ def test_stacked_solves_match_one_row_solves(monkeypatch, max_pivots):
         assert {"LPSolution", "LPInfeasible"} <= kinds
 
 
+def test_phase_one_tableaux_match_reference():
+    """Tableau, objective row and basis equal the reference's byte for byte, zero signs included.
+
+    Checked for the starting tableaux, the phase-1 objective and the tableaux
+    after phase 1, once the guard column and the objective row are set aside.
+    """
+    for seed in range(30):
+        c, A_ub, b_ub, A_eq, B_eq, lower, upper = (_epigraph_stack if seed % 3 else _degenerate_equality_stack)(seed)
+        T, basis, n_art = simplex._tableaux(c, A_ub, b_ub, A_eq, B_eq, lower, upper)
+        ref_T, ref_basis, ref_n_art = _tableaux(c, A_ub, b_ub, A_eq, B_eq, lower, upper)
+        structural = T.shape[2] - 2 - n_art  # the guard's column
+        rows = np.delete(T[:, :-1], structural, axis=2)
+        assert n_art == ref_n_art and rows.tobytes() == ref_T.tobytes(), seed
+        assert np.array_equal(basis, np.tile(ref_basis + (ref_basis >= structural), (len(B_eq), 1))), seed
+        if not n_art:
+            continue
+        cost = np.zeros(T.shape[2] - 1)
+        cost[structural], cost[structural + 1 :] = -np.inf, 1.0
+        simplex._set_objective(T, basis, cost)
+        start = T[:, -1].copy()
+        failures = simplex._run_stack(T, basis, structural)
+        for j in range(len(B_eq)):
+            t, b = ref_T[j], ref_basis.copy()
+            obj = _build_objective(np.delete(cost, structural), t, b)
+            assert np.delete(start[j], structural).tobytes() == obj.tobytes(), seed
+            try:
+                _run(t, obj, b, np.arange(t.shape[1] - 1) < structural)
+            except SolverFailure as exc:
+                assert str(failures[j]) == str(exc), seed
+            else:
+                assert failures[j] is None, seed
+            assert np.delete(T[j, :-1], structural, axis=1).tobytes() == t.tobytes(), seed
+            assert np.delete(T[j, -1], structural).tobytes() == obj.tobytes(), seed
+            assert np.array_equal(basis[j], b + (b >= structural)), seed
+
+
 def test_stack_shapes(monkeypatch):
-    """Stacks of any height give the one-row outcomes; an empty stack gives none; bounds refuse every row."""
+    """Stacks of any height give the reference outcomes; an empty stack gives none; bounds refuse every row.
+
+    The chunk heights include a trailing chunk of one row, and a run whose
+    chunks all fail phase 1, which leaves every phase-2 stack empty.
+    """
+    heights = []
+    solve_stack = simplex._solve_stack
+    monkeypatch.setattr(simplex, "_solve_stack", lambda T, *rest: heights.append(len(T)) or solve_stack(T, *rest))
     c, A_ub, b_ub, A_eq, B_eq, lower, upper = _epigraph_stack(15)  # 28 rows, 4 of them infeasible
-    want = [_fingerprint(_one_row(c, A_ub, b_ub, A_eq, b_eq, lower, upper)) for b_eq in B_eq]
-    for budget in (1, 10_000, 2**15, 2**30):  # stacks of 1, 4, 13 and all 28 rows
+    lp = dict(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, lower=lower, upper=upper)
+    want = [_fingerprint(_reference(c, A_ub, b_ub, A_eq, b_eq, lower, upper)) for b_eq in B_eq]
+    chunks = {1: [1] * 28, 10_000: [3] * 9 + [1], 2**15: [12, 12, 4], 2**30: [28]}
+    for budget, expected in chunks.items():
         monkeypatch.setattr(simplex, "STACK_FLOATS", budget)
-        got = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=B_eq, lower=lower, upper=upper)
-        assert [_fingerprint(o) for o in got] == want
+        heights.clear()
+        assert [_fingerprint(o) for o in solve_lp(c, b_eq=B_eq, **lp)] == want
+        assert heights == expected
+    far = 1e4 * B_eq  # every fiber misses the box
+    want = [_fingerprint(_reference(c, A_ub, b_ub, A_eq, b_eq, lower, upper)) for b_eq in far]
+    got = solve_lp(c, b_eq=far, **lp)
+    assert {type(o) for o in got} == {LPInfeasible}
+    assert [_fingerprint(o) for o in got] == want
+
     c, A_eq = np.array([0.0, 1.0]), np.array([[1.0, 1.0]])
     box = dict(lower=-5.0 * np.ones(2), upper=5.0 * np.ones(2))
     [one] = solve_lp(c, A_eq=A_eq, b_eq=[[2.0]], **box)
-    assert _fingerprint(one) == _fingerprint(solve_lp(c, A_eq=A_eq, b_eq=[2.0], **box))
+    reference = _fingerprint(_reference(c, None, None, A_eq, np.array([2.0]), **box))
+    assert _fingerprint(one) == _fingerprint(solve_lp(c, A_eq=A_eq, b_eq=[2.0], **box)) == reference
     assert solve_lp(c, A_eq=A_eq, b_eq=np.zeros((0, 1)), **box) == []
     empty = solve_lp(c, A_eq=A_eq, b_eq=[[2.0], [3.0]], lower=np.ones(2), upper=np.zeros(2))
     assert [type(e) for e in empty] == [LPInfeasible, LPInfeasible]
