@@ -28,6 +28,7 @@ import numpy as np
 from . import functions as fn
 from .errors import DimensionMismatch, InfeasibleDomain, LPInfeasible, SolverFailure
 from .instances import domain_to_json, function_to_json
+from .linalg import as_vector, row_norms
 from .report import CheckResult, TrialResult
 from .simplex import solve_lp
 
@@ -53,17 +54,10 @@ class PolyhedralDomain:
     box_radius: float = 1e3
 
     def __post_init__(self):
-        rows = []
-        for g, h in self.inequalities:
-            g = np.asarray(g, dtype=float)
-            if g.shape != (self.dim,):
-                raise DimensionMismatch(
-                    f"inequality row has shape {g.shape}, domain dimension is {self.dim}"
-                )
-            if not (np.all(np.isfinite(g)) and np.isfinite(h)):
-                raise ValueError("inequality rows must be finite")
-            rows.append((g, float(h)))
-        object.__setattr__(self, "inequalities", tuple(rows))
+        rows = tuple((as_vector(g, self.dim), float(h)) for g, h in self.inequalities)
+        if not np.isfinite([h for _, h in rows]).all():
+            raise ValueError("inequality offsets must be finite")
+        object.__setattr__(self, "inequalities", rows)
         object.__setattr__(self, "box_radius", float(self.box_radius))
         if not self.box_radius > 0:
             raise ValueError("box radius must be positive")
@@ -88,7 +82,7 @@ def _violations(C: PolyhedralDomain, X) -> np.ndarray:
 
 def feasibility_violation(C: PolyhedralDomain, x) -> float:
     """Largest constraint violation of x, zero when x is inside the domain."""
-    return float(_violations(C, np.asarray(x, dtype=float)[None])[0])
+    return float(_violations(C, as_vector(x, C.dim)[None])[0])
 
 
 def feasible_point(C: PolyhedralDomain) -> np.ndarray:
@@ -164,7 +158,7 @@ def _active_set_qp(H, q, A, b, z):
     the row with the most negative multiplier leaves.
     """
     work, settled = [], False
-    row_norms = np.linalg.norm(A, axis=1)
+    norms = np.linalg.norm(A, axis=1)
     for _ in range(QP_MAX_STEPS):
         grad = H @ z + q
         scale = 1.0 + float(np.max(np.abs(grad)))
@@ -181,7 +175,7 @@ def _active_set_qp(H, q, A, b, z):
             continue
         p, full = step
         Ap = A @ p
-        blocking = Ap > BLOCK_TOL * row_norms * float(np.linalg.norm(p))
+        blocking = Ap > BLOCK_TOL * norms * float(np.linalg.norm(p))
         blocking[work] = False
         ratios = np.full(len(b), np.inf)
         ratios[blocking] = np.maximum(b - A @ z, 0.0)[blocking] / Ap[blocking]
@@ -231,10 +225,7 @@ def _probe(f, C: PolyhedralDomain, X, m: float, tol: float):
 
 def argmin_membership(f, C: PolyhedralDomain, x, m: float, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
     """Is x feasible and within tol of the level m in objective value?"""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (C.dim,):
-        raise DimensionMismatch(f"point has shape {x.shape}, domain dimension is {C.dim}")
-    return bool(_probe(f, C, x[None], m, tol)[0][0])
+    return bool(_probe(f, C, as_vector(x, C.dim)[None], m, tol)[0][0])
 
 
 def _extreme_members(f, C, base, V, m, tol):
@@ -244,7 +235,7 @@ def _extreme_members(f, C, base, V, m, tol):
     time would be; the rays only share the batched membership probes.  A
     zero ray yields base.
     """
-    norms = np.array([np.linalg.norm(v) for v in V])
+    norms = row_norms(V)
     zero = norms == 0.0
     U = V / np.where(zero, 1.0, norms)[:, None]
     top = 2.0 * C.box_radius * np.sqrt(C.dim)

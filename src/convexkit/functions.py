@@ -193,20 +193,15 @@ def _gradient(q: Quadratic, x) -> np.ndarray:
 
 
 def evaluate(f: ConvexFunction, x) -> float:
-    """Exact function value at ``x``."""
-    x = as_vector(x, f.dim)
-    blocks, quad = normal_form(f)
-    terms = [float(np.max(b.matrix @ x + b.offsets)) for b in blocks]
-    if quad is not None:
-        terms.append(float(x @ quad.Q @ x + quad.c @ x + quad.r0))
-    return _total(terms)
+    """Exact function value at ``x``: ``evaluate_many`` on the stack of one."""
+    return float(evaluate_many(f, as_vector(x, f.dim)[None])[0])
 
 
 def evaluate_many(f: ConvexFunction, X) -> np.ndarray:
-    """Values at the rows of ``X`` (shape (N, dim)); row i equals ``evaluate(f, X[i])`` bit for bit.
+    """Exact values at the rows of ``X`` (shape (N, dim)); row i equals ``evaluate(f, X[i])`` bit for bit.
 
-    Every product is a matmul stacked over the rows, which makes the same
-    per-row BLAS call (gemv or dot) as the one-point product in ``evaluate``;
+    Every product is a matmul stacked over the C-ordered rows, which makes
+    the same per-row BLAS call (gemv or dot) as the one-point product;
     one matrix-matrix product over all rows would round differently.
     """
     X = as_matrix(X)

@@ -1,11 +1,19 @@
 """Dense real linear algebra: orthonormal bases, kernels, projections, anchors.
 
-Everything here is deterministic and allocation-light.  ``row_space`` is the
-one Gram-Schmidt entry point: modified Gram-Schmidt with one
-re-orthogonalization pass over the rows of a matrix, with the rank threshold
-RANK_TOL relative to the largest row norm so it is scale invariant.
-``complement`` strips the identity vectors against such a basis, and
-``kernel`` is the complement of the row space.
+Everything here is deterministic and allocation-light.  The coercers
+``as_vector``, ``as_matrix`` and ``as_rows`` return finite C-ordered float
+arrays: numpy's matmul takes another BLAS path for strided rows, so every
+"row i equals its one-row call bit for bit" promise in the package rests on
+callers coercing through them.
+
+Every orthonormal basis comes from one loop: modified Gram-Schmidt over a
+sequence of vectors, each stripped of an optional fixed basis and of the rows
+already accepted, with the whole strip repeated ("twice is enough": Giraud,
+Langou & Rozložník, Comput. Math. Appl. 50, 2005).  ``row_space`` runs it over
+the rows of a matrix with one round and the rank threshold RANK_TOL relative
+to the largest row norm, so it is scale invariant; ``complement`` runs it over
+the identity vectors against a basis with two rounds and the threshold
+RANK_TOL; ``kernel`` is the complement of the row space.
 
 Solving ``S y = zeta`` for many right-hand sides goes through one reusable
 AnchorMap: ``anchor_map(S)`` factors S once (its row-space basis, ``M`` and
@@ -44,8 +52,8 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
 
 
 def as_matrix(a, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Coerce to a finite 2-d float array, optionally checking its shape."""
-    m = np.asarray(a, dtype=float)
+    """Coerce to a finite C-ordered 2-d float array (an F-ordered one rounds as its copy), optionally checking its shape."""
+    m = np.asarray(a, dtype=float, order="C")
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got shape {m.shape}")
     if shape is not None and m.shape != shape:
@@ -58,7 +66,7 @@ def as_matrix(a, shape: tuple[int, int] | None = None) -> np.ndarray:
 def as_rows(x, dim: int) -> np.ndarray:
     """A vector of length ``dim`` as a one-row stack, or a (k, dim) stack, finite and C-ordered."""
     a = np.asarray(x, dtype=float)
-    return np.ascontiguousarray(as_matrix(a, (len(a), dim))) if a.ndim == 2 else as_vector(a, dim)[None]
+    return as_matrix(a, (len(a), dim)) if a.ndim == 2 else as_vector(a, dim)[None]
 
 
 @dataclass(frozen=True)
@@ -87,12 +95,23 @@ class Subspace:
         return self.basis.shape[1]
 
 
-def _strip(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # two projection-removal passes: plain MGS leaks for near-dependent input
-    for _ in range(2):
-        if rows.shape[0]:
-            u = u - rows.T @ (rows @ u)
-    return u
+def _orthonormalize(V: np.ndarray, fixed: np.ndarray, threshold: float, rounds: int) -> Subspace:
+    """Gram-Schmidt over the rows of V in order, each stripped of ``fixed`` and of the rows kept so far.
+
+    Each strip removes a basis's projection twice in a row, as one pass of
+    modified Gram-Schmidt leaks for near-dependent input, and the strip of
+    both bases is repeated ``rounds`` times.  A row whose residual norm is
+    at most ``threshold`` is dropped, any other is normalized and kept.
+    """
+    rows = np.zeros((0, V.shape[1]))
+    for u in V:
+        for B in (fixed, fixed, rows, rows) * rounds:
+            if len(B):
+                u = u - B.T @ (B @ u)
+        norm = float(np.linalg.norm(u))
+        if norm > threshold:
+            rows = np.vstack([rows, u / norm])
+    return Subspace(rows)
 
 
 def row_space(S) -> Subspace:
@@ -104,36 +123,18 @@ def row_space(S) -> Subspace:
     zero subspace.
     """
     S = as_matrix(S)
-    threshold = RANK_TOL * max((float(np.linalg.norm(v)) for v in S), default=0.0)
-    rows = np.zeros((0, S.shape[1]))
-    for v in S:
-        u = _strip(v.copy(), rows)
-        norm = float(np.linalg.norm(u))
-        if norm > threshold:
-            rows = np.vstack([rows, u / norm])
-    return Subspace(rows)
+    return _orthonormalize(S, S[:0], RANK_TOL * float(row_norms(S).max(initial=0.0)), 1)
 
 
 def complement(W: Subspace) -> Subspace:
     """Orthonormal basis of the orthogonal complement of ``W``.
 
-    Each identity vector is stripped of its ``W`` and already-accepted
-    components; survivors (residual norm above RANK_TOL) are normalized and
+    The identity vectors, in order, go through the Gram-Schmidt loop against
+    ``W`` with two rounds of stripping, which keeps the complement orthogonal
+    to both ``W`` and itself; survivors (residual norm above RANK_TOL) are
     kept.  Dimensions add up with ``W`` by construction.
     """
-    n = W.ambient_dim
-    pre = W.basis
-    rows = np.zeros((0, n))
-    for i in range(n):
-        u = np.zeros(n)
-        u[i] = 1.0
-        u = _strip(_strip(u, pre), rows)
-        # one more combined pass keeps the complement orthogonal to both
-        u = _strip(_strip(u, pre), rows)
-        norm = float(np.linalg.norm(u))
-        if norm > RANK_TOL:
-            rows = np.vstack([rows, u / norm])
-    return Subspace(rows)
+    return _orthonormalize(np.eye(W.ambient_dim), W.basis, RANK_TOL, 2)
 
 
 def kernel(S) -> Subspace:

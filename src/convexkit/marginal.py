@@ -187,7 +187,7 @@ def marginal_values(h: MarginalFunction, X) -> list[MinimizationWitness]:
     projection, and the rows before the first one off it are solved as one
     stack, the LP in lockstep and the KKT system in one stacked solve.
     """
-    X = np.ascontiguousarray(as_matrix(X))  # strided rows would take other BLAS paths
+    X = as_matrix(X)
     if X.shape[1] != h.outer_dim:
         raise DimensionMismatch(f"expected dimension {h.outer_dim}, got {X.shape[1]}")
     gaps = row_norms(X - project(X, h.domain))

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LPInfeasible, SolverFailure
+from .errors import DimensionMismatch, LPInfeasible, SolverFailure
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
@@ -218,12 +218,16 @@ def _tableaux(c, A_ub, b_ub, A_eq, B_eq, lower, upper):
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, lower, upper):
     """Solve the boxed LP; raises LPInfeasible when no point satisfies the rows.
 
+    An LP needs at least one variable: ``c`` of length 0 raises DimensionMismatch.
+
     With ``b_eq`` of shape (k, m_eq) it solves the k LPs that differ only in
     b_eq and returns their k outcomes in row order: each is an LPSolution, or
     the LPInfeasible or SolverFailure instance that a one-row call would raise.
     """
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
+    if n == 0:
+        raise DimensionMismatch("a linear program needs at least one variable")
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     if lower.shape != (n,) or upper.shape != (n,):

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the lines.  Suite runs
 are shared through module-scoped fixtures so the gate stays fast.
 """
 
+import hashlib
 import json
 import time
 
@@ -15,6 +16,7 @@ from convexkit.cli import main, parse_args
 from convexkit.functions import evaluate
 from convexkit.harness import RunConfig, run_suite
 from convexkit.marginal import MinimizationWitness
+from convexkit.report import report_to_json
 from convexkit.restriction import make_fiber
 
 
@@ -114,6 +116,12 @@ def test_criterion_4_marginal_strictness(lemma2_run, verdict):
     verdict(4, "lemma2 strict gaps >= 1e-8 on 100 PD-quadratic trials", ok)
 
 
+# sha256 of the criterion-5 report and of the default ``convexkit verify`` report;
+# a change that alters either must explain every changed byte
+ORACLE_REPORT_SHA256 = "e21ffe61d65a18332fe7b43c5974cfd58e9864e5f2cb2883bf5b5b1d6c01ac1c"
+DEFAULT_REPORT_SHA256 = "86565b5d18699239894f67d2796573554f54e203a31db189bdfe29dbac656670"
+
+
 def test_criterion_5_oracle_equivalence(oracle_run, verdict):
     report, elapsed = oracle_run
     oracle = list(_checks(report, "oracle_agreement"))
@@ -121,6 +129,7 @@ def test_criterion_5_oracle_equivalence(oracle_run, verdict):
         len(oracle) == 25
         and all(c.passed and c.gap <= 1e-2 for _, c in oracle)
         and elapsed < 30.0
+        and hashlib.sha256(report_to_json(report).encode()).hexdigest() == ORACLE_REPORT_SHA256
     )
     verdict(5, f"lemma2 grid oracle agreement on 25 trials in {elapsed:.2f}s", ok)
 
@@ -176,5 +185,10 @@ def test_criterion_8_reproducible_reports(tmp_path, capsys, verdict):
     codes = [main(parse_args(["verify", "--out", str(p)])) for p in paths]
     capsys.readouterr()
     first, second = (p.read_bytes() for p in paths)
-    ok = first == second and codes[0] == codes[1] == 0 and json.loads(first)["suite"] == "all"
-    verdict(8, "default CLI reruns byte-identical", ok)
+    ok = (
+        first == second
+        and codes[0] == codes[1] == 0
+        and json.loads(first)["suite"] == "all"
+        and hashlib.sha256(first).hexdigest() == DEFAULT_REPORT_SHA256
+    )
+    verdict(8, "default CLI reruns byte-identical, with the pinned digest", ok)

@@ -149,6 +149,14 @@ def test_domain_validation():
         minimize_over(PARABOLA, box_domain(2, 3.0))
     with pytest.raises(DimensionMismatch):
         argmin_membership(PARABOLA, box_domain(1, 3.0), [1.0, 2.0], 0.0)
+    with pytest.raises(DimensionMismatch):
+        PolyhedralDomain(2, (([[1.0, 0.0]], 0.0),), 3.0)
+    with pytest.raises(ValueError):
+        PolyhedralDomain(1, (((np.nan,), 0.0),), 3.0)
+    with pytest.raises(ValueError):
+        PolyhedralDomain(1, (((1.0,), np.inf),), 3.0)
+    with pytest.raises(DimensionMismatch):
+        feasibility_violation(box_domain(2, 3.0), [1.0])
 
 
 def test_lemma3_flat_interval_passes():

@@ -24,6 +24,7 @@ from convexkit.functions import (
     quadratic,
     subdifferential,
 )
+from convexkit.linalg import as_vector
 from convexkit.marginal import marginal_value, marginalize
 
 # max(+-x1, +-x2), the infinity norm on R^2
@@ -52,8 +53,18 @@ def test_evaluate_frozen_examples():
     assert evaluate(s, (1.0, 2.0)) == 7.0
 
 
+def _reference_evaluate(f, x) -> float:
+    """The one-point evaluation ``evaluate`` had before it became a stack of one, kept as the bit-exact reference."""
+    x = as_vector(x, f.dim)
+    blocks, quad = normal_form(f)
+    terms = [float(np.max(b.matrix @ x + b.offsets)) for b in blocks]
+    if quad is not None:
+        terms.append(float(x @ quad.Q @ x + quad.c @ x + quad.r0))
+    return sum(terms[1:], terms[0])
+
+
 def test_evaluate_many_matches_scalar():
-    """Row i of evaluate_many is evaluate at row i, bit for bit, on every family."""
+    """Row i of evaluate_many is the one-point reference evaluation at row i, bit for bit, on every family."""
     rng = np.random.default_rng(3)
 
     def pieces(d):
@@ -74,10 +85,12 @@ def test_evaluate_many_matches_scalar():
         for f in families:
             for rows in (1, 26, 200):
                 X = rng.uniform(-5.0, 5.0, size=(rows, d))
-                assert np.array_equal(evaluate_many(f, X), [evaluate(f, x) for x in X])
+                want = [_reference_evaluate(f, x) for x in X]
+                assert np.array_equal(evaluate_many(f, X), want)
+                assert [repr(evaluate(f, x)) for x in X[:3]] == [repr(v) for v in want[:3]]
     X = rng.uniform(-3.0, 3.0, size=(40, 2))
     for f in (INF_NORM, ONE_NORM, SQUARED_NORM, SumFunction(2, (ONE_NORM, SQUARED_NORM))):
-        assert np.array_equal(evaluate_many(f, X), [evaluate(f, x) for x in X])
+        assert np.array_equal(evaluate_many(f, X), [_reference_evaluate(f, x) for x in X])
 
 
 def test_subdifferential_one_norm_at_origin_is_square():
@@ -236,6 +249,17 @@ def test_evaluate_on_strided_rows_matches_their_copies():
         X = np.asfortranarray(rng.uniform(-5.0, 5.0, (100, d)))
         for x in X:
             assert repr(evaluate(f, x)) == repr(evaluate(f, x.copy()))
+
+
+def test_evaluate_many_on_f_ordered_rows_matches_c_ordered_copy():
+    """as_matrix makes an F-ordered stack C-ordered, so its values are those of its C-ordered copy bit for bit."""
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        d = int(rng.integers(2, 8))
+        A = rng.uniform(-1.0, 1.0, (d, d))
+        f = SumFunction(d, (max_affine([(rng.uniform(-2, 2, d), rng.uniform(-2, 2)) for _ in range(6)]), quadratic(A.T @ A, c=rng.uniform(-1, 1, d))))
+        X = np.asfortranarray(rng.uniform(-5.0, 5.0, (50, d)))
+        assert evaluate_many(f, X).tobytes() == evaluate_many(f, np.ascontiguousarray(X)).tobytes()
 
 
 def test_interval_endpoints_order_random():

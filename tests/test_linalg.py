@@ -6,10 +6,12 @@ from numpy.testing import assert_allclose
 
 from convexkit.errors import DimensionMismatch, InfeasibleFiber
 from convexkit.linalg import (
+    RANK_TOL,
     Subspace,
     anchor_map,
     as_matrix,
     as_vector,
+    complement,
     kernel,
     project,
     row_norms,
@@ -242,3 +244,77 @@ def test_row_norms_match_norm_of_each_row():
     for width in range(0, 41):
         V = rng.standard_normal((50, width)) * 10.0 ** rng.uniform(-8, 8, (50, 1))
         assert np.array_equal(row_norms(V), [np.linalg.norm(v) for v in V])
+
+
+# --- the one Gram-Schmidt loop against the two it replaced -------------------------
+
+
+def _reference_strip(u, rows):
+    for _ in range(2):
+        if rows.shape[0]:
+            u = u - rows.T @ (rows @ u)
+    return u
+
+
+def _reference_row_space(S):
+    """The separate row-space loop the shared orthonormalization replaced, kept as the bit-exact reference."""
+    S = np.asarray(S, dtype=float)
+    threshold = RANK_TOL * max((float(np.linalg.norm(v)) for v in S), default=0.0)
+    rows = np.zeros((0, S.shape[1]))
+    for v in S:
+        u = _reference_strip(v.copy(), rows)
+        norm = float(np.linalg.norm(u))
+        if norm > threshold:
+            rows = np.vstack([rows, u / norm])
+    return rows
+
+
+def _reference_complement(pre):
+    """The separate complement loop the shared orthonormalization replaced, kept as the bit-exact reference."""
+    n = pre.shape[1]
+    rows = np.zeros((0, n))
+    for i in range(n):
+        u = np.zeros(n)
+        u[i] = 1.0
+        u = _reference_strip(_reference_strip(u, pre), rows)
+        u = _reference_strip(_reference_strip(u, pre), rows)
+        norm = float(np.linalg.norm(u))
+        if norm > RANK_TOL:
+            rows = np.vstack([rows, u / norm])
+    return rows
+
+
+def test_orthonormal_bases_match_reference_loops_random():
+    """row_space, complement and kernel give the reference loops' bases byte for byte.
+
+    Full-rank, rank-deficient and empty operators, and the F-ordered
+    transpose S.T, whose bases must equal those of its C-ordered copy.
+    """
+    rng = np.random.default_rng(41)
+    for trial in range(300):
+        n = int(rng.integers(1, 9))
+        d = int(rng.integers(0, 9))
+        rank = min(n, d) if trial % 3 == 0 else int(rng.integers(0, min(n, d) + 1))
+        S = _random_operator(rng, d, n, rank) * 10.0 ** rng.uniform(-6, 6)
+        for M in (S, S.T):
+            want = _reference_row_space(np.ascontiguousarray(M))
+            R = row_space(M)
+            assert R.basis.shape == want.shape and R.basis.tobytes() == want.tobytes()
+            assert row_space(np.ascontiguousarray(M)).basis.tobytes() == R.basis.tobytes()
+            K = _reference_complement(want)
+            assert complement(R).basis.shape == K.shape and complement(R).basis.tobytes() == K.tobytes()
+            assert kernel(M).basis.tobytes() == K.tobytes()
+
+
+def test_anchor_map_of_f_ordered_operator_matches_c_ordered_copy():
+    """An anchor map of S.T, as the grid oracle builds one, solves as that of its C-ordered copy bit for bit.
+
+    Before as_matrix forced C order, 139 of these 2,000 solves differed in
+    the last bits, through the products with the strided operator.
+    """
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        n, d = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        S = _random_operator(rng, d, n, int(rng.integers(1, min(n, d) + 1)))
+        zeta = S.T @ rng.uniform(-2.0, 2.0, d)
+        assert anchor_map(S.T).solve(zeta).tobytes() == anchor_map(np.ascontiguousarray(S.T)).solve(zeta).tobytes()

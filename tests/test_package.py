@@ -1,11 +1,16 @@
 """Tests for the package's public surface."""
 
+import contextlib
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 import convexkit
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def test_every_export_resolves():
@@ -23,3 +28,22 @@ def test_benchmark_binding_sites_resolve():
     bindings = [site for table in tables for sites, _, _ in table.values() for site in sites]
     assert len(bindings) > 20
     assert [(m.__name__, attr) for m, attr in bindings if not hasattr(m, attr)] == []
+
+
+@pytest.mark.parametrize("workload", ["lemma1-fibers", "lemma2-marginal", "lemma3-argmin", "query-oneshot"])
+def test_benchmark_passes_match_recorded_digests(workload, monkeypatch, tmp_path):
+    """Passes 0 and 1 of each benchmark workload, run unwrapped as bench/record.py runs them, give their recorded digests."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+    from tracing import Tracer
+
+    class Unwrapped(Tracer):
+        @contextlib.contextmanager
+        def installed(self):
+            yield self
+
+    recorded = json.loads((BENCH / "digests.json").read_text())[workload]["digests"]
+    for q in (0, 1):
+        result = workloads.run_pass(workload, q, Unwrapped(False), tmp_path)
+        assert (result.failed, result.problems) == (0, [])
+        assert result.digest == recorded[str(q)], f"{workload} pass {q}"

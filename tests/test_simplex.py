@@ -18,7 +18,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from convexkit import functions, harness, marginal, simplex
-from convexkit.errors import LPInfeasible, SolverFailure
+from convexkit.errors import DimensionMismatch, LPInfeasible, SolverFailure
 from convexkit.simplex import LPSolution, solve_lp
 
 
@@ -69,6 +69,15 @@ def test_infeasible_rows():
 def test_infeasible_box():
     with pytest.raises(LPInfeasible):
         solve_lp(np.array([1.0]), lower=np.array([1.0]), upper=np.array([0.0]))
+
+
+def test_zero_variable_lp_is_refused():
+    """An LP with no variables raises DimensionMismatch, with or without rows."""
+    empty = np.zeros(0)
+    with pytest.raises(DimensionMismatch):
+        solve_lp(empty, lower=empty, upper=empty)
+    with pytest.raises(DimensionMismatch):
+        solve_lp(empty, A_ub=np.zeros((1, 0)), b_ub=np.array([-1.0]), lower=empty, upper=empty)
 
 
 def test_degenerate_rows_terminate():
