@@ -2,12 +2,12 @@
 
 A domain is a box intersected with finitely many halfspaces g . x <= h, so it
 is always bounded and minima are attained.  Both solvers are finite and exact
-and work on the normal form of the objective, lifted to its epigraph (one
-variable per max-affine block, ``functions.epigraph``).  A sum of max-affine
-blocks alone is the epigraph linear program, solved by the simplex (status
-``exact-LP``).  An objective with a quadratic part is a convex quadratic
-program on the same lift, solved by a primal active-set method (status
-``exact-QP``).
+and work on the normal form of the objective, lifted to its epigraph by
+``functions.epigraph`` (one variable per max-affine block; the domain's
+halfspaces as rows, no fiber rows).  A sum of max-affine blocks alone is the
+epigraph linear program, solved by the simplex (status ``exact-LP``).  An
+objective with a quadratic part is a convex quadratic program on the same
+lift, solved by a primal active-set method (status ``exact-QP``).
 
 The segment check behind lemma3_check does not depend on the accuracy of the
 minimum: for any level m the set {x in C : f(x) <= m + tol} is convex, so
@@ -54,6 +54,8 @@ class PolyhedralDomain:
     box_radius: float = 1e3
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise DimensionMismatch(f"a domain needs at least one dimension, got {self.dim}")
         rows = tuple((as_vector(g, self.dim), float(h)) for g, h in self.inequalities)
         if not np.isfinite([h for _, h in rows]).all():
             raise ValueError("inequality offsets must be finite")
@@ -104,22 +106,10 @@ class ArgminCertificate:
     status: str  # "exact-LP" or "exact-QP"
 
 
-def _epigraph_over(C: PolyhedralDomain, blocks):
-    """``functions.epigraph`` of the blocks over C's box, with C's halfspaces as more rows.
-
-    Returns (cost, rows, rhs, lower, upper) over the variables (x, t).
-    """
-    cost, rows, rhs, lower, upper = fn.epigraph(C.dim, blocks, C.box_radius)
-    G = np.zeros((len(C.inequalities), len(cost)))
-    for i, (g, _) in enumerate(C.inequalities):
-        G[i, : C.dim] = g
-    return cost, np.vstack([rows, G]), np.concatenate([rhs, [h for _, h in C.inequalities]]), lower, upper
-
-
 def _lp_minimize(blocks, C: PolyhedralDomain) -> ArgminCertificate:
-    cost, rows, rhs, lower, upper = _epigraph_over(C, blocks)
+    cost, rows, rhs, eq, lower, upper = fn.epigraph(C.dim, blocks, C.box_radius, C.inequalities, np.zeros((0, C.dim)))
     try:
-        sol = solve_lp(cost, A_ub=rows, b_ub=rhs, lower=lower, upper=upper)
+        sol = solve_lp(cost, A_ub=rows, b_ub=rhs, A_eq=eq, lower=lower, upper=upper)
     except LPInfeasible as exc:
         raise InfeasibleDomain(f"domain is empty: {exc}") from exc
     return ArgminCertificate(float(sol.value), sol.x[: C.dim], "exact-LP")
@@ -189,13 +179,13 @@ def _active_set_qp(H, q, A, b, z):
 
 def _qp_minimize(f, blocks, quad, C: PolyhedralDomain) -> ArgminCertificate:
     d = C.dim
-    q, rows, rhs, lower, upper = _epigraph_over(C, blocks)
+    q, rows, rhs, _, lower, upper = fn.epigraph(d, blocks, C.box_radius, C.inequalities, np.zeros((0, d)))
     n = len(q)
     q[:d] = quad.c
     H = np.zeros((n, n))
     H[:d, :d] = 2.0 * quad.Q
     x = feasible_point(C)
-    t = [float(np.max(block.matrix @ x + block.offsets)) for block in blocks]
+    t = [fn.evaluate(block, x) for block in blocks]
     A = np.vstack([rows, np.eye(n), -np.eye(n)])
     z = _active_set_qp(H, q, A, np.concatenate([rhs, upper, -lower]), np.concatenate([x, t]))
     return ArgminCertificate(float(fn.evaluate(f, z[:d])), z[:d], "exact-QP")

@@ -9,7 +9,8 @@ Three families are closed under the operations used elsewhere:
 Every function has one normal form (``normal_form``): its max-affine blocks
 in order plus at most one quadratic, the sum of its quadratic parts.  All
 values, subgradients and subdifferentials are computed from it, and
-``epigraph`` writes its blocks as the rows of the LP the solvers share.
+``epigraph`` writes every row of the lifted program the solvers share: its
+blocks' piece rows, then a domain's halfspaces, then a fiber's equality rows.
 
 Subdifferentials are returned as polytopes in generator form; no inequality
 representation is ever needed because every question downstream is answered
@@ -93,7 +94,7 @@ class Quadratic:
     def __post_init__(self):
         Q = as_matrix(self.Q, (self.dim, self.dim))
         c = as_vector(self.c, self.dim)
-        if np.max(np.abs(Q - Q.T)) > SYMMETRY_TOL:
+        if np.max(np.abs(Q - Q.T), initial=0.0) > SYMMETRY_TOL:
             raise ValueError("Q must be symmetric within 1e-10")
         if self.dim > 0 and float(np.min(np.linalg.eigvalsh(Q))) < PSD_FLOOR:
             raise ValueError("Q must be positive semidefinite (eigenvalue floor -1e-8)")
@@ -215,32 +216,35 @@ def evaluate_many(f: ConvexFunction, X) -> np.ndarray:
     return _total(terms)
 
 
-def epigraph(d: int, blocks, radius: float):
-    """The sum of max-affine blocks on R^d over the box |x_j| <= radius, as a boxed LP.
+def epigraph(d: int, blocks, radius: float, halfspaces, fiber):
+    """Every row of the epigraph lift of a sum of max-affine blocks on R^d over the box |x_j| <= radius.
 
-    Variables are (x, t_1 .. t_p), one epigraph variable per block: a row
-    a . x - t_k <= -b for every piece of block k, blocks and pieces in order,
-    and t_k bounded by the range of block k over the box, widened by 1.
-    Minimizing ``cost`` (the sum of the t_k) minimizes the sum of the blocks.
-    Returns (cost, rows, rhs, lower, upper).
+    Variables are (x, t_1 .. t_p), t_k bounded by the range of block k over
+    the box, widened by 1.  The rows, in order: a . x - t_k <= -b for every
+    piece of block k, blocks and pieces in order; g . x <= h for every (g, h)
+    of ``halfspaces``; the equality rows [fiber, 0], one per row of ``fiber``
+    (shape (m, d)), whose right-hand side the caller sets.  Minimizing
+    ``cost``, the sum of the t_k, minimizes the sum of the blocks.
+    Returns (cost, A_ub, b_ub, A_eq, lower, upper).
+
+    ``fiber`` is not coerced through ``linalg.as_matrix``: a marginal passes
+    the view S.T, which leaves [fiber, 0] F-ordered for one block, and
+    ``solve_lp``'s b_eq - A_eq @ lower rounds by that order; a C-ordered copy
+    changes marginal solutions in the last bits, and the report digests.
     """
     p = len(blocks)
-    rows, rhs = [], []
-    t_lo, t_hi = np.zeros(p), np.zeros(p)
-    for k, block in enumerate(blocks):
-        reach = np.abs(block.matrix) @ np.full(d, radius)
-        t_hi[k] = float(np.max(block.offsets + reach)) + 1.0
-        t_lo[k] = float(np.min(block.offsets - reach)) - 1.0
-        for a, b in zip(block.matrix, block.offsets):
-            row = np.zeros(d + p)
-            row[:d] = a
-            row[d + k] = -1.0
-            rows.append(row)
-            rhs.append(-b)
+    sizes = [len(block.pieces) for block in blocks]
+    A_ub = np.zeros((sum(sizes) + len(halfspaces), d + p))
+    A_ub[:, :d] = np.vstack([block.matrix for block in blocks] + [np.reshape([g for g, _ in halfspaces], (-1, d))])
+    A_ub[np.arange(sum(sizes)), d + np.repeat(np.arange(p), sizes)] = -1.0
+    b_ub = np.concatenate([-block.offsets for block in blocks] + [[h for _, h in halfspaces]])
+    reach = [np.abs(block.matrix) @ np.full(d, radius) for block in blocks]
+    t_lo = [float(np.min(block.offsets - r)) - 1.0 for block, r in zip(blocks, reach)]
+    t_hi = [float(np.max(block.offsets + r)) + 1.0 for block, r in zip(blocks, reach)]
     cost = np.concatenate([np.zeros(d), np.ones(p)])
     lower = np.concatenate([np.full(d, -radius), t_lo])
     upper = np.concatenate([np.full(d, radius), t_hi])
-    return cost, np.array(rows).reshape(-1, d + p), np.array(rhs), lower, upper
+    return cost, A_ub, b_ub, np.hstack([fiber, np.zeros((len(fiber), p))]), lower, upper
 
 
 def _summand_generators(f, x, active_tol) -> list[np.ndarray]:

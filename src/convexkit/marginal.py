@@ -10,7 +10,7 @@ premise violation and raises UnboundedBelow instead of returning a bogus
 minimum), and the KKT linear system for quadratics that are positive definite
 on the constraint null space.  Everything but the query point depends only on
 f and S, so each MarginalFunction sets up its inner solver once, on its first
-query: the epigraph LP's arrays and lifted fiber rows [S^T, 0], which leave
+query: ``functions.epigraph``'s LP with the fiber rows [S^T, 0], which leaves
 b_eq = x to each query, or the KKT system [[2Q, S], [S^T, 0]], factored once,
 which leaves one small linear solve for the right-hand side [-c, x].
 
@@ -96,8 +96,9 @@ class MarginalFunction:
 
         It returns the k witnesses in order, or raises the first row's error.
         Max-affine blocks, alone or beside a quadratic with Q = 0 and c = 0,
-        get their epigraph LP with the lifted fiber rows [S^T, 0], so a query
-        sets only b_eq = x.  A quadratic gets its KKT system, factored once.
+        get their epigraph LP, whose fiber rows [S^T, 0] ``functions.epigraph``
+        writes from the view S.T, so a query sets only b_eq = x.  A quadratic
+        gets its KKT system, factored once.
         Any other mix raises UnsupportedObjective on every query.
         """
         parts, quad = fn.normal_form(self.f)
@@ -105,9 +106,8 @@ class MarginalFunction:
             return _kkt_system(quad, self.S)
         if quad is not None and (quad.Q.any() or quad.c.any()):
             return partial(_refuse, UnsupportedObjective, MIXED_OBJECTIVE)
-        epigraph = fn.epigraph(self.inner_dim, parts, BOX_RADIUS)
-        eq = np.hstack([self.S.T, np.zeros((self.outer_dim, len(parts)))])
-        return partial(_lp_inner, self.inner_dim, epigraph, eq, 0.0 if quad is None else quad.r0)
+        epigraph = fn.epigraph(self.inner_dim, parts, BOX_RADIUS, (), self.S.T)
+        return partial(_lp_inner, self.inner_dim, epigraph, 0.0 if quad is None else quad.r0)
 
 
 def marginalize(f, S) -> MarginalFunction:
@@ -126,9 +126,9 @@ class MinimizationWitness:
     status: str  # "exact-LP" or "exact-KKT"
 
 
-def _lp_inner(d, epigraph, eq, constant, X) -> list[MinimizationWitness]:
+def _lp_inner(d, epigraph, constant, X) -> list[MinimizationWitness]:
     """The prepared epigraph LP solved for b_eq = x at every row; a witness is its first d variables."""
-    cost, rows, rhs, lower, upper = epigraph
+    cost, rows, rhs, eq, lower, upper = epigraph
     witnesses = []
     for sol in solve_lp(cost, A_ub=rows, b_ub=rhs, A_eq=eq, b_eq=X, lower=lower, upper=upper):
         if isinstance(sol, LPInfeasible):

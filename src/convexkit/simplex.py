@@ -218,7 +218,8 @@ def _tableaux(c, A_ub, b_ub, A_eq, B_eq, lower, upper):
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, lower, upper):
     """Solve the boxed LP; raises LPInfeasible when no point satisfies the rows.
 
-    An LP needs at least one variable: ``c`` of length 0 raises DimensionMismatch.
+    An LP needs at least one variable: ``c`` of length 0 raises DimensionMismatch,
+    as do A_ub not of shape (len(b_ub), n) and A_eq not of shape (m_eq, n).
 
     With ``b_eq`` of shape (k, m_eq) it solves the k LPs that differ only in
     b_eq and returns their k outcomes in row order: each is an LPSolution, or
@@ -235,11 +236,14 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, lower, upper):
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise ValueError("all variables must have finite bounds")
 
-    A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float).reshape(-1, n)
+    # the constraint matrices keep their memory order: A @ lower rounds by it
+    A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float)
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).reshape(-1)
-    A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float).reshape(-1, n)
+    A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float)
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
     B_eq = b_eq if b_eq.ndim == 2 else b_eq.reshape(1, -1)
+    if A_ub.shape != (len(b_ub), n) or A_eq.shape != (B_eq.shape[1], n):
+        raise DimensionMismatch(f"A_ub {A_ub.shape} and A_eq {A_eq.shape} must be (rows of b_ub or b_eq, {n})")
 
     if (upper < lower).any():
         outcomes = [LPInfeasible("empty box: some upper bound is below its lower bound") for _ in B_eq]

@@ -157,6 +157,11 @@ def test_domain_validation():
         PolyhedralDomain(1, (((1.0,), np.inf),), 3.0)
     with pytest.raises(DimensionMismatch):
         feasibility_violation(box_domain(2, 3.0), [1.0])
+    # R^0 is refused as a domain, not left to fail in numpy
+    with pytest.raises(DimensionMismatch):
+        feasible_point(PolyhedralDomain(0, ((np.zeros(0), 1.0),), 1.0))
+    with pytest.raises(DimensionMismatch):
+        minimize_over(quadratic(np.zeros((0, 0))), box_domain(0, 1.0))
 
 
 def test_lemma3_flat_interval_passes():

@@ -24,8 +24,10 @@ from convexkit.functions import (
     quadratic,
     subdifferential,
 )
+from convexkit.argmin import PolyhedralDomain
+from convexkit.harness import gen_coercive_max_affine, gen_max_affine, gen_operator
 from convexkit.linalg import as_vector
-from convexkit.marginal import marginal_value, marginalize
+from convexkit.marginal import BOX_RADIUS, marginal_value, marginalize
 
 # max(+-x1, +-x2), the infinity norm on R^2
 INF_NORM = max_affine(
@@ -91,6 +93,80 @@ def test_evaluate_many_matches_scalar():
     X = rng.uniform(-3.0, 3.0, size=(40, 2))
     for f in (INF_NORM, ONE_NORM, SQUARED_NORM, SumFunction(2, (ONE_NORM, SQUARED_NORM))):
         assert np.array_equal(evaluate_many(f, X), [_reference_evaluate(f, x) for x in X])
+
+
+# --- the epigraph lift, against the builders it replaced -------------------------
+
+
+def _reference_epigraph(d, blocks, radius):
+    """``functions.epigraph`` before it wrote halfspace and fiber rows: (cost, rows, rhs, lower, upper)."""
+    p = len(blocks)
+    rows, rhs = [], []
+    t_lo, t_hi = np.zeros(p), np.zeros(p)
+    for k, block in enumerate(blocks):
+        reach = np.abs(block.matrix) @ np.full(d, radius)
+        t_hi[k] = float(np.max(block.offsets + reach)) + 1.0
+        t_lo[k] = float(np.min(block.offsets - reach)) - 1.0
+        for a, b in zip(block.matrix, block.offsets):
+            row = np.zeros(d + p)
+            row[:d] = a
+            row[d + k] = -1.0
+            rows.append(row)
+            rhs.append(-b)
+    cost = np.concatenate([np.zeros(d), np.ones(p)])
+    lower = np.concatenate([np.full(d, -radius), t_lo])
+    upper = np.concatenate([np.full(d, radius), t_hi])
+    return cost, np.array(rows).reshape(-1, d + p), np.array(rhs), lower, upper
+
+
+def _reference_epigraph_over(C, blocks):
+    """The lift argmin built itself: the reference epigraph over C's box, with C's halfspaces as more rows."""
+    cost, rows, rhs, lower, upper = _reference_epigraph(C.dim, blocks, C.box_radius)
+    G = np.zeros((len(C.inequalities), len(cost)))
+    for i, (g, _) in enumerate(C.inequalities):
+        G[i, : C.dim] = g
+    return cost, np.vstack([rows, G]), np.concatenate([rhs, [h for _, h in C.inequalities]]), lower, upper
+
+
+def _assert_same_arrays(got, want):
+    """Same shapes and bytes, and the same memory order, which a matmul over the rows rounds by."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert (a.flags.c_contiguous, a.flags.f_contiguous) == (b.flags.c_contiguous, b.flags.f_contiguous)
+
+
+def test_epigraph_over_a_domain_matches_the_hand_built_lift():
+    """Piece rows, then one row per halfspace, byte for byte as argmin built them; no fiber rows."""
+    rng = np.random.default_rng(71)
+    for _ in range(200):
+        d = int(rng.integers(1, 6))
+        blocks = tuple(gen_max_affine(d, int(rng.integers(1, 6)), rng) for _ in range(int(rng.integers(0, 4))))
+        cuts = tuple((rng.uniform(-1.0, 1.0, d), float(rng.uniform(-2.0, 1.0))) for _ in range(int(rng.integers(0, 4))))
+        C = PolyhedralDomain(d, cuts, float(rng.uniform(0.5, 4.0)))
+        cost, A_ub, b_ub, A_eq, lower, upper = functions.epigraph(d, blocks, C.box_radius, C.inequalities, np.zeros((0, d)))
+        _assert_same_arrays((cost, A_ub, b_ub, lower, upper), _reference_epigraph_over(C, blocks))
+        assert A_eq.shape == (0, len(cost))
+
+
+def test_epigraph_fiber_rows_match_the_hand_built_lift():
+    """With a marginal's view S.T as fiber, the equality rows are its hand-built [S^T, 0], memory order included.
+
+    For a one-block objective the rows are F-ordered; a C-ordered copy would
+    change marginal LP solutions in the last bits.
+    """
+    rng = np.random.default_rng(72)
+    f_ordered = 0
+    for _ in range(200):
+        d = int(rng.integers(2, 7))
+        n = int(rng.integers(1, d + 1))
+        blocks = tuple(gen_coercive_max_affine(d, int(rng.integers(2, 7)), rng) for _ in range(int(rng.integers(1, 3))))
+        h = marginalize(SumFunction(d, blocks), gen_operator(d, n, int(rng.integers(1, n + 1)), rng))
+        cost, A_ub, b_ub, A_eq, lower, upper = functions.epigraph(d, blocks, BOX_RADIUS, (), h.S.T)
+        _assert_same_arrays((cost, A_ub, b_ub, lower, upper), _reference_epigraph(d, blocks, BOX_RADIUS))
+        _assert_same_arrays((A_eq,), (np.hstack([h.S.T, np.zeros((n, len(blocks)))]),))
+        f_ordered += not A_eq.flags.c_contiguous
+    assert 20 < f_ordered < 180
 
 
 def test_subdifferential_one_norm_at_origin_is_square():

@@ -80,6 +80,19 @@ def test_zero_variable_lp_is_refused():
         solve_lp(empty, A_ub=np.zeros((1, 0)), b_ub=np.array([-1.0]), lower=empty, upper=empty)
 
 
+def test_constraint_shapes_are_checked():
+    """Constraint rows that do not fit their right-hand sides or the variable count raise DimensionMismatch."""
+    box = dict(lower=np.zeros(2), upper=np.full(2, 5.0))
+    with pytest.raises(DimensionMismatch):  # once read as the three rows [1, 0], [0, 0], [1, 0], value -6
+        solve_lp([-1.0, -1.0], A_ub=[[1, 0, 0], [0, 1, 0]], b_ub=[1, 1, 1], **box)
+    with pytest.raises(DimensionMismatch):
+        solve_lp([-1.0, -1.0], A_eq=[[1.0, 1.0, 0.0]], b_eq=[1.0], **box)
+    with pytest.raises(DimensionMismatch):  # a stack of two-wide b_eq rows for one equality row
+        solve_lp([-1.0, -1.0], A_eq=[[1.0, 1.0]], b_eq=np.ones((3, 2)), **box)
+    assert solve_lp([-1.0, -1.0], A_ub=[[1, 0], [0, 1]], b_ub=[1, 1], **box).value == -2.0
+    assert [s.value for s in solve_lp([-1.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=np.ones((3, 1)), **box)] == [-1.0] * 3
+
+
 def test_degenerate_rows_terminate():
     # many redundant copies of the same constraint force degenerate pivots
     A = np.repeat(np.array([[1.0, 1.0]]), 6, axis=0)
@@ -269,8 +282,7 @@ def _epigraph_stack(seed):
     if seed % 2:
         f = functions.SumFunction(d, (f, harness.gen_max_affine(d, int(rng.integers(1, 4)), rng)))
     blocks, _ = functions.normal_form(f)
-    c, A_ub, b_ub, lower, upper = functions.epigraph(d, blocks, marginal.BOX_RADIUS)
-    A_eq = np.hstack([S.T, np.zeros((n, len(blocks)))])
+    c, A_ub, b_ub, A_eq, lower, upper = functions.epigraph(d, blocks, marginal.BOX_RADIUS, (), S.T)
     B_eq = rng.uniform(-2.0, 2.0, (int(rng.integers(2, 30)), d)) @ S
     B_eq[rng.random(len(B_eq)) < 0.2] *= 1e4  # these fibers miss the box, so phase 1 fails
     return c, A_ub, b_ub, A_eq, B_eq, lower, upper
