@@ -12,10 +12,10 @@ The implementation is the classic tableau form.  Variables are shifted to
 z = x - lower >= 0, upper bounds become explicit rows, every row gets a slack
 or an artificial variable, phase 1 minimizes the artificial sum, phase 2 the
 shifted objective.  The objective is the tableau's last row, so a pivot
-updates it with the others.  A guard column sits between the slacks and the
-artificials: zero in every row and -inf in the objective, it is always
-eligible and never blocked, so a tableau with no other eligible column enters
-it and stops.  Desk-scale problems only: everything is dense numpy.
+updates it with the others.  A guard column follows the slacks: zero in every
+row and -inf in the objective, it is always eligible and never blocked, so a
+tableau with no other eligible column enters it and stops.  Desk-scale
+problems only: everything is dense numpy.
 
 One routine solves every call, as a stack of LPs that differ only in b_eq
 (``b_eq`` of shape (k, m_eq)); a lone LP is the stack of one.  Which rows get
@@ -30,9 +30,12 @@ Every basic column stays a unit column, exactly: a pivot divides its row by
 the pivot entry, and x / x is 1, and subtracts multiples of that row, which
 leave zeros in the column.  So the objective build subtracts row i with the
 cost of its basic variable, unchanged by the rows before it, and skips the
-rows whose basic cost is zero.  Every row gives the x and value of the
-one-LP two-phase routine that the tests keep as the reference, bit for bit on
-finite tableaux.
+rows whose basic cost is zero.  Nothing else would read an artificial's
+column, as artificials never enter, so an artificial is a basis label past the
+guard with no column, and each stored entry gets the arithmetic it got beside
+those columns (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*,
+section 3.5).  Every row gives the x and value of the one-LP two-phase routine
+that the tests keep as the reference, bit for bit on finite tableaux.
 """
 
 from __future__ import annotations
@@ -76,18 +79,18 @@ def _set_objective(T, basis, cost) -> None:
     """
     coef = cost[basis][:, :, None]
     terms = np.zeros(T.shape)
-    terms[:, 0, :-1] = cost
+    terms[:, 0, :-1] = cost[: T.shape[2] - 1]
     # a row whose basic cost is zero subtracts +0.0, which leaves every entry as it is
     np.multiply(coef, T[:, :-1], out=terms[:, 1:], where=coef != 0.0)
     np.subtract.reduce(terms, axis=1, out=T[:, -1])
 
 
-def _run_stack(T, basis, structural) -> list:
+def _run_stack(T, basis, structural, columns) -> list:
     """Bland pivots on every tableau of the stack in lockstep; per row None or its SolverFailure.
 
-    Columns up to ``structural``, the guard, may enter.  The rows are pivoted
-    in place until one stops, then on compact copies of the unfinished rows.
-    A row that stops is written back at once and never touched again.
+    Columns up to ``structural``, the guard, may enter; every basis label is
+    below ``columns``.  The rows are pivoted in place until one stops, then on
+    compact copies of the unfinished rows; a stopped row is written back and never touched again.
     """
     failures = [None] * len(T)
     if not failures:
@@ -95,8 +98,7 @@ def _run_stack(T, basis, structural) -> list:
     live = np.arange(len(T))
     t, b, s = T, basis, live
     obj, rhs = t[:, -1, : structural + 1], t[:, :-1, -1]
-    no_ratios = np.empty(rhs.shape)
-    no_ratios.fill(np.nan)
+    no_ratios = np.full(rhs.shape, np.nan)
     for _ in range(MAX_PIVOTS):
         col = (obj < -PIVOT_TOL).argmax(axis=1)  # Bland: smallest eligible index enters
         column = t[s, :, col]
@@ -119,7 +121,7 @@ def _run_stack(T, basis, structural) -> list:
             obj, rhs = t[:, -1, : structural + 1], t[:, :-1, -1]
             bound = [r for r, kept in zip(bound, keep) if kept]
         ties = ratios <= np.array(bound)[:, None]
-        row = np.where(ties, b, t.shape[2]).argmin(axis=1)  # Bland: smallest basic index leaves
+        row = np.where(ties, b, columns).argmin(axis=1)  # Bland: smallest basic index leaves
         _pivot_stack(t, b, s, row, col, column)
     for j in live:
         failures[j] = SolverFailure(f"simplex did not terminate within {MAX_PIVOTS} pivots")
@@ -127,28 +129,29 @@ def _run_stack(T, basis, structural) -> list:
     return failures
 
 
-def _solution(T: np.ndarray, basis: np.ndarray, c: np.ndarray, lower: np.ndarray) -> LPSolution:
-    z = np.zeros(T.shape[1] - 1)
+def _solution(T: np.ndarray, basis: np.ndarray, columns: int, c: np.ndarray, lower: np.ndarray) -> LPSolution:
+    z = np.zeros(columns)
     z[basis] = T[:-1, -1]
     x = z[: c.shape[0]] + lower
     return LPSolution(x=x, value=float(c @ x))
 
 
 def _solve_stack(T, basis, n_art, c, lower) -> list:
-    """The two phases on every tableau of the stack, modified in place; its outcome per row, in order."""
-    k, total = T.shape[0], T.shape[2] - 1
-    structural = total - n_art - 1  # then the guard, then the artificials, which never enter
-    cost = np.zeros(total)
+    """The two phases on every tableau of the stack, modified in place; its outcome per row, in order.
+
+    Its n_art artificials are basis labels past the guard with no column.
+    """
+    k, structural, columns = T.shape[0], T.shape[2] - 2, T.shape[2] - 1 + n_art  # every label is below columns
+    cost = np.zeros(columns)
     cost[structural] = -np.inf  # the guard
     outcomes = [None] * k
     ids = np.arange(k)  # the rows still being solved
 
     # phase 1: minimize the artificial sum
     if n_art:
-        cost1 = cost.copy()
-        cost1[structural + 1 :] = 1.0
+        cost1 = np.concatenate([cost[: structural + 1], np.ones(n_art)])
         _set_objective(T, basis, cost1)
-        for s, failure in enumerate(_run_stack(T, basis, structural)):
+        for s, failure in enumerate(_run_stack(T, basis, structural, columns)):
             if failure is None and -T[s, -1, -1] > FEAS_TOL:
                 failure = LPInfeasible(f"phase 1 optimum {-T[s, -1, -1]:.3e} above feasibility tolerance")
             outcomes[s] = failure
@@ -169,17 +172,17 @@ def _solve_stack(T, basis, n_art, c, lower) -> list:
     # phase 2: the original objective on the shifted variables
     cost[: c.shape[0]] = c
     _set_objective(T, basis, cost)
-    for s, failure in enumerate(_run_stack(T, basis, structural)):
-        outcomes[ids[s]] = failure if failure is not None else _solution(T[s], basis[s], c, lower)
+    for s, failure in enumerate(_run_stack(T, basis, structural, columns)):
+        outcomes[ids[s]] = failure if failure is not None else _solution(T[s], basis[s], columns, c, lower)
     return outcomes
 
 
 def _tableaux(c, A_ub, b_ub, A_eq, B_eq, lower, upper):
     """The starting tableaux of the LPs, one per row of B_eq, their bases and the artificial count.
 
-    Columns: the n shifted variables, the slacks, the guard, the artificials,
-    the right-hand side.  Rows: the inequality rows, the upper-bound rows,
-    the equality rows, and the objective row, left zero here.
+    Columns: the n shifted variables, the slacks, the guard, the right-hand
+    side; an artificial is a basis label past the guard, with no column.  Rows:
+    the inequality, upper-bound and equality rows, then the objective row, zero.
     """
     n, m_eq = c.shape[0], A_eq.shape[0]
     # shift to z = x - lower, append upper-bound rows z <= upper - lower
@@ -190,36 +193,30 @@ def _tableaux(c, A_ub, b_ub, A_eq, B_eq, lower, upper):
     # rows whose slack is unusable as an initial basic variable get an artificial:
     # every equality row, and every flipped inequality row (the same rows in every tableau)
     art_rows = np.concatenate([(rhs_ub < 0).nonzero()[0], np.arange(m_ub, m)])
-    n_art = art_rows.size
-    width = structural + 1 + n_art + 1
+    width = structural + 2
     basis = np.arange(n, n + m)
-    basis[art_rows] = structural + 1 + np.arange(n_art)
+    basis[art_rows] = structural + 1 + np.arange(art_rows.size)
 
     shared = np.zeros((m, width))
     shared[: m_ub - n, :n] = A_ub
     shared[m_ub:, :n] = A_eq
     shared[:m_ub, -1] = rhs_ub
-    shared[art_rows, basis[art_rows]] = 1.0
     flat = shared.reshape(-1)  # a diagonal of a block is every (width + 1)-th entry from its corner
     flat[(m_ub - n) * width : m_ub * width : width + 1] = 1.0  # the upper-bound rows
     flat[n : m_ub * width : width + 1] = 1.0  # the slacks
-    T = np.empty((len(B_eq), m + 1, width))
+    T = np.zeros((len(B_eq), m + 1, width))
     rows = T[:, :m]
     rows[:] = shared
     rows[:, m_ub:, -1] = B_eq - A_eq @ lower
-    # flip rows with negative right-hand side, all but their artificial columns
-    sign = np.where(rows[:, :, -1:] < 0, -1.0, 1.0)
-    rows[:, :, : structural + 1] *= sign
-    rows[:, :, -1:] *= sign
-    T[:, m] = 0.0
-    return T, basis[None].repeat(len(B_eq), axis=0), n_art
+    rows *= np.where(rows[:, :, -1:] < 0, -1.0, 1.0)  # flip rows with negative right-hand side
+    return T, basis[None].repeat(len(B_eq), axis=0), art_rows.size
 
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, lower, upper):
     """Solve the boxed LP; raises LPInfeasible when no point satisfies the rows.
 
     An LP needs at least one variable: ``c`` of length 0 raises DimensionMismatch,
-    as do A_ub not of shape (len(b_ub), n) and A_eq not of shape (m_eq, n).
+    as do bounds, A_ub and A_eq not of shapes (n,), (len(b_ub), n) and (m_eq, n).
 
     With ``b_eq`` of shape (k, m_eq) it solves the k LPs that differ only in
     b_eq and returns their k outcomes in row order: each is an LPSolution, or
@@ -232,7 +229,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, lower, upper):
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     if lower.shape != (n,) or upper.shape != (n,):
-        raise ValueError("bounds must match the variable count")
+        raise DimensionMismatch(f"bounds {lower.shape} and {upper.shape} must be ({n},)")
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise ValueError("all variables must have finite bounds")
 
@@ -248,10 +245,9 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, lower, upper):
     if (upper < lower).any():
         outcomes = [LPInfeasible("empty box: some upper bound is below its lower bound") for _ in B_eq]
     else:
-        # a tableau has m + 1 rows and at most n + m_ub + m + 2 columns
+        # a tableau has m_ub + m_eq + 1 rows and n + m_ub + 2 columns
         m_ub = A_ub.shape[0] + n
-        m = m_ub + A_eq.shape[0]
-        height = max(1, STACK_FLOATS // ((m + 1) * (n + m_ub + m + 2)))
+        height = max(1, STACK_FLOATS // ((m_ub + A_eq.shape[0] + 1) * (n + m_ub + 2)))
         outcomes = []
         for start in range(0, len(B_eq), height):
             T, basis, n_art = _tableaux(c, A_ub, b_ub, A_eq, B_eq[start : start + height], lower, upper)

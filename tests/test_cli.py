@@ -112,6 +112,14 @@ def test_verify_rejects_bad_flag_values(tmp_path, capsys):
     assert rc == 2
     rc = main(parse_args(["verify", "--dim", "1", "--out", str(tmp_path / "x.json")]))
     assert rc == 2
+    for flag in ("--tol-active", "--tol-support", "--tol-membership"):
+        for value in ("-1", "nan", "inf", "-inf"):
+            out = tmp_path / "tol.json"
+            rc = main(parse_args(["verify", "--suite", "lemma3", "--trials", "1", f"{flag}={value}", "--out", str(out)]))
+            assert rc == 2 and not out.exists(), (flag, value)
+            assert f"error: {flag} must be finite and nonnegative" in capsys.readouterr().err
+    rc = main(parse_args(["verify", "--suite", "lemma1", "--trials", "1", "--tol-membership", "0", "--out", str(out)]))
+    assert rc == 0 and json.loads(out.read_text())["tolerances"]["membership"] == 0.0  # zero is a tolerance
     capsys.readouterr()
 
 

@@ -81,8 +81,16 @@ def test_zero_variable_lp_is_refused():
 
 
 def test_constraint_shapes_are_checked():
-    """Constraint rows that do not fit their right-hand sides or the variable count raise DimensionMismatch."""
+    """Constraint rows and bounds that do not fit their right-hand sides or the variable count raise DimensionMismatch.
+
+    Bounds of the right shape that are not finite keep their ValueError.
+    """
     box = dict(lower=np.zeros(2), upper=np.full(2, 5.0))
+    for lower, upper in [(np.zeros(3), np.ones(3)), (np.zeros(2), np.ones(3)), (0.0, np.ones(2)), (np.zeros((1, 2)), np.ones(2))]:
+        with pytest.raises(DimensionMismatch):
+            solve_lp([-1.0, -1.0], lower=lower, upper=upper)
+    with pytest.raises(ValueError, match="finite bounds"):
+        solve_lp([-1.0, -1.0], lower=np.zeros(2), upper=[1.0, np.inf])
     with pytest.raises(DimensionMismatch):  # once read as the three rows [1, 0], [0, 0], [1, 0], value -6
         solve_lp([-1.0, -1.0], A_ub=[[1, 0, 0], [0, 1, 0]], b_ub=[1, 1, 1], **box)
     with pytest.raises(DimensionMismatch):
@@ -131,13 +139,13 @@ def test_missing_blocking_row_is_a_solver_failure():
     """
     message = "no blocking row for the entering column"
     assert str(_after_reference_run(_lone_tableau(-1.0, 1.0))) == message
-    [lone] = simplex._run_stack(_lone_tableau(-1.0, 1.0)[None], np.array([[1]]), 2)
+    [lone] = simplex._run_stack(_lone_tableau(-1.0, 1.0)[None], np.array([[1]]), 2, 3)
     assert isinstance(lone, SolverFailure) and str(lone) == message
 
     rows = [(1.0, 1.0), (-1.0, 1.0), (2.0, 3.0)]
     stack = np.array([_lone_tableau(*r) for r in rows])
     basis = np.ones((3, 1), dtype=int)
-    failures = simplex._run_stack(stack, basis, 2)
+    failures = simplex._run_stack(stack, basis, 2, 3)
     assert failures[0] is None and failures[2] is None
     assert isinstance(failures[1], SolverFailure) and str(failures[1]) == message
     for i in (0, 2):
@@ -460,39 +468,71 @@ def test_stacked_solves_match_one_row_solves(monkeypatch, max_pivots):
         assert {"LPSolution", "LPInfeasible"} <= kinds
 
 
+def _objective_from_costs(cost: np.ndarray, T: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``_build_objective`` with each basic cost read from ``cost``, as the solver's ``_set_objective`` reads it."""
+    obj = np.append(cost, 0.0)
+    for i, b in enumerate(basis):
+        if cost[b] != 0.0:
+            obj = obj - cost[b] * T[i]
+    return obj
+
+
+@pytest.mark.parametrize("max_pivots", [simplex.MAX_PIVOTS, 3, 0])
+def test_artificial_columns_are_write_only_in_the_reference(monkeypatch, max_pivots):
+    """The reference gives its outcome with every artificial column NaN from the start.
+
+    So no pivot choice, ratio test, drive-out or solution reads them, which is
+    why the solver stores none.  The reference's objective build reads a basic
+    artificial's objective entry, which the unit columns keep at its cost; the
+    NaN runs read that cost from the cost vector instead, as the solver does.
+    """
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", max_pivots)
+    for seed in range(60):
+        c, A_ub, b_ub, A_eq, B_eq, lower, upper = (_epigraph_stack if seed % 3 else _degenerate_equality_stack)(seed)
+        T, basis, n_art = _tableaux(c, A_ub, b_ub, A_eq, B_eq, lower, upper)
+        assert n_art, seed
+        want = [_fingerprint(_outcome(t.copy(), basis, c, lower, n_art)) for t in T]
+        T[:, :, -1 - n_art : -1] = np.nan
+        with monkeypatch.context() as patch:
+            patch.setitem(globals(), "_build_objective", _objective_from_costs)
+            assert [_fingerprint(_outcome(t, basis, c, lower, n_art)) for t in T] == want, seed
+
+
 def test_phase_one_tableaux_match_reference():
     """Tableau, objective row and basis equal the reference's byte for byte, zero signs included.
 
     Checked for the starting tableaux, the phase-1 objective and the tableaux
-    after phase 1, once the guard column and the objective row are set aside.
+    after phase 1, once the guard column, the objective row and the
+    reference's artificial columns, which the solver does not store, are set aside.
     """
     for seed in range(30):
         c, A_ub, b_ub, A_eq, B_eq, lower, upper = (_epigraph_stack if seed % 3 else _degenerate_equality_stack)(seed)
         T, basis, n_art = simplex._tableaux(c, A_ub, b_ub, A_eq, B_eq, lower, upper)
         ref_T, ref_basis, ref_n_art = _tableaux(c, A_ub, b_ub, A_eq, B_eq, lower, upper)
-        structural = T.shape[2] - 2 - n_art  # the guard's column
+        structural = T.shape[2] - 2  # the guard's column
+        artificials = np.arange(structural, structural + n_art)  # the reference's artificial columns
         rows = np.delete(T[:, :-1], structural, axis=2)
-        assert n_art == ref_n_art and rows.tobytes() == ref_T.tobytes(), seed
+        assert n_art == ref_n_art and rows.tobytes() == np.delete(ref_T, artificials, axis=2).tobytes(), seed
         assert np.array_equal(basis, np.tile(ref_basis + (ref_basis >= structural), (len(B_eq), 1))), seed
         if not n_art:
             continue
-        cost = np.zeros(T.shape[2] - 1)
+        cost = np.zeros(structural + 1 + n_art)
         cost[structural], cost[structural + 1 :] = -np.inf, 1.0
         simplex._set_objective(T, basis, cost)
         start = T[:, -1].copy()
-        failures = simplex._run_stack(T, basis, structural)
+        failures = simplex._run_stack(T, basis, structural, cost.size)
         for j in range(len(B_eq)):
             t, b = ref_T[j], ref_basis.copy()
             obj = _build_objective(np.delete(cost, structural), t, b)
-            assert np.delete(start[j], structural).tobytes() == obj.tobytes(), seed
+            assert np.delete(start[j], structural).tobytes() == np.delete(obj, artificials).tobytes(), seed
             try:
                 _run(t, obj, b, np.arange(t.shape[1] - 1) < structural)
             except SolverFailure as exc:
                 assert str(failures[j]) == str(exc), seed
             else:
                 assert failures[j] is None, seed
-            assert np.delete(T[j, :-1], structural, axis=1).tobytes() == t.tobytes(), seed
-            assert np.delete(T[j, -1], structural).tobytes() == obj.tobytes(), seed
+            assert np.delete(T[j, :-1], structural, axis=1).tobytes() == np.delete(t, artificials, axis=1).tobytes(), seed
+            assert np.delete(T[j, -1], structural).tobytes() == np.delete(obj, artificials).tobytes(), seed
             assert np.array_equal(basis[j], b + (b >= structural)), seed
 
 
@@ -508,7 +548,7 @@ def test_stack_shapes(monkeypatch):
     c, A_ub, b_ub, A_eq, B_eq, lower, upper = _epigraph_stack(15)  # 28 rows, 4 of them infeasible
     lp = dict(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, lower=lower, upper=upper)
     want = [_fingerprint(_reference(c, A_ub, b_ub, A_eq, b_eq, lower, upper)) for b_eq in B_eq]
-    chunks = {1: [1] * 28, 10_000: [3] * 9 + [1], 2**15: [12, 12, 4], 2**30: [28]}
+    chunks = {1: [1] * 28, 5_000: [3] * 9 + [1], 2**15: [24, 4], 2**30: [28]}
     for budget, expected in chunks.items():
         monkeypatch.setattr(simplex, "STACK_FLOATS", budget)
         heights.clear()
