@@ -14,8 +14,8 @@ minimum: for any level m the set {x in C : f(x) <= m + tol} is convex, so
 convex combinations of harvested members must stay members at a relaxed
 tolerance.  Every point check goes through one batched probe (constraint
 violation plus ``functions.evaluate_many``) whose rows equal the one-point
-checks bit for bit; the harvest bisects all its rays in lockstep, one probe
-per step, and the segment check probes all its points at once.
+checks bit for bit; the harvest bisects all its rays in lockstep, two
+levels per probe, and the segment check probes all its points at once.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def _larger(a, b):
 
 def _violations(C: PolyhedralDomain, X) -> np.ndarray:
     """Largest constraint violation of each row of X, zero inside the domain."""
-    worst = np.max(np.abs(X), axis=1) - C.box_radius
+    worst = np.abs(X).max(axis=1) - C.box_radius
     for g, h in C.inequalities:
         worst = _larger(worst, (X[:, None, :] @ g[:, None])[:, 0, 0] - h)
     return _larger(worst, 0.0)
@@ -223,7 +223,10 @@ def _extreme_members(f, C, base, V, m, tol):
 
     Each ray is normalized and bisected on its own, exactly as one ray at a
     time would be; the rays only share the batched membership probes.  A
-    zero ray yields base.
+    probe takes two halvings: it checks the midpoint and both midpoints that
+    can come next, each the scalar step's float expression.  A zero ray
+    yields base, and so does a ray whose hi falls below DISTINCT_TOL / 2,
+    whose member ``_distinct`` would drop beside base anyway.
     """
     norms = row_norms(V)
     zero = norms == 0.0
@@ -231,13 +234,21 @@ def _extreme_members(f, C, base, V, m, tol):
     top = 2.0 * C.box_radius * np.sqrt(C.dim)
     reach = _probe(f, C, base + top * U, m, tol)[0]
     lo, hi = np.zeros(len(V)), np.full(len(V), top)
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        inside = _probe(f, C, base + mid[:, None] * U, m, tol)[0]
-        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
-    members = base + np.where(reach, top, lo)[:, None] * U
-    members[zero] = base
-    return members
+    live = ~zero & ~reach
+    for remaining in range(BISECTION_STEPS, 0, -2):
+        live &= hi >= DISTINCT_TOL / 2
+        if not live.any():
+            break
+        a, b = lo[live], hi[live]
+        mid = 0.5 * (a + b)
+        t = np.concatenate([mid, 0.5 * (a + mid), 0.5 * (mid + b)])
+        inside = _probe(f, C, base + t[:, None] * np.tile(U[live], (3, 1)), m, tol)[0].reshape(3, -1)
+        a, b = np.where(inside[0], mid, a), np.where(inside[0], b, mid)
+        if remaining > 1:
+            inside, mid = np.where(inside[0], inside[2], inside[1]), 0.5 * (a + b)
+            a, b = np.where(inside, mid, a), np.where(inside, b, mid)
+        lo[live], hi[live] = a, b
+    return np.where((live | reach & ~zero)[:, None], base + np.where(reach, top, lo)[:, None] * U, base)
 
 
 def _distinct(points, tol):
@@ -259,12 +270,12 @@ def lemma3_check(
 
     Members of {x in C : f(x) <= m + tol} are harvested from the minimizer
     witness and bisection line searches along seeded directions and their
-    negatives, all bisected in lockstep (BISECTION_STEPS batched probes, each
-    ray's steps exactly those of its own bisection).  Trials whose
-    harvest collapses to fewer than two points separated by DISTINCT_TOL are
-    skipped as degenerate (a singleton argmin set is convex but carries no
-    segment evidence).  Every convex combination of members at the lambdas
-    0.1 .. 0.9 must be a member at 10 * tol.
+    negatives, bisected in lockstep, two halvings per batched probe (rays
+    that can only end within DISTINCT_TOL / 2 of the witness stop early).
+    Trials whose harvest collapses to fewer than two points separated by
+    DISTINCT_TOL are skipped as degenerate (a singleton argmin set is convex
+    but carries no segment evidence).  Every convex combination of members
+    at the lambdas 0.1 .. 0.9 must be a member at 10 * tol.
     """
     cert = minimize_over(f, C)
     m = cert.value

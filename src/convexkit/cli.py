@@ -101,6 +101,9 @@ def _verify(config: CliConfig) -> int:
     if config.run.dim < 2:
         print("error: --dim must be at least 2", file=sys.stderr)
         return 2
+    if config.run.seed < 0:
+        print("error: --seed must be nonnegative", file=sys.stderr)
+        return 2
     for flag in ("tol_active", "tol_support", "tol_membership"):
         if not 0.0 <= getattr(config.run, flag) < np.inf:  # NaN fails both
             print(f"error: --{flag.replace('_', '-')} must be finite and nonnegative", file=sys.stderr)

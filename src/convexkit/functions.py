@@ -210,7 +210,7 @@ def evaluate_many(f: ConvexFunction, X) -> np.ndarray:
         raise DimensionMismatch(f"points have dimension {X.shape[1]}, function has {f.dim}")
     blocks, quad = normal_form(f)
     columns, rows = X[:, :, None], X[:, None, :]
-    terms = [np.max((b.matrix @ columns)[:, :, 0] + b.offsets, axis=1) for b in blocks]
+    terms = [((b.matrix @ columns)[:, :, 0] + b.offsets).max(axis=1) for b in blocks]
     if quad is not None:
         terms.append(((rows @ quad.Q) @ columns)[:, 0, 0] + (rows @ quad.c[:, None])[:, 0, 0] + quad.r0)
     return _total(terms)

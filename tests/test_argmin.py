@@ -26,6 +26,7 @@ from convexkit.argmin import (
 )
 from convexkit.errors import DimensionMismatch, InfeasibleDomain, LPInfeasible
 from convexkit.functions import MaxAffine, SumFunction, evaluate, evaluate_many, max_affine, quadratic
+from convexkit.harness import RunConfig, run_suite
 from convexkit.simplex import solve_lp
 
 FLAT_INTERVAL = max_affine([((0.0,), 0.0), ((1.0,), -1.0), ((-1.0,), -1.0)])
@@ -368,10 +369,30 @@ def _flat_instance(rng):
     return f, PolyhedralDomain(d, tuple(cuts), radius)
 
 
+def _member_kinds(got, want, base):
+    """Count the members equal to the scalar bisection's, and those settled onto base, failing on any other."""
+    exact = settled = 0
+    for member, reference in zip(got, want):
+        if np.array_equal(member, reference):
+            exact += 1
+        else:
+            assert np.array_equal(member, base)
+            assert float(np.linalg.norm(reference - base)) <= argmin.DISTINCT_TOL / 2 + 1e-12
+            settled += 1
+    return exact, settled
+
+
 def test_lockstep_harvest_matches_scalar_bisection():
-    """Members, witness and segment checks equal the one-ray-at-a-time code, bit for bit."""
+    """Members, witness and segment checks equal the one-ray-at-a-time code, bit for bit.
+
+    A ray whose bisection can only end within DISTINCT_TOL / 2 of the witness
+    settles early and yields the witness, which ``_distinct`` drops as it
+    drops that ray's full-bisection member; every other ray's member is the
+    scalar bisection's.  The end-to-end checks are compared with the full
+    scalar bisection.
+    """
     rng = np.random.default_rng(61)
-    zero_rays = 0
+    zero_rays = exact = settled = 0
     for seed in range(300):
         f, C = _flat_instance(rng)
         tol = argmin.DEFAULT_MEMBERSHIP_TOL
@@ -382,8 +403,8 @@ def test_lockstep_harvest_matches_scalar_bisection():
         rays = [r for v in probes for r in (v, -v)]
         zero_rays += not np.any(probes[0])
         want = [_reference_extreme_member(f, C, base, v, m, tol) for v in rays]
-        got = argmin._extreme_members(f, C, base, np.array(rays), m, tol)
-        assert np.array_equal(got, want)
+        kinds = _member_kinds(argmin._extreme_members(f, C, base, np.array(rays), m, tol), want, base)
+        exact, settled = exact + kinds[0], settled + kinds[1]
         for x in want[:6]:
             x = x + rng.uniform(-0.5, 0.5, C.dim)
             assert feasibility_violation(C, x) == _reference_violation(C, x)
@@ -406,11 +427,27 @@ def test_lockstep_harvest_matches_scalar_bisection():
                     worst, worst_point = gap, z
         assert segment.gap == worst
         assert np.array_equal(segment.witness["point"], worst_point)
-    assert zero_rays > 0
+    assert zero_rays > 0 and exact > 0 and settled > 0
+
+
+@pytest.mark.parametrize("steps", [1, 7, 49])
+def test_odd_bisection_steps_match_scalar_bisection(monkeypatch, steps):
+    """With an odd BISECTION_STEPS the last probe takes one halving, and the members still match."""
+    monkeypatch.setattr(argmin, "BISECTION_STEPS", steps)
+    rng = np.random.default_rng(62)
+    exact = 0
+    for _ in range(40):
+        f, C = _flat_instance(rng)
+        cert = minimize_over(f, C)
+        rays = rng.standard_normal((6, C.dim))
+        tol = argmin.DEFAULT_MEMBERSHIP_TOL
+        want = [_reference_extreme_member(f, C, cert.witness, v, cert.value, tol) for v in rays]
+        exact += _member_kinds(argmin._extreme_members(f, C, cert.witness, rays, cert.value, tol), want, cert.witness)[0]
+    assert exact > 0
 
 
 def test_harvest_probes_in_batches(monkeypatch):
-    """One batched evaluation per bisection step, not one call per point."""
+    """One batched evaluation per two bisection steps, not one call per point."""
     counts = {"evaluate": 0, "evaluate_many": 0}
     for name in counts:
         original = getattr(functions, name)
@@ -422,5 +459,31 @@ def test_harvest_probes_in_batches(monkeypatch):
         monkeypatch.setattr(functions, name, counted)
     result = lemma3_check(FLAT_RECTANGLE, box_domain(2, 3.0), seed=8)
     assert result.status == "pass"
-    assert 0 < counts["evaluate_many"] <= argmin.BISECTION_STEPS + 4
+    assert 0 < counts["evaluate_many"] <= argmin.BISECTION_STEPS // 2 + 4
     assert counts["evaluate"] <= 3
+
+
+def test_default_trials_harvest_in_few_probes(monkeypatch):
+    """The first 20 default lemma3 trials: each PD quadratic is skipped after at most 8 batched evaluations.
+
+    A PD quadratic's near-argmin set has a radius near 1e-3, so all its rays
+    settle onto the witness within a few rounds; each flat max-affine trial
+    bisects in BISECTION_STEPS // 2 rounds and passes.
+    """
+    counts = []
+    evaluate_many, lemma3 = functions.evaluate_many, argmin.lemma3_check
+
+    def counted(*args, **kwargs):
+        counts[-1] += 1
+        return evaluate_many(*args, **kwargs)
+
+    def check(*args, **kwargs):
+        counts.append(0)
+        return lemma3(*args, **kwargs)
+
+    monkeypatch.setattr(functions, "evaluate_many", counted)
+    monkeypatch.setattr(argmin, "lemma3_check", check)
+    report = run_suite("lemma3", RunConfig(trials=20))
+    assert [t.status for t in report.trials] == ["pass", "skip"] * 10
+    assert max(counts[1::2]) <= 8
+    assert max(counts[0::2]) <= argmin.BISECTION_STEPS // 2 + 4

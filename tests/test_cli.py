@@ -112,6 +112,10 @@ def test_verify_rejects_bad_flag_values(tmp_path, capsys):
     assert rc == 2
     rc = main(parse_args(["verify", "--dim", "1", "--out", str(tmp_path / "x.json")]))
     assert rc == 2
+    out = tmp_path / "seed.json"
+    rc = main(parse_args(["verify", "--suite", "lemma1", "--trials", "1", "--seed", "-1", "--out", str(out)]))
+    assert rc == 2 and not out.exists()
+    assert "error: --seed must be nonnegative" in capsys.readouterr().err
     for flag in ("--tol-active", "--tol-support", "--tol-membership"):
         for value in ("-1", "nan", "inf", "-inf"):
             out = tmp_path / "tol.json"

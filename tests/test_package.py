@@ -34,8 +34,9 @@ def test_benchmark_binding_sites_resolve():
 def test_benchmark_passes_match_recorded_digests(workload, monkeypatch, tmp_path):
     """The first passes of each benchmark workload, run unwrapped as bench/record.py runs them, give their recorded digests.
 
-    Sixteen passes of the two workloads that solve LPs, so a change that moves
-    the last bit of a simplex solution fails here, not only in the benchmark.
+    Sixteen passes of lemma2-marginal, so a change that moves the last bit of
+    a simplex solution fails here, not only in the benchmark; 64 of
+    lemma3-argmin, so does a harvest change that moves one member.
     """
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
@@ -47,7 +48,7 @@ def test_benchmark_passes_match_recorded_digests(workload, monkeypatch, tmp_path
             yield self
 
     recorded = json.loads((BENCH / "digests.json").read_text())[workload]["digests"]
-    for q in range(16 if workload in ("lemma2-marginal", "lemma3-argmin") else 2):
+    for q in range({"lemma2-marginal": 16, "lemma3-argmin": 64}.get(workload, 2)):
         result = workloads.run_pass(workload, q, Unwrapped(False), tmp_path)
         assert (result.failed, result.problems) == (0, [])
         assert result.digest == recorded[str(q)], f"{workload} pass {q}"
