@@ -61,8 +61,8 @@ class PolyhedralDomain:
             raise ValueError("inequality offsets must be finite")
         object.__setattr__(self, "inequalities", rows)
         object.__setattr__(self, "box_radius", float(self.box_radius))
-        if not self.box_radius > 0:
-            raise ValueError("box radius must be positive")
+        if not 0 < self.box_radius < np.inf:  # NaN fails both
+            raise ValueError("box radius must be finite and positive")
 
 
 def box_domain(dim: int, radius: float) -> PolyhedralDomain:

@@ -169,7 +169,7 @@ def _run_query(config: CliConfig) -> dict:
 def _query(config: CliConfig) -> int:
     try:
         result = _run_query(config)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError, RecursionError) as exc:
         print(f"error: bad instance or point: {exc}", file=sys.stderr)
         return 2
     except ConvexKitError as exc:

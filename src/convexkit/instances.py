@@ -75,5 +75,7 @@ def domain_to_json(inequalities, box_radius: float) -> dict:
 
 def domain_from_json(doc: dict) -> tuple[list, float]:
     """The inequality rows and box radius; PolyhedralDomain checks their dimensions."""
+    if not isinstance(doc, dict):
+        raise ValueError("domain document must be an object")
     rows = [(as_vector(item["g"]), float(item["h"])) for item in doc.get("inequalities", [])]
     return rows, float(doc["box_radius"])

@@ -14,20 +14,20 @@ query: ``functions.epigraph``'s LP with the fiber rows [S^T, 0], which leaves
 b_eq = x to each query, or the KKT system [[2Q, S], [S^T, 0]], factored once,
 which leaves one small linear solve for the right-hand side [-c, x].
 
-marginal_values answers a (k, n) stack of queries in one go: one stacked
-projection checks the domain, the LPs of all rows run through the simplex in
-lockstep, and the KKT right-hand sides are solved as one stack.  Row i's
-witness equals marginal_value's for that row bit for bit, and the error raised
-is the one the rows one by one would raise first.  marginal_value is the stack
-of one, and the simplex solves it as a stack of one LP.
+marginal_values answers a (k, n) stack of queries in one go, as a value
+vector, a (k, d) argmin matrix and the inner solver's status: one stacked
+projection checks the domain, the LPs of all rows pivot in lockstep, and the
+KKT right-hand sides are solved as one stack.  Row i equals marginal_value's
+answer bit for bit, and the error raised is the one the rows one by one would
+raise first.  marginal_value reads the stack of one as a MinimizationWitness.
 
 lemma2_check verifies both halves of the marginal-convexity result with one
-midpoint-gap routine: h((x + y) / 2) against the mean of h(x) and h(y), each
-value an exact marginal value with its argmin witness, and the queries of
-each gap check asked as one marginal_values stack.  The gaps must clear
--CONVEXITY_SLACK on every sampled pair, and exceed STRICT_GAP on well-separated
-pairs when f is a positive definite quadratic.  A failed gap check records the
-least gap and the pair that gave it, so the failure replays from the report.
+midpoint-gap routine: h((x + y) / 2) against the mean of h(x) and h(y), the
+points drawn as stacks and each gap check asked as one marginal_values stack.
+The gaps must clear -CONVEXITY_SLACK on every sampled pair, and exceed
+STRICT_GAP on well-separated pairs when f is a positive definite quadratic.  A
+failed gap check records the least gap and the pair that gave it, so the
+failure replays from the report.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class MarginalFunction:
     def _inner(self):
         """The inner solver, set up on the first query: a function of a (k, outer_dim) query stack.
 
-        It returns the k witnesses in order, or raises the first row's error.
+        It returns the stack's (values, argmins, status), or raises the first row's error.
         Max-affine blocks, alone or beside a quadratic with Q = 0 and c = 0,
         get their epigraph LP, whose fiber rows [S^T, 0] ``functions.epigraph``
         writes from the view S.T, so a query sets only b_eq = x.  A quadratic
@@ -126,10 +126,10 @@ class MinimizationWitness:
     status: str  # "exact-LP" or "exact-KKT"
 
 
-def _lp_inner(d, epigraph, constant, X) -> list[MinimizationWitness]:
-    """The prepared epigraph LP solved for b_eq = x at every row; a witness is its first d variables."""
+def _lp_inner(d, epigraph, constant, X):
+    """The prepared epigraph LP solved for b_eq = x at every row; an argmin is its first d variables."""
     cost, rows, rhs, eq, lower, upper = epigraph
-    witnesses = []
+    values, R = [], []
     for sol in solve_lp(cost, A_ub=rows, b_ub=rhs, A_eq=eq, b_eq=X, lower=lower, upper=upper):
         if isinstance(sol, LPInfeasible):
             raise UnboundedBelow(
@@ -142,8 +142,9 @@ def _lp_inner(d, epigraph, constant, X) -> list[MinimizationWitness]:
             raise UnboundedBelow(
                 "minimum sits on the safety box, attainment inside it is not certified"
             )
-        witnesses.append(MinimizationWitness(float(sol.value + constant), r, "exact-LP"))
-    return witnesses
+        values.append(sol.value + constant)
+        R.append(r)
+    return np.array(values), np.array(R), "exact-LP"
 
 
 def _kkt_system(quad, S):
@@ -163,14 +164,14 @@ def _kkt_system(quad, S):
     return partial(_kkt_inner, quad, anchor_map(np.block([[2.0 * quad.Q, S], [S.T, np.zeros((n, n))]])))
 
 
-def _kkt_inner(quad, system: AnchorMap, X) -> list[MinimizationWitness]:
+def _kkt_inner(quad, system: AnchorMap, X):
     rhs = np.hstack([np.broadcast_to(-quad.c, (len(X), quad.dim)), X])
     try:
         sol = system.solve(rhs)
     except InfeasibleFiber as exc:
         raise SingularKKT(f"KKT system is inconsistent: {exc}") from exc
     R = sol[:, : quad.dim].copy()
-    return [MinimizationWitness(float(v), r, "exact-KKT") for v, r in zip(fn.evaluate_many(quad, R), R)]
+    return fn.evaluate_many(quad, R), R, "exact-KKT"
 
 
 def _refuse(error, message, X):
@@ -178,14 +179,15 @@ def _refuse(error, message, X):
     raise error(message)
 
 
-def marginal_values(h: MarginalFunction, X) -> list[MinimizationWitness]:
-    """Exact h at every row of X, shape (k, outer_dim), with argmin witnesses in row order.
+def marginal_values(h: MarginalFunction, X):
+    """Exact h at every row of X, shape (k, outer_dim), as (values, argmins, status).
 
-    Each witness equals ``marginal_value``'s for its row bit for bit, and the
-    error raised is the one ``marginal_value`` on the rows one by one would
-    raise first: all rows are checked against the domain in one stacked
-    projection, and the rows before the first one off it are solved as one
-    stack, the LP in lockstep and the KKT system in one stacked solve.
+    Shapes (k,) and (k, inner_dim); ``status`` is the inner solver's, None for
+    an empty stack, which sets up no solver.  Row i equals ``marginal_value``
+    bit for bit, and the error raised is the one the rows one by one would
+    raise first: one stacked projection checks the domain, and the rows before
+    the first one off it are solved as one stack, the LP in lockstep and the
+    KKT system in one stacked solve.
     """
     X = as_matrix(X)
     if X.shape[1] != h.outer_dim:
@@ -193,12 +195,12 @@ def marginal_values(h: MarginalFunction, X) -> list[MinimizationWitness]:
     gaps = row_norms(X - project(X, h.domain))
     off = np.flatnonzero(gaps > DOMAIN_TOL * (1.0 + row_norms(X)))
     clean = off[0] if off.size else len(X)
-    witnesses = h._inner(X[:clean]) if clean else []
+    answer = h._inner(X[:clean]) if clean else (np.zeros(0), np.zeros((0, h.inner_dim)), None)
     if off.size:
         raise DomainViolation(
             f"query lies {gaps[clean]:.3e} outside the row space of the operator"
         )
-    return witnesses
+    return answer
 
 
 def marginal_value(h: MarginalFunction, x) -> MinimizationWitness:
@@ -209,7 +211,8 @@ def marginal_value(h: MarginalFunction, x) -> MinimizationWitness:
     the fiber, and UnsupportedObjective for sums mixing a nonzero quadratic
     with piecewise-linear parts.
     """
-    return marginal_values(h, as_vector(x, h.outer_dim)[None])[0]
+    values, argmins, status = marginal_values(h, as_vector(x, h.outer_dim)[None])
+    return MinimizationWitness(float(values[0]), argmins[0], status)
 
 
 def is_strictly_convex(f) -> bool:
@@ -220,22 +223,18 @@ def is_strictly_convex(f) -> bool:
     return float(np.min(np.linalg.eigvalsh(quad.Q))) > 1e-8
 
 
-def _least_gap(h: MarginalFunction, pairs):
-    """The least midpoint gap (h(x) + h(y)) / 2 - h((x + y) / 2) over the pairs.
+def _least_gap(h: MarginalFunction, X, Y):
+    """The least midpoint gap (h(x) + h(y)) / 2 - h((x + y) / 2) over the pairs of rows of X and Y.
 
-    Returns that gap, its pair as a report witness, and the query points,
-    three to a pair (x, y, midpoint), with their witnesses from one
-    ``marginal_values`` stack.
+    Returns that gap (the first, on a tie), its pair as a report witness, and
+    the query points, three to a pair (x, y, midpoint), with their values and
+    argmins from one ``marginal_values`` stack.
     """
-    points = np.array([p for x, y in pairs for p in (x, y, 0.5 * (x + y))])
-    witnesses = marginal_values(h, points)
-    least, pair = np.inf, None
-    for i, (x, y) in enumerate(pairs):
-        wx, wy, wm = witnesses[3 * i : 3 * i + 3]
-        gap = 0.5 * (wx.value + wy.value) - wm.value
-        if gap < least:
-            least, pair = gap, {"x": x.tolist(), "y": y.tolist()}
-    return float(least), pair, points, witnesses
+    points = np.stack([X, Y, 0.5 * (X + Y)], axis=1).reshape(3 * len(X), h.outer_dim)
+    v, R, _ = marginal_values(h, points)
+    gaps = 0.5 * (v[0::3] + v[1::3]) - v[2::3]
+    worst = int(np.argmin(gaps))
+    return float(gaps[worst]), {"x": X[worst].tolist(), "y": Y[worst].tolist()}, points, v, R
 
 
 def lemma2_check(f, S, *, seed: int = 0) -> TrialResult:
@@ -257,12 +256,11 @@ def lemma2_check(f, S, *, seed: int = 0) -> TrialResult:
         "suite": "lemma2",
     }
 
-    def sample_x():
-        return h.S.T @ rng.uniform(-SAMPLE_SCALE, SAMPLE_SCALE, d)
+    def sample_x(k):
+        return (h.S.T @ rng.uniform(-SAMPLE_SCALE, SAMPLE_SCALE, (k, d))[:, :, None])[:, :, 0]
 
-    gap, pair, points, witnesses = _least_gap(h, [(sample_x(), sample_x()) for _ in range(MIDPOINT_PAIRS)])
-    R = np.array([w.argmin for w in witnesses])
-    values = np.array([w.value for w in witnesses])
+    P = sample_x(2 * MIDPOINT_PAIRS)
+    gap, pair, points, values, R = _least_gap(h, P[0::2], P[1::2])
     residuals = row_norms((h.S.T @ R[:, :, None])[:, :, 0] - points)
     value_errs = np.abs(fn.evaluate_many(f, R) - values) / (1.0 + np.abs(values))
     max_residual = float(np.max(residuals, initial=0.0))
@@ -282,19 +280,17 @@ def lemma2_check(f, S, *, seed: int = 0) -> TrialResult:
         # sampled domain spread (small spread means a small operator, which
         # makes the inner points move far and the gaps large), never below
         # MIN_PAIR_SEPARATION.
-        spread = 0.0
-        probes = [sample_x() for _ in range(8)]
-        for i, p in enumerate(probes):
-            for q in probes[i + 1 :]:
-                spread = max(spread, float(np.linalg.norm(p - q)))
+        probes = sample_x(8)
+        i, j = np.triu_indices(len(probes), 1)
+        spread = float(np.max(row_norms(probes[i] - probes[j])))
         separation = max(MIN_PAIR_SEPARATION, min(0.1, 0.25 * spread))
         strict_pairs = []
         attempts = 0
         while len(strict_pairs) < MIDPOINT_PAIRS and attempts < 200 * MIDPOINT_PAIRS:
             attempts += 1
-            x, y = sample_x(), sample_x()
-            if float(np.linalg.norm(x - y)) >= separation:
-                strict_pairs.append((x, y))
+            xy = sample_x(2)
+            if float(np.linalg.norm(xy[0] - xy[1])) >= separation:
+                strict_pairs.append(xy)
         if len(strict_pairs) < MIDPOINT_PAIRS:
             checks.append(
                 CheckResult(
@@ -305,7 +301,7 @@ def lemma2_check(f, S, *, seed: int = 0) -> TrialResult:
                 )
             )
         else:
-            gap, pair, _, _ = _least_gap(h, strict_pairs)
+            gap, pair, *_ = _least_gap(h, *np.stack(strict_pairs, axis=1))
             passed = bool(gap > STRICT_GAP)
             checks.append(
                 CheckResult(name="strict_convexity", passed=passed, gap=gap, witness=None if passed else pair)

@@ -146,6 +146,10 @@ def test_domain_validation():
         PolyhedralDomain(2, (((1.0,), 0.0),), 3.0)
     with pytest.raises(ValueError):
         PolyhedralDomain(1, (), 0.0)
+    # a domain is always bounded
+    for radius in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="box radius must be finite and positive"):
+            box_domain(2, radius)
     with pytest.raises(DimensionMismatch):
         minimize_over(PARABOLA, box_domain(2, 3.0))
     with pytest.raises(DimensionMismatch):

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from convexkit import restriction
-from convexkit.cli import CliConfig, _run_query, build_parser, main, parse_args
+from convexkit.cli import CliConfig, _run_query, build_parser, main, parse_args, run
 
 ABS_DOC = {"type": "max_affine", "pieces": [{"a": [1.0], "b": 0.0}, {"a": [-1.0], "b": 0.0}]}
 ONE_NORM_DOC = {
@@ -208,6 +208,32 @@ def test_query_input_errors_exit_two(tmp_path, capsys):
 
     rc = main(parse_args(["query", "restricted-subdiff", "--instance", inst, "--x", "0"]))
     assert rc == 2  # document has no S/zeta keys
+    capsys.readouterr()
+
+    # valid JSON that is not an object; a domain that is not an object
+    bad = [_write(tmp_path / "list.json", [ABS_DOC])]
+    bad += [_write(tmp_path / f"domain{i}.json", {"f": ABS_DOC, "domain": d}) for i, d in enumerate(([], "box"))]
+    # a sum nested 400 deep overflows normal_form's recursion, 900 deep json.load's
+    for depth in (400, 900):
+        deep = tmp_path / f"deep{depth}.json"
+        deep.write_text('{"type": "sum", "parts": [' * depth + json.dumps(ABS_DOC) + "]}" * depth, encoding="utf-8")
+        bad.append(str(deep))
+    for path, op in zip(bad, ("subdiff", "argmin-member", "argmin-member", "subdiff", "subdiff")):
+        rc = main(parse_args(["query", op, "--instance", path, "--x", "0"]))
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: bad instance or point: ") and "Traceback" not in err, path
+
+    # configs built by hand, as bench/workloads.py builds them
+    assert main(CliConfig(command="bogus")) == 2
+    assert "error: unknown command 'bogus'" in capsys.readouterr().err
+    assert main(CliConfig(command="query", op="bogus", instance=inst, x="0")) == 2
+    assert "unknown query op: 'bogus'" in capsys.readouterr().err
+
+    # the console entry exits with main's code
+    for x, code in (("0", 0), ("a,b", 2)):
+        with pytest.raises(SystemExit) as exc:
+            run(["query", "subdiff", "--instance", inst, "--x", x])
+        assert exc.value.code == code
     capsys.readouterr()
 
 

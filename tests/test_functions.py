@@ -26,6 +26,7 @@ from convexkit.functions import (
 )
 from convexkit.argmin import PolyhedralDomain
 from convexkit.harness import gen_coercive_max_affine, gen_max_affine, gen_operator
+from convexkit.instances import function_from_json, function_to_json
 from convexkit.linalg import as_vector
 from convexkit.marginal import BOX_RADIUS, marginal_value, marginalize
 
@@ -39,6 +40,7 @@ ONE_NORM = max_affine(
 )
 SQUARED_NORM = quadratic(np.eye(2))
 ABS = max_affine([((1.0,), 0.0), ((-1.0,), 0.0)])
+ABS_DOC = {"type": "max_affine", "pieces": [{"a": [1.0], "b": 0.0}, {"a": [-1.0], "b": 0.0}]}
 
 
 def forward_difference(f, x, v, h):
@@ -381,6 +383,25 @@ def test_validation_errors():
         evaluate(ABS, (1.0, 2.0))
     with pytest.raises(ValueError):
         Polytope(np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="offset must be finite"):
+        AffinePiece(np.array([1.0]), np.inf)
+    with pytest.raises(ValueError, match="constant term must be finite"):
+        quadratic(np.eye(1), r0=np.nan)
+    with pytest.raises(TypeError, match="not a convex function: str"):
+        normal_form("abs")
+    with pytest.raises(DimensionMismatch):
+        evaluate_many(ABS, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="active_tol must be nonnegative"):
+        subdifferential(ABS, (0.0,), -1e-9)
+    for doc in ([ABS_DOC], {"pieces": ABS_DOC["pieces"]}):
+        with pytest.raises(ValueError, match="with a 'type' key"):
+            function_from_json(doc)
+    with pytest.raises(ValueError, match="sum needs at least one part"):
+        function_from_json({"type": "sum", "parts": []})
+    with pytest.raises(ValueError, match="unknown function type: 'norm'"):
+        function_from_json({"type": "norm"})
+    with pytest.raises(TypeError, match="not a convex function: dict"):
+        function_to_json(ABS_DOC)
 
 
 def test_psd_accepts_semidefinite():

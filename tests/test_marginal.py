@@ -196,7 +196,7 @@ def _one_point_kkt(f, S, x):
 
 
 def test_marginal_values_match_one_by_one():
-    """Each row of a stack gets marginal_value's witness bit for bit, on LP and KKT marginals."""
+    """Row i of a stack's values and argmins is marginal_value's witness bit for bit, on LP and KKT marginals."""
     statuses = set()
     for seed in range(60):
         rng = np.random.default_rng(seed)
@@ -206,13 +206,15 @@ def test_marginal_values_match_one_by_one():
         f = harness.gen_pd_quadratic(d, rng) if seed % 2 else harness.gen_coercive_max_affine(d, 4, rng)
         h = marginalize(f, S)
         X = np.array([S.T @ rng.uniform(-2.0, 2.0, d) for _ in range(int(rng.integers(1, 40)))])
-        for x, w in zip(X, marginal_values(h, X)):
+        values, argmins, status = marginal_values(h, X)
+        assert values.shape == (len(X),) and argmins.shape == (len(X), d)
+        for x, value, argmin in zip(X, values, argmins):
             one = marginal_value(marginalize(f, S), x)
-            assert (w.status, repr(w.value), w.argmin.tobytes()) == (one.status, repr(one.value), one.argmin.tobytes())
-            if w.status == "exact-KKT":
-                r, value = _one_point_kkt(f, S, x)
-                assert (repr(w.value), w.argmin.tobytes()) == (repr(value), r.tobytes())
-            statuses.add(w.status)
+            assert (status, repr(float(value)), argmin.tobytes()) == (one.status, repr(one.value), one.argmin.tobytes())
+            if status == "exact-KKT":
+                r, kkt_value = _one_point_kkt(f, S, x)
+                assert (repr(float(value)), argmin.tobytes()) == (repr(kkt_value), r.tobytes())
+        statuses.add(status)
     assert statuses == {"exact-LP", "exact-KKT"}
 
 
@@ -254,8 +256,10 @@ def test_marginal_values_raise_the_first_error_in_row_order():
         with pytest.raises(error) as raised:
             marginal_values(h, X)
         assert str(raised.value) == str(first)
-    assert marginal_values(small, np.zeros((1, S.shape[1])))[0].value == 0.0
-    assert marginal_values(lp, np.zeros((0, 2))) == []
+    values, argmins, status = marginal_values(small, np.zeros((1, S.shape[1])))
+    assert (values.tolist(), argmins.shape, status) == ([0.0], (1, d), "exact-KKT")
+    values, argmins, status = marginal_values(lp, np.zeros((0, 2)))
+    assert (values.shape, argmins.shape, status) == ((0,), (0, 2), None)
 
 
 def _count_calls(monkeypatch, module, name):
@@ -302,6 +306,9 @@ def test_kkt_is_factored_once_per_marginal(monkeypatch):
 def test_operator_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         marginalize(SQUARED_NORM, np.ones((3, 2)))
+    # a stack of 2-vectors asked of a marginal on R^1
+    with pytest.raises(DimensionMismatch, match="expected dimension 1, got 2"):
+        marginal_values(marginalize(SQUARED_NORM, SUM_FIBER), np.zeros((3, 2)))
 
 
 def test_zero_outer_dimension_gives_global_min():

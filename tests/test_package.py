@@ -34,9 +34,11 @@ def test_benchmark_binding_sites_resolve():
 def test_benchmark_passes_match_recorded_digests(workload, monkeypatch, tmp_path):
     """The first passes of each benchmark workload, run unwrapped as bench/record.py runs them, give their recorded digests.
 
-    Sixteen passes of lemma2-marginal, so a change that moves the last bit of
-    a simplex solution fails here, not only in the benchmark; 64 of
-    lemma3-argmin, so does a harvest change that moves one member.
+    64 passes of lemma2-marginal, so a change that moves the last bit of a
+    simplex solution or of a stacked marginal query fails here, not only in
+    the benchmark; 64 of lemma3-argmin, so does a harvest change that moves
+    one member; 8 of query-oneshot, so does one that moves a one-shot
+    marginal query.
     """
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
@@ -48,7 +50,7 @@ def test_benchmark_passes_match_recorded_digests(workload, monkeypatch, tmp_path
             yield self
 
     recorded = json.loads((BENCH / "digests.json").read_text())[workload]["digests"]
-    for q in range({"lemma2-marginal": 16, "lemma3-argmin": 64}.get(workload, 2)):
+    for q in range({"lemma2-marginal": 64, "lemma3-argmin": 64, "query-oneshot": 8}.get(workload, 2)):
         result = workloads.run_pass(workload, q, Unwrapped(False), tmp_path)
         assert (result.failed, result.problems) == (0, [])
         assert result.digest == recorded[str(q)], f"{workload} pass {q}"

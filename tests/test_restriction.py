@@ -36,6 +36,9 @@ def test_make_fiber_infeasible():
     S = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(InfeasibleFiber):
         make_fiber(S, np.array([0.0, 1.0]))
+    # a fiber in R^3 under a function on R^2
+    with pytest.raises(DimensionMismatch, match="function lives on R\\^2, fiber on R\\^3"):
+        restrict(ONE_NORM, np.ones((1, 3)), np.array([0.0]))
 
 
 def test_fiber_invariants_random():
