@@ -27,7 +27,6 @@ from .errors import (
     UnsupportedObjective,
 )
 from .functions import (
-    AffinePiece,
     MaxAffine,
     Polytope,
     Quadratic,
@@ -60,7 +59,6 @@ from .restriction import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinePiece",
     "ArgminCertificate",
     "ConvexKitError",
     "DimensionMismatch",

@@ -7,7 +7,8 @@ Two subcommands:
 
 Exit codes: 0 success, 1 a check failed or the math rejected the query
 (infeasible fiber, domain violation, ...), 2 bad input (unreadable file,
-malformed JSON or vector, unusable flag values).
+malformed JSON or vector, unusable flag values, or a query whose arithmetic
+overflows, such as a huge box radius or point).
 """
 
 from __future__ import annotations
@@ -168,8 +169,9 @@ def _run_query(config: CliConfig) -> dict:
 
 def _query(config: CliConfig) -> int:
     try:
-        result = _run_query(config)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError, RecursionError) as exc:
+        with np.errstate(over="raise", invalid="raise"):  # an overflow is an input too large to answer
+            result = _run_query(config)
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError, RecursionError, FloatingPointError) as exc:
         print(f"error: bad instance or point: {exc}", file=sys.stderr)
         return 2
     except ConvexKitError as exc:

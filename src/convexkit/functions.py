@@ -6,6 +6,11 @@ Three families are closed under the operations used elsewhere:
 * ``Quadratic``     f(x) = x^T Q x + c . x + r0, with Q symmetric PSD
 * ``SumFunction``   pointwise sum of the above
 
+A ``MaxAffine`` stores only its arrays, the gradient rows ``matrix`` and the
+``offsets`` b_i, and a ``Quadratic`` only ``Q``, ``c`` and ``r0``; each reads
+its dimension off them, and ``MaxAffine.pieces`` is a view of its (a, b) rows.
+``max_affine`` and ``quadratic`` are the constructors from pairs and from Q.
+
 Every function has one normal form (``normal_form``): its max-affine blocks
 in order plus at most one quadratic, the sum of its quadratic parts.  All
 values, subgradients and subdifferentials are computed from it, and
@@ -26,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,71 +44,63 @@ SYMMETRY_TOL = 1e-10
 MAX_GENERATOR_FLOATS = 2**24  # 128 MiB of float64 generators
 
 
-@dataclass(frozen=True)
-class AffinePiece:
-    """One affine piece x -> a . x + b."""
+class AffinePiece(NamedTuple):
+    """One affine piece x -> a . x + b: a row of ``MaxAffine.pieces``."""
 
     a: np.ndarray
     b: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_vector(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        if not np.isfinite(self.b):
-            raise ValueError("offset must be finite")
-
 
 @dataclass(frozen=True)
 class MaxAffine:
-    """Pointwise maximum of finitely many affine pieces."""
+    """Pointwise maximum of the affine pieces x -> matrix[i] . x + offsets[i]."""
 
-    dim: int
-    pieces: tuple[AffinePiece, ...]
+    matrix: np.ndarray
+    offsets: np.ndarray
 
     def __post_init__(self):
-        pieces = tuple(
-            p if isinstance(p, AffinePiece) else AffinePiece(*p) for p in self.pieces
-        )
-        if not pieces:
+        matrix = as_matrix(self.matrix)
+        if not len(matrix):
             raise ValueError("a max-affine function needs at least one piece")
-        for p in pieces:
-            if p.a.shape[0] != self.dim:
-                raise DimensionMismatch(
-                    f"piece gradient has dimension {p.a.shape[0]}, function has {self.dim}"
-                )
-        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "offsets", as_vector(self.offsets, len(matrix)))
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Piece gradients stacked as rows, shape (pieces, dim)."""
-        return np.array([p.a for p in self.pieces])
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        return np.array([p.b for p in self.pieces])
+    @property
+    def pieces(self) -> tuple[AffinePiece, ...]:
+        """The (a, b) rows of ``matrix`` and ``offsets``."""
+        return tuple(map(AffinePiece, self.matrix, self.offsets.tolist()))
 
 
 @dataclass(frozen=True)
 class Quadratic:
     """x -> x^T Q x + c . x + r0 with Q symmetric positive semidefinite."""
 
-    dim: int
     Q: np.ndarray
     c: np.ndarray
     r0: float = 0.0
 
     def __post_init__(self):
-        Q = as_matrix(self.Q, (self.dim, self.dim))
-        c = as_vector(self.c, self.dim)
+        Q = as_matrix(self.Q)
+        if Q.shape[0] != Q.shape[1]:
+            raise DimensionMismatch(f"Q must be square, got shape {Q.shape}")
+        c = as_vector(self.c, len(Q))
         if np.max(np.abs(Q - Q.T), initial=0.0) > SYMMETRY_TOL:
             raise ValueError("Q must be symmetric within 1e-10")
-        if self.dim > 0 and float(np.min(np.linalg.eigvalsh(Q))) < PSD_FLOOR:
+        if len(Q) and float(np.min(np.linalg.eigvalsh(Q))) < PSD_FLOOR:
             raise ValueError("Q must be positive semidefinite (eigenvalue floor -1e-8)")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "r0", float(self.r0))
         if not np.isfinite(self.r0):
             raise ValueError("constant term must be finite")
+
+    @property
+    def dim(self) -> int:
+        return len(self.Q)
 
 
 @dataclass(frozen=True)
@@ -130,7 +128,7 @@ class SumFunction:
         quads = [q for _, q in forms if q is not None]
         if len(quads) > 1:
             Q, c, r0 = (_total([getattr(q, k) for q in quads]) for k in ("Q", "c", "r0"))
-            quads = [Quadratic(self.dim, Q, c, r0)]
+            quads = [Quadratic(Q, c, r0)]
         return tuple(b for blocks, _ in forms for b in blocks), (quads[0] if quads else None)
 
 
@@ -138,18 +136,19 @@ ConvexFunction = MaxAffine | Quadratic | SumFunction
 
 
 def quadratic(Q, c=None, r0: float = 0.0) -> Quadratic:
-    """Convenience constructor that infers the dimension from Q."""
+    """Convenience constructor whose linear term defaults to zero."""
     Q = as_matrix(Q)
-    dim = Q.shape[0]
-    if c is None:
-        c = np.zeros(dim)
-    return Quadratic(dim, Q, c, r0)
+    return Quadratic(Q, np.zeros(len(Q)) if c is None else c, r0)
 
 
 def max_affine(pieces) -> MaxAffine:
-    """Convenience constructor that infers the dimension from the first piece."""
-    pieces = tuple(p if isinstance(p, AffinePiece) else AffinePiece(*p) for p in pieces)
-    return MaxAffine(pieces[0].a.shape[0] if pieces else 0, pieces)
+    """Convenience constructor from (a, b) pairs, one per piece x -> a . x + b."""
+    pieces = tuple(pieces)
+    if not pieces:
+        raise ValueError("a max-affine function needs at least one piece")
+    if len({np.shape(a) for a, _ in pieces}) > 1:
+        raise DimensionMismatch("piece gradients differ in dimension")
+    return MaxAffine([a for a, _ in pieces], [b for _, b in pieces])
 
 
 @dataclass(frozen=True)
@@ -233,7 +232,7 @@ def epigraph(d: int, blocks, radius: float, halfspaces, fiber):
     changes marginal solutions in the last bits, and the report digests.
     """
     p = len(blocks)
-    sizes = [len(block.pieces) for block in blocks]
+    sizes = [len(block.offsets) for block in blocks]
     A_ub = np.zeros((sum(sizes) + len(halfspaces), d + p))
     A_ub[:, :d] = np.vstack([block.matrix for block in blocks] + [np.reshape([g for g, _ in halfspaces], (-1, d))])
     A_ub[np.arange(sum(sizes)), d + np.repeat(np.arange(p), sizes)] = -1.0

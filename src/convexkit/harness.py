@@ -58,13 +58,9 @@ def gen_coercive_max_affine(dim: int, pieces: int, rng: np.random.Generator) -> 
     function grows along every ray and inner minima over fibers always exist.
     """
     f = gen_max_affine(dim, pieces, rng)
-    rows = [(p.a, p.b) for p in f.pieces]
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 2.0
-        rows.append((e.copy(), -2.0))
-        rows.append((-e, -2.0))
-    return fn.max_affine(rows)
+    e = 2.0 * np.eye(dim)
+    bounds = np.stack([e, -e], axis=1).reshape(2 * dim, dim)  # the rows 2 e_j and -2 e_j, j in order
+    return fn.MaxAffine(np.vstack([f.matrix, bounds]), np.concatenate([f.offsets, np.full(2 * dim, -2.0)]))
 
 
 def gen_flat_max_affine(dim: int, pieces: int, rng: np.random.Generator) -> fn.MaxAffine:

@@ -18,6 +18,8 @@ Matrices are dense row-major lists of rows.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .functions import MaxAffine, Quadratic, SumFunction, max_affine, quadratic
 from .linalg import as_matrix, as_vector
 
@@ -26,7 +28,7 @@ def function_to_json(f) -> dict:
     if isinstance(f, MaxAffine):
         return {
             "type": "max_affine",
-            "pieces": [{"a": p.a.tolist(), "b": p.b} for p in f.pieces],
+            "pieces": [{"a": a, "b": b} for a, b in zip(f.matrix.tolist(), f.offsets.tolist())],
         }
     if isinstance(f, Quadratic):
         return {
@@ -47,7 +49,8 @@ def function_from_json(doc: dict):
     if kind == "max_affine":
         return max_affine((p["a"], p["b"]) for p in doc["pieces"])
     if kind == "quadratic":
-        return quadratic(doc["Q"], doc.get("c"), doc.get("r0", 0.0))
+        Q = doc["Q"]  # a 0 x 0 matrix is written as []
+        return quadratic(np.zeros((0, 0)) if np.shape(Q) == (0,) else Q, doc.get("c"), doc.get("r0", 0.0))
     if kind == "sum":
         parts = tuple(function_from_json(p) for p in doc["parts"])
         if not parts:

@@ -284,13 +284,12 @@ def lemma2_check(f, S, *, seed: int = 0) -> TrialResult:
         i, j = np.triu_indices(len(probes), 1)
         spread = float(np.max(row_norms(probes[i] - probes[j])))
         separation = max(MIN_PAIR_SEPARATION, min(0.1, 0.25 * spread))
-        strict_pairs = []
-        attempts = 0
-        while len(strict_pairs) < MIDPOINT_PAIRS and attempts < 200 * MIDPOINT_PAIRS:
-            attempts += 1
-            xy = sample_x(2)
-            if float(np.linalg.norm(xy[0] - xy[1])) >= separation:
-                strict_pairs.append(xy)
+        strict_pairs = []  # the first MIDPOINT_PAIRS separated pairs of at most 200 * MIDPOINT_PAIRS drawn
+        for _ in range(200):
+            P = sample_x(2 * MIDPOINT_PAIRS).reshape(MIDPOINT_PAIRS, 2, -1)
+            strict_pairs.extend(P[row_norms(P[:, 0] - P[:, 1]) >= separation])
+            if len(strict_pairs) >= MIDPOINT_PAIRS:
+                break
         if len(strict_pairs) < MIDPOINT_PAIRS:
             checks.append(
                 CheckResult(
@@ -301,7 +300,7 @@ def lemma2_check(f, S, *, seed: int = 0) -> TrialResult:
                 )
             )
         else:
-            gap, pair, *_ = _least_gap(h, *np.stack(strict_pairs, axis=1))
+            gap, pair, *_ = _least_gap(h, *np.stack(strict_pairs[:MIDPOINT_PAIRS], axis=1))
             passed = bool(gap > STRICT_GAP)
             checks.append(
                 CheckResult(name="strict_convexity", passed=passed, gap=gap, witness=None if passed else pair)

@@ -40,7 +40,6 @@ that the tests keep as the reference, bit for bit on finite tableaux.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,23 +103,23 @@ def _run_stack(T, basis, structural, columns) -> list:
         column = t[s, :, col]
         entries = column[:, :-1]
         ratios = np.divide(rhs, entries, out=no_ratios[: live.size].copy(), where=entries > PIVOT_TOL)
-        # each tableau's tie bound on its least ratio, in Python floats; NaN where no row blocks
-        bound = [r + 1e-12 * (1.0 + abs(r)) for r in np.fmin.reduce(ratios, axis=1).tolist()]
-        if any(map(math.isnan, bound)):  # a tableau stops
-            stop = np.isnan(bound)
+        # each tableau's tie bound on its least ratio; NaN where no row blocks
+        least = np.fmin.reduce(ratios, axis=1)
+        bound = least + 1e-12 * (1.0 + np.abs(least))
+        stop = np.isnan(bound)
+        if stop.any():  # a tableau stops
             for j, entering in enumerate(col.tolist()):
                 if stop[j] and entering < structural:  # the guard enters only at an optimum
                     failures[live[j]] = SolverFailure("no blocking row for the entering column")
             if t is not T:
                 T[live[stop]], basis[live[stop]] = t[stop], b[stop]
-            if all(map(math.isnan, bound)):
+            if stop.all():
                 return failures
             keep = ~stop
-            live, t, b, col, column, ratios = (a[keep] for a in (live, t, b, col, column, ratios))
+            live, t, b, col, column, ratios, bound = (a[keep] for a in (live, t, b, col, column, ratios, bound))
             s = s[: live.size]
             obj, rhs = t[:, -1, : structural + 1], t[:, :-1, -1]
-            bound = [r for r, kept in zip(bound, keep) if kept]
-        ties = ratios <= np.array(bound)[:, None]
+        ties = ratios <= bound[:, None]
         row = np.where(ties, b, columns).argmin(axis=1)  # Bland: smallest basic index leaves
         _pivot_stack(t, b, s, row, col, column)
     for j in live:

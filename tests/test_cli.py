@@ -1,6 +1,7 @@
 """Tests for the command line front end, run in-process via main()."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,24 @@ def test_query_input_errors_exit_two(tmp_path, capsys):
         rc = main(parse_args(["query", op, "--instance", path, "--x", "0"]))
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: bad instance or point: ") and "Traceback" not in err, path
+
+    # arithmetic that overflows is refused as bad input: no numpy warning, no Infinity printed
+    quad = {"type": "quadratic", "Q": [[1.0]]}
+    overflows = [
+        ("argmin-member", {"f": ABS_DOC, "domain": {"box_radius": 1e308}}, "0"),
+        ("subdiff", {"type": "quadratic", "Q": [[1e308, 0.0], [0.0, 1e308]]}, "1e308,1e308"),
+        ("argmin-member", {"f": quad, "domain": {"box_radius": 2.0}}, "1e200"),
+        ("marginal", {"marginal": {"f": quad, "S": [[1.0]]}}, "1e200"),
+    ]
+    for i, (op, doc, x) in enumerate(overflows):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(parse_args(["query", op, "--instance", _write(tmp_path / f"over{i}.json", doc), "--x", x]))
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "") and err.startswith("error: bad instance or point: ") and "overflow" in err, op
+    huge = _write(tmp_path / "huge.json", {"f": ABS_DOC, "domain": {"box_radius": 1e200}})
+    assert main(parse_args(["query", "argmin-member", "--instance", huge, "--x", "0"])) == 0
+    assert json.loads(capsys.readouterr().out)["member"] is True
 
     # configs built by hand, as bench/workloads.py builds them
     assert main(CliConfig(command="bogus")) == 2

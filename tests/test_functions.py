@@ -1,5 +1,6 @@
 """Tests for the convex function families and their subdifferential calculus."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,6 @@ from numpy.testing import assert_allclose
 from convexkit import functions
 from convexkit.errors import ConvexKitError, DimensionMismatch, SubdifferentialTooLarge
 from convexkit.functions import (
-    AffinePiece,
     MaxAffine,
     Polytope,
     Quadratic,
@@ -374,7 +374,13 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         quadratic(np.array([[-1.0]]))  # not PSD
     with pytest.raises(DimensionMismatch):
-        MaxAffine(3, (AffinePiece(np.array([1.0, 2.0]), 0.0),))
+        max_affine([((1.0, 2.0), 0.0), ((1.0,), 0.0)])  # ragged piece gradients
+    with pytest.raises(DimensionMismatch):
+        MaxAffine(np.ones((2, 3)), np.zeros(3))  # one offset per row
+    with pytest.raises(ValueError, match="at least one piece"):
+        MaxAffine(np.zeros((0, 2)), np.zeros(0))
+    with pytest.raises(DimensionMismatch):
+        Quadratic(np.ones((2, 3)), np.zeros(2))  # Q is square
     with pytest.raises(DimensionMismatch):
         SumFunction(2, (ABS, SQUARED_NORM))
     with pytest.raises(ValueError):
@@ -383,8 +389,8 @@ def test_validation_errors():
         evaluate(ABS, (1.0, 2.0))
     with pytest.raises(ValueError):
         Polytope(np.zeros((0, 2)))
-    with pytest.raises(ValueError, match="offset must be finite"):
-        AffinePiece(np.array([1.0]), np.inf)
+    with pytest.raises(ValueError, match="must be finite"):
+        max_affine([((1.0,), np.inf)])
     with pytest.raises(ValueError, match="constant term must be finite"):
         quadratic(np.eye(1), r0=np.nan)
     with pytest.raises(TypeError, match="not a convex function: str"):
@@ -402,6 +408,48 @@ def test_validation_errors():
         function_from_json({"type": "norm"})
     with pytest.raises(TypeError, match="not a convex function: dict"):
         function_to_json(ABS_DOC)
+
+
+def _per_piece_json(f) -> dict:
+    """The function writer as it walked one (a, b) piece at a time: the byte reference for ``function_to_json``."""
+    if isinstance(f, MaxAffine):
+        return {"type": "max_affine", "pieces": [{"a": p.a.tolist(), "b": p.b} for p in f.pieces]}
+    if isinstance(f, Quadratic):
+        return {"type": "quadratic", "Q": f.Q.tolist(), "c": f.c.tolist(), "r0": f.r0}
+    return {"type": "sum", "parts": [_per_piece_json(p) for p in f.parts]}
+
+
+def test_function_documents_round_trip():
+    """Reading a function document and writing it back gives the document, in the per-piece writer's bytes.
+
+    Max-affine documents carry a -0.0 offset, sums nest, and R^0 functions
+    have (k, 0) gradient matrices and a 0 x 0 ``Q``, written as [].
+    """
+    rng = np.random.default_rng(19)
+
+    def draw(d, depth):
+        kind = int(rng.integers(3 if depth else 2))
+        if kind == 0:
+            k = int(rng.integers(1, 5))
+            b = rng.uniform(-2.0, 2.0, k)
+            b[int(rng.integers(k))] = -0.0
+            A = rng.uniform(-2.0, 2.0, (k, d))
+            return {"type": "max_affine", "pieces": [{"a": a, "b": v} for a, v in zip(A.tolist(), b.tolist())]}
+        if kind == 1:
+            A = rng.uniform(-1.0, 1.0, (d, d))
+            Q = A.T @ A
+            return {"type": "quadratic", "Q": Q.tolist(), "c": rng.uniform(-1.0, 1.0, d).tolist(), "r0": float(rng.uniform(-1.0, 1.0))}
+        return {"type": "sum", "parts": [draw(d, depth - 1) for _ in range(int(rng.integers(1, 4)))]}
+
+    kinds = set()
+    for d in (0, 0, 0, 1, 2, 3, 5) * 6:
+        doc = draw(d, 2)
+        f = function_from_json(doc)
+        assert f.dim == d
+        assert function_to_json(f) == doc
+        assert json.dumps(function_to_json(f)) == json.dumps(_per_piece_json(f)) == json.dumps(doc)
+        kinds.add((d == 0, doc["type"]))
+    assert len(kinds) == 6
 
 
 def test_psd_accepts_semidefinite():
@@ -428,7 +476,7 @@ def _marginal_outcome(f):
 )
 def test_nested_sum_agrees_with_flattened(Q1, Q2):
     nested = SumFunction(2, (SumFunction(2, (ONE_NORM, Q1)), INF_NORM, Q2))
-    flat = SumFunction(2, (ONE_NORM, INF_NORM, Quadratic(2, Q1.Q + Q2.Q, Q1.c + Q2.c, Q1.r0 + Q2.r0)))
+    flat = SumFunction(2, (ONE_NORM, INF_NORM, Quadratic(Q1.Q + Q2.Q, Q1.c + Q2.c, Q1.r0 + Q2.r0)))
     blocks, quad = normal_form(nested)
     assert len(blocks) == 2 and blocks[0] is ONE_NORM and blocks[1] is INF_NORM
     assert_allclose(quad.Q, Q1.Q + Q2.Q)

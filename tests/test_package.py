@@ -1,5 +1,6 @@
 """Tests for the package's public surface."""
 
+import ast
 import contextlib
 import importlib.util
 import json
@@ -11,12 +12,30 @@ import convexkit
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
+SRC = Path(convexkit.__file__).resolve().parent
+# aliases bound only so that the benchmark's tracer can wrap them
+BENCH_ALIASES = {("marginal", "solve_anchor"), ("restriction", "kernel"), ("restriction", "solve_anchor")}
 
 
 def test_every_export_resolves():
     """Each name in ``__all__`` is bound on the package, so no export outlives its definition."""
     missing = [name for name in convexkit.__all__ if not hasattr(convexkit, name)]
     assert missing == []
+
+
+def test_src_imports_are_used():
+    """No module but ``__init__`` imports a name it never reads, except the aliases the benchmark wraps."""
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        bound = {(a.asname or a.name).split(".")[0] for n in imports if getattr(n, "module", None) != "__future__" for a in n.names}
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused |= {(path.stem, name) for name in bound - read}
+    assert len(list(SRC.glob("*.py"))) > 10
+    assert sorted(unused - BENCH_ALIASES) == []
 
 
 def test_benchmark_binding_sites_resolve():
