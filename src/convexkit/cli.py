@@ -7,8 +7,9 @@ Two subcommands:
 
 Exit codes: 0 success, 1 a check failed or the math rejected the query
 (infeasible fiber, domain violation, ...), 2 bad input (unreadable file,
-malformed JSON or vector, unusable flag values, or a query whose arithmetic
-overflows, such as a huge box radius or point).
+malformed JSON or vector, a function document or point of the wrong shape,
+unusable flag values, or a query whose arithmetic overflows, such as a huge
+box radius or point).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import argmin as argmin_mod
 from . import marginal as marginal_mod
-from .errors import ConvexKitError
+from .errors import ConvexKitError, DimensionMismatch
 from .functions import evaluate, subdifferential
 from .harness import RunConfig, run_suite
 from .instances import domain_from_json, function_from_json
@@ -171,7 +172,9 @@ def _query(config: CliConfig) -> int:
     try:
         with np.errstate(over="raise", invalid="raise"):  # an overflow is an input too large to answer
             result = _run_query(config)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError, RecursionError, FloatingPointError) as exc:
+    except (
+        OSError, json.JSONDecodeError, KeyError, ValueError, TypeError, RecursionError, FloatingPointError, DimensionMismatch
+    ) as exc:
         print(f"error: bad instance or point: {exc}", file=sys.stderr)
         return 2
     except ConvexKitError as exc:

@@ -21,6 +21,7 @@ import numpy as np
 from . import argmin, marginal, restriction
 from . import functions as fn
 from .errors import FiberTooLarge, SolverFailure
+from .linalg import row_norms
 from .report import CheckResult, SuiteReport, TrialResult
 from .restriction import make_fiber
 
@@ -43,12 +44,14 @@ def _trial_seed(seed: int, stream: int, index: int) -> int:
 
 
 def gen_max_affine(dim: int, pieces: int, rng: np.random.Generator) -> fn.MaxAffine:
-    """Random pieces with coefficients and offsets in [-2, 2]."""
-    rows = [
-        (rng.uniform(-2.0, 2.0, dim), float(rng.uniform(-2.0, 2.0)))
-        for _ in range(pieces)
-    ]
-    return fn.max_affine(rows)
+    """Random pieces with coefficients and offsets in [-2, 2].
+
+    One (pieces, dim + 1) block, each row a piece's gradient then its offset:
+    the same stream and the same doubles as drawing each piece's gradient and
+    then its offset in turn.
+    """
+    block = rng.uniform(-2.0, 2.0, (pieces, dim + 1))
+    return fn.MaxAffine(block[:, :dim], block[:, dim])
 
 
 def gen_coercive_max_affine(dim: int, pieces: int, rng: np.random.Generator) -> fn.MaxAffine:
@@ -150,6 +153,24 @@ class RunConfig:
     oracle_pitch: float | None = None
 
 
+def _slice_directions(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Five unit directions in the row span of ``basis``, mapped from uniform coordinates.
+
+    Each round draws the missing directions as one block and maps it with one
+    stacked product, whose rows equal their one-row products bit for bit; rows
+    of norm at most 1e-9 are dropped and redrawn in the next round, so the
+    kept rows are those of drawing one direction at a time, in draw order.
+    """
+    directions = np.empty((0, basis.shape[1]))
+    while len(directions) < 5:
+        U = rng.uniform(-1.0, 1.0, (5 - len(directions), basis.shape[0]))
+        V = (basis.T @ U[:, :, None])[:, :, 0]
+        norms = row_norms(V)
+        keep = norms > 1e-9
+        directions = np.vstack([directions, V[keep] / norms[keep, None]])
+    return directions
+
+
 def _lemma1_trial(index: int, config: RunConfig) -> TrialResult:
     rng = trial_rng(config.seed, SUITE_STREAMS["lemma1"], index)
     dim = int(rng.integers(2, max(3, config.dim + 1)))
@@ -158,13 +179,7 @@ def _lemma1_trial(index: int, config: RunConfig) -> TrialResult:
     zeta = S @ rng.uniform(-1.0, 1.0, dim)
     fiber = make_fiber(S, zeta)
     w = rng.uniform(-1.0, 1.0, fiber.fiber_dim)
-    directions = []
-    while len(directions) < 5:
-        u = rng.uniform(-1.0, 1.0, fiber.fiber_dim)
-        v = fiber.kernel_basis.basis.T @ u
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-9:
-            directions.append(v / norm)
+    directions = _slice_directions(fiber.kernel_basis.basis, rng)
     f = gen_max_affine(dim, int(rng.integers(3, 13)), rng)
     return restriction.lemma1_check(
         restriction.RestrictedFunction(f, fiber),

@@ -13,7 +13,11 @@ Langou & Rozložník, Comput. Math. Appl. 50, 2005).  ``row_space`` runs it over
 the rows of a matrix with one round and the rank threshold RANK_TOL relative
 to the largest row norm, so it is scale invariant; ``complement`` runs it over
 the identity vectors against a basis with two rounds and the threshold
-RANK_TOL; ``kernel`` is the complement of the row space.
+RANK_TOL; ``kernel`` is the complement of the row space.  The first strip
+of the fixed basis needs no accepted row, so it runs on the whole sequence as
+one stack; accepted rows fill a preallocated basis, and the loop stops once
+its dimension and the fixed basis's add up to the ambient one, which changes
+no result (``_orthonormalize`` says why).
 
 Solving ``S y = zeta`` for many right-hand sides goes through one reusable
 AnchorMap: ``anchor_map(S)`` factors S once (its row-space basis, ``M`` and
@@ -102,16 +106,34 @@ def _orthonormalize(V: np.ndarray, fixed: np.ndarray, threshold: float, rounds: 
     modified Gram-Schmidt leaks for near-dependent input, and the strip of
     both bases is repeated ``rounds`` times.  A row whose residual norm is
     at most ``threshold`` is dropped, any other is normalized and kept.
+
+    The first two strips of ``fixed`` need no kept row, so they run on all
+    of V as one stack: on C-ordered rows the stacked matmuls make the same
+    per-row gemv calls as one row at a time.  Kept rows fill a preallocated
+    (n - len(fixed), n) basis, and the loop stops once it is full.  That
+    stop changes no result: with no ``fixed`` rows a further kept row would
+    be an (n + 1)-th orthonormal row in R^n, which Subspace refuses, and
+    once the kept rows and ``fixed`` fill R^n each further row strips to
+    rounding noise far below RANK_TOL.
     """
-    rows = np.zeros((0, V.shape[1]))
+    n = V.shape[1]
+    basis = np.empty((n - len(fixed), n))
+    if len(fixed) and len(basis):
+        for _ in range(2):
+            V = V - (fixed.T @ (fixed @ V[:, :, None]))[:, :, 0]
+    k = 0
     for u in V:
-        for B in (fixed, fixed, rows, rows) * rounds:
+        if k == len(basis):
+            break
+        rows = basis[:k]
+        for B in (rows, rows) + (fixed, fixed, rows, rows) * (rounds - 1):
             if len(B):
                 u = u - B.T @ (B @ u)
         norm = float(np.linalg.norm(u))
         if norm > threshold:
-            rows = np.vstack([rows, u / norm])
-    return Subspace(rows)
+            basis[k] = u / norm
+            k += 1
+    return Subspace(basis[:k])
 
 
 def row_space(S) -> Subspace:

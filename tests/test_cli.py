@@ -224,6 +224,17 @@ def test_query_input_errors_exit_two(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: bad instance or point: ") and "Traceback" not in err, path
 
+    # a malformed function document or a point of the wrong length is bad input, not a math refusal
+    shapes = [
+        ({"type": "quadratic", "Q": 5}, "0", "expected a matrix, got shape ()"),
+        ({"type": "max_affine", "pieces": [{"a": [1.0, 0.0], "b": 0.0}, {"a": [1.0], "b": 0.0}]}, "0,0", "piece gradients differ"),
+        (ABS_DOC, "", "expected dimension 1, got 0"),
+    ]
+    for i, (doc, x, message) in enumerate(shapes):
+        rc = main(parse_args(["query", "subdiff", "--instance", _write(tmp_path / f"shape{i}.json", doc), "--x", x]))
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "") and err.startswith("error: bad instance or point: ") and message in err, doc
+
     # arithmetic that overflows is refused as bad input: no numpy warning, no Infinity printed
     quad = {"type": "quadratic", "Q": [[1.0]]}
     overflows = [

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from convexkit import argmin, cli, harness, marginal, restriction, simplex
 from convexkit.errors import FiberTooLarge
-from convexkit.functions import evaluate, quadratic
+from convexkit.functions import evaluate, max_affine, quadratic
 from convexkit.harness import (
     RunConfig,
     brute_force_min_over_fiber,
@@ -18,6 +18,7 @@ from convexkit.harness import (
     run_suite,
     trial_rng,
 )
+from convexkit.linalg import kernel
 from convexkit.marginal import MinimizationWitness
 from convexkit.report import report_to_dict, report_to_json
 
@@ -249,3 +250,71 @@ def test_value_error_is_a_recorded_trial(monkeypatch, tmp_path, capsys):
     assert cli.main(cli.parse_args(["verify", "--suite", "lemma1", "--trials", "4", "--out", str(out)])) == 1
     assert out.read_bytes() == report_to_json(report).encode()
     assert "lemma1: pass=3 fail=1 skip=0" in capsys.readouterr().out
+
+
+# --- the block draws against the one-at-a-time loops they replaced ------------------
+
+
+def _reference_gen_max_affine(dim, pieces, rng):
+    """The per-piece draw loop gen_max_affine replaced, kept as the bit-exact reference."""
+    return max_affine([(rng.uniform(-2.0, 2.0, dim), float(rng.uniform(-2.0, 2.0))) for _ in range(pieces)])
+
+
+def _reference_directions(basis, rng):
+    """The one-at-a-time direction loop of the lemma1 trial, kept as the bit-exact reference."""
+    directions = []
+    while len(directions) < 5:
+        v = basis.T @ rng.uniform(-1.0, 1.0, basis.shape[0])
+        norm = float(np.linalg.norm(v))
+        if norm > 1e-9:
+            directions.append(v / norm)
+    return np.array(directions)
+
+
+def test_gen_max_affine_matches_per_piece_draws():
+    """One block draw gives the per-piece loop's matrix and offsets byte for byte, and leaves the stream where it did."""
+    for seed in range(400):
+        dim, pieces = 1 + seed % 8, 1 + (seed * 7) % 12
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        f, want = gen_max_affine(dim, pieces, a), _reference_gen_max_affine(dim, pieces, b)
+        assert f.matrix.tobytes() == want.matrix.tobytes() and f.matrix.shape == (pieces, dim)
+        assert f.offsets.tobytes() == want.offsets.tobytes()
+        assert a.uniform() == b.uniform()
+
+
+def test_slice_directions_match_one_at_a_time_draws():
+    """The stacked directions are the reference loop's, byte for byte, and leave the stream where it did."""
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 7
+        basis = kernel(rng.uniform(-1.0, 1.0, (int(rng.integers(1, n)), n))).basis
+        a, b = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
+        V, want = harness._slice_directions(basis, a), _reference_directions(basis, b)
+        assert V.shape == want.shape == (5, n) and V.tobytes() == want.tobytes()
+        assert a.uniform() == b.uniform()
+
+
+class _Rows:
+    """A stand-in generator that hands out fixed rows in order, as one block or as one row a call."""
+
+    def __init__(self, rows):
+        self.rows, self.drawn = rows, 0
+
+    def uniform(self, low, high, size):
+        count = size[0] if isinstance(size, tuple) else 1
+        block = self.rows[self.drawn : self.drawn + count]
+        self.drawn += count
+        return block.copy() if isinstance(size, tuple) else block[0].copy()
+
+
+def test_slice_directions_redraw_zero_rows_after_the_block():
+    """A zero row is dropped and its replacement drawn after the block; kept rows stay in draw order."""
+    basis = kernel(np.array([[1.0, 2.0, -1.0]])).basis
+    rows = np.random.default_rng(5).uniform(-1.0, 1.0, (8, 2))
+    rows[[1, 3, 5]] = 0.0  # two zeros in the first block of 5, one in the block of 2 that replaces them
+    stub, ref = _Rows(rows), _Rows(rows)
+    V = harness._slice_directions(basis, stub)
+    assert V.tobytes() == _reference_directions(basis, ref).tobytes()
+    assert stub.drawn == ref.drawn == 8
+    kept = rows[[0, 2, 4, 6, 7]] @ basis
+    assert_allclose(V, kept / np.linalg.norm(kept, axis=1, keepdims=True), rtol=1e-15, atol=1e-15)

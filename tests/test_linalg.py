@@ -289,6 +289,9 @@ def test_orthonormal_bases_match_reference_loops_random():
 
     Full-rank, rank-deficient and empty operators, and the F-ordered
     transpose S.T, whose bases must equal those of its C-ordered copy.
+    Operators with more rows than columns and full column rank fill R^n, so
+    row_space stops before their last rows, and the complement of that
+    whole-space basis is (0, n) with no identity vector stripped.
     """
     rng = np.random.default_rng(41)
     for trial in range(300):
@@ -304,6 +307,17 @@ def test_orthonormal_bases_match_reference_loops_random():
             K = _reference_complement(want)
             assert complement(R).basis.shape == K.shape and complement(R).basis.tobytes() == K.tobytes()
             assert kernel(M).basis.tobytes() == K.tobytes()
+
+    tall = np.random.default_rng(43)
+    for _ in range(300):
+        n = int(tall.integers(1, 9))
+        T = _random_operator(tall, n + int(tall.integers(1, 5)), n, n) * 10.0 ** tall.uniform(-6, 6)
+        want = _reference_row_space(T)
+        R = row_space(T)
+        assert want.shape == (n, n) and R.basis.shape == want.shape and R.basis.tobytes() == want.tobytes()
+        K = _reference_complement(want)
+        assert K.shape == complement(R).basis.shape == (0, n) and complement(R).basis.tobytes() == K.tobytes()
+        assert kernel(T).basis.shape == (0, n)
 
 
 def test_anchor_map_of_f_ordered_operator_matches_c_ordered_copy():

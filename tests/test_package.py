@@ -53,11 +53,12 @@ def test_benchmark_binding_sites_resolve():
 def test_benchmark_passes_match_recorded_digests(workload, monkeypatch, tmp_path):
     """The first passes of each benchmark workload, run unwrapped as bench/record.py runs them, give their recorded digests.
 
-    64 passes of lemma2-marginal, so a change that moves the last bit of a
-    simplex solution or of a stacked marginal query fails here, not only in
-    the benchmark; 64 of lemma3-argmin, so does a harvest change that moves
-    one member; 8 of query-oneshot, so does one that moves a one-shot
-    marginal query.
+    16 passes of lemma1-fibers, so a change that moves the last bit of a
+    fiber basis or of a lemma1 draw fails here, not only in the benchmark;
+    64 of lemma2-marginal, so does one that moves a simplex solution or a
+    stacked marginal query; 64 of lemma3-argmin, so does a harvest change
+    that moves one member; 8 of query-oneshot, so does one that moves a
+    one-shot marginal query.
     """
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
@@ -69,7 +70,7 @@ def test_benchmark_passes_match_recorded_digests(workload, monkeypatch, tmp_path
             yield self
 
     recorded = json.loads((BENCH / "digests.json").read_text())[workload]["digests"]
-    for q in range({"lemma2-marginal": 64, "lemma3-argmin": 64, "query-oneshot": 8}.get(workload, 2)):
+    for q in range({"lemma1-fibers": 16, "lemma2-marginal": 64, "lemma3-argmin": 64, "query-oneshot": 8}[workload]):
         result = workloads.run_pass(workload, q, Unwrapped(False), tmp_path)
         assert (result.failed, result.problems) == (0, [])
         assert result.digest == recorded[str(q)], f"{workload} pass {q}"
