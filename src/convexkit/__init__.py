@@ -36,6 +36,7 @@ from .functions import (
     one_dim_subdifferential,
     quadratic,
     subdifferential,
+    support_function,
 )
 from .harness import RunConfig, brute_force_min_over_fiber, run_suite
 from .linalg import Subspace, kernel, project, row_space, solve_anchor
@@ -53,7 +54,6 @@ from .restriction import (
     make_fiber,
     restrict,
     restricted_subdifferential,
-    support_function,
 )
 
 __version__ = "0.1.0"

@@ -17,13 +17,13 @@ values, subgradients and subdifferentials are computed from it, and
 ``epigraph`` writes every row of the lifted program the solvers share: its
 blocks' piece rows, then a domain's halfspaces, then a fiber's equality rows.
 
-Subdifferentials are returned as polytopes in generator form; no inequality
-representation is ever needed because every question downstream is answered
-through support values.  For these families the generator sets are exact:
-active gradients for a max of affine pieces, the single gradient for a
-quadratic, and the Minkowski sum of the summands' sets for a sum (exact since
-every summand is finite everywhere).  All values involved are immutable;
-every operation here is a pure function of its arguments.
+A subdifferential is a polytope kept as one generator block per summand of
+the normal form (active gradients, or the quadratic's gradient): a sum's is
+the Minkowski sum of its summands' (exact since every summand is finite
+everywhere).  Support values add summand by summand (Rockafellar, Convex
+Analysis, Thm 23.8), so only ``Polytope.generators``, which the CLI prints,
+forms the product.  All values involved are immutable; every operation here
+is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -153,19 +153,46 @@ def max_affine(pieces) -> MaxAffine:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Convex hull of finitely many generator points (rows), in R^ambient_dim."""
+    """The Minkowski sum of the convex hulls of the generator blocks (rows) ``summands``, all in R^ambient_dim."""
 
-    generators: np.ndarray
+    summands: tuple
 
     def __post_init__(self):
-        g = as_matrix(self.generators)
-        if g.shape[0] == 0:
-            raise ValueError("a polytope needs at least one generator")
-        object.__setattr__(self, "generators", g)
+        blocks = tuple(map(as_matrix, self.summands))
+        if not blocks or not all(map(len, blocks)):
+            raise ValueError("a polytope needs at least one summand, each with at least one generator")
+        if len({s.shape[1] for s in blocks}) > 1:
+            raise DimensionMismatch("summands differ in dimension")
+        object.__setattr__(self, "summands", blocks)
 
     @property
     def ambient_dim(self) -> int:
-        return self.generators.shape[1]
+        return self.summands[0].shape[1]
+
+    @cached_property
+    def generators(self) -> np.ndarray:
+        """Every sum of one row per summand, the last varying fastest; refused above MAX_GENERATOR_FLOATS floats."""
+        count, dim = math.prod(map(len, self.summands)), self.ambient_dim
+        if count * dim > MAX_GENERATOR_FLOATS:
+            raise SubdifferentialTooLarge(
+                f"the Minkowski sum has {count} generators in R^{dim}, "
+                f"{count * dim} floats above the budget of {MAX_GENERATOR_FLOATS}"
+            )
+        gens = self.summands[0]
+        for more in self.summands[1:]:
+            gens = (gens[:, None, :] + more[None, :, :]).reshape(len(gens) * len(more), dim)
+        return gens
+
+
+def support_function(P: Polytope, v) -> float | np.ndarray:
+    """h_P(v) = max over P of the inner product with v: a float, or an array for a (k, dim) stack.
+
+    The maxima of the summands' blocks are summed in summand order.  Each row
+    equals its own call bit for bit (see ``linalg.project``).
+    """
+    V = as_rows(v, P.ambient_dim)[:, :, None]
+    h = _total([(s @ V)[:, :, 0].max(axis=1) for s in P.summands])
+    return h if np.ndim(v) == 2 else float(h[0])
 
 
 def normal_form(f: ConvexFunction) -> tuple[tuple[MaxAffine, ...], Quadratic | None]:
@@ -246,8 +273,13 @@ def epigraph(d: int, blocks, radius: float, halfspaces, fiber):
     return cost, A_ub, b_ub, np.hstack([fiber, np.zeros((len(fiber), p))]), lower, upper
 
 
-def _summand_generators(f, x, active_tol) -> list[np.ndarray]:
-    """Per summand of the normal form, the generators of its subdifferential."""
+def subdifferential(f: ConvexFunction, x, active_tol: float = ACTIVE_TOL) -> Polytope:
+    """The subdifferential at ``x``: a polytope with one generator block per summand of the normal form.
+
+    A max-affine block gives its active gradients, the quadratic its
+    gradient.  ``active_tol`` is relative: a piece counts as active when its
+    value is within active_tol * (|max| + 1) of its block's maximum.
+    """
     x = as_vector(x, f.dim)
     if active_tol < 0:
         raise ValueError("active_tol must be nonnegative")
@@ -259,43 +291,21 @@ def _summand_generators(f, x, active_tol) -> list[np.ndarray]:
         sets.append(b.matrix[values >= top - active_tol * (abs(top) + 1.0)])
     if quad is not None:
         sets.append(_gradient(quad, x)[None, :])
-    return sets
-
-
-def subdifferential(f: ConvexFunction, x, active_tol: float = ACTIVE_TOL) -> Polytope:
-    """The subdifferential at ``x`` as a generator polytope.
-
-    ``active_tol`` is relative: a piece counts as active when its value is
-    within active_tol * (|max| + 1) of its block's maximum.  A sum's
-    generators are the Minkowski sum of its summands' sets; when that would
-    exceed MAX_GENERATOR_FLOATS floats, SubdifferentialTooLarge is raised
-    before anything is allocated.
-    """
-    sets = _summand_generators(f, x, active_tol)
-    count = math.prod(len(s) for s in sets)
-    if count * f.dim > MAX_GENERATOR_FLOATS:
-        raise SubdifferentialTooLarge(
-            f"the subdifferential has {count} generators in R^{f.dim}, "
-            f"{count * f.dim} floats above the budget of {MAX_GENERATOR_FLOATS}"
-        )
-    gens = sets[0]
-    for more in sets[1:]:
-        gens = (gens[:, None, :] + more[None, :, :]).reshape(len(gens) * len(more), f.dim)
-    return Polytope(gens)
+    return Polytope(tuple(sets))
 
 
 def one_dim_subdifferential(f: ConvexFunction, x, v, active_tol: float = ACTIVE_TOL) -> tuple:
     """Subdifferential interval of t -> f(x + t v) at t = 0, for one direction or each row of a (k, dim) stack.
 
     Returns (lo, hi) = (left derivative, right derivative), two floats or two
-    arrays; lo <= hi always.  Support values add over a Minkowski sum, so each
-    summand's interval is found on its own generators and the intervals are
-    summed.  The active sets are found once per call; each row's interval
-    equals its own call's bit for bit, as stacked matmuls make per-row gemvs.
+    arrays; lo <= hi always.  Each summand of ``subdifferential``'s polytope
+    gives an interval on its own block, and the intervals are summed.  The
+    active sets are found once per call; each row's interval equals its own
+    call's bit for bit, as stacked matmuls make per-row gemvs.
     """
     V = as_rows(v, f.dim)
     if not row_norms(V).all():
         raise ValueError("direction must be nonzero")
-    along = [(s @ V[:, :, None])[:, :, 0] for s in _summand_generators(f, x, active_tol)]
+    along = [(s @ V[:, :, None])[:, :, 0] for s in subdifferential(f, x, active_tol).summands]
     lo, hi = _total([a.min(axis=1) for a in along]), _total([a.max(axis=1) for a in along])
     return (lo, hi) if np.ndim(v) == 2 else (float(lo[0]), float(hi[0]))

@@ -11,6 +11,8 @@ dimensionally wrong for the restriction and the checks below catch it.)
 The projection identity is verified per direction through one-dimensional
 slices: for v in ker(S), the interval of t -> f(x + t v) at 0 must equal
 [-support(P, -v), support(P, v)] where P is the projected subdifferential.
+For a sum, P stays factored: each summand is projected on its own, and the
+supports add summand by summand, so no check forms the Minkowski product.
 A trial's directions are checked as one C-ordered stack with one active-set
 pass, each row bit for bit as one direction at a time.
 """
@@ -23,8 +25,8 @@ import numpy as np
 
 from . import functions
 from .errors import DimensionMismatch, DomainViolation
-from .functions import ACTIVE_TOL, Polytope, subdifferential
-from .instances import function_to_json, matrix_to_json, vector_to_json
+from .functions import ACTIVE_TOL, Polytope, subdifferential, support_function
+from .instances import function_to_json
 from .linalg import Subspace, anchor_map, as_rows, as_vector, complement, project, row_norms
 # unused, but bound here so that bench/tracing.py can wrap these binding sites
 from .linalg import kernel, solve_anchor  # noqa: F401
@@ -100,27 +102,18 @@ def restrict_evaluate(g: RestrictedFunction, w) -> float:
 
 
 def restricted_subdifferential(g: RestrictedFunction, w, active_tol: float = ACTIVE_TOL) -> Polytope:
-    """Subdifferential of the restriction: ambient generators projected onto ker(S).
+    """Subdifferential of the restriction: each summand's ambient generators projected onto ker(S).
 
-    Output generators are ambient vectors lying inside the kernel subspace.
-    A zero-dimensional fiber yields the singleton origin, without building
-    the ambient subdifferential it would discard.
+    Projection is linear, so the projected Minkowski sum is the sum of the
+    projected summands.  Output generators are ambient vectors lying inside
+    the kernel subspace.  A zero-dimensional fiber yields the singleton
+    origin, without building the ambient subdifferential it would discard.
     """
     x = embed(g.fiber, w)
     B = g.fiber.kernel_basis.basis
     if B.shape[0] == 0:
-        return Polytope(np.zeros((1, g.fiber.ambient_dim)))
-    P = subdifferential(g.f, x, active_tol)
-    return Polytope((P.generators @ B.T) @ B)
-
-
-def support_function(P: Polytope, v) -> float | np.ndarray:
-    """h_P(v) = max over generators of the inner product with v: a float, or an array for a (k, dim) stack.
-
-    Each row equals its own call bit for bit (see ``project``).
-    """
-    h = (P.generators @ as_rows(v, P.ambient_dim)[:, :, None])[:, :, 0].max(axis=1)
-    return h if np.ndim(v) == 2 else float(h[0])
+        return Polytope((np.zeros((1, g.fiber.ambient_dim)),))
+    return Polytope(tuple((s @ B.T) @ B for s in subdifferential(g.f, x, active_tol).summands))
 
 
 def lemma1_check(
@@ -146,33 +139,27 @@ def lemma1_check(
     x = embed(fiber, w)
     P = restricted_subdifferential(g, w, active_tol)
 
-    instance = {
-        "f": function_to_json(f),
-        "S": matrix_to_json(fiber.matrix),
-        "zeta": vector_to_json(fiber.target),
-        "w": vector_to_json(w),
-        "directions": [vector_to_json(v) for v in directions],
-        "seed": int(seed),
-        "suite": "lemma1",
-    }
-    checks: list[CheckResult] = []
-
-    # a direction of the wrong length is raised after the domain errors of those before it
-    V, late = [], None
-    for v in directions:
-        try:
-            V.append(as_vector(v, fiber.ambient_dim))
-        except DimensionMismatch as error:
-            late = error
-            break
-    V = np.array(V).reshape(len(V), fiber.ambient_dim)
+    # each direction is coerced once; one of the wrong length is raised after the domain errors of those before it
+    rows = [as_vector(v) for v in directions]
+    good = next((i for i, v in enumerate(rows) if len(v) != fiber.ambient_dim), len(rows))
+    V = np.array(rows[:good]).reshape(good, fiber.ambient_dim)
     norms = row_norms(V)
     off = row_norms(V - project(V, fiber.kernel_basis)) > 1e-9 * (1.0 + norms)
     bad = np.flatnonzero(off | (norms == 0.0))
     if bad.size:
         raise DomainViolation(f"direction {bad[0]} " + ("does not lie in the kernel of S" if off[bad[0]] else "is zero"))
-    if late is not None:
-        raise late
+    if good < len(rows):
+        raise DimensionMismatch(f"expected dimension {fiber.ambient_dim}, got {len(rows[good])}")
+    instance = {
+        "f": function_to_json(f),
+        "S": fiber.matrix.tolist(),
+        "zeta": fiber.target.tolist(),
+        "w": w.tolist(),
+        "directions": V.tolist(),
+        "seed": int(seed),
+        "suite": "lemma1",
+    }
+    checks: list[CheckResult] = []
     if len(V):  # a zero-dimensional fiber has no direction to check and needs no active set
         bounds = (*functions.one_dim_subdifferential(f, x, V, active_tol), -support_function(P, -V), support_function(P, V))
         for i, (v, lo, hi, want_lo, want_hi) in enumerate(zip(*(b.tolist() for b in (V, *bounds)))):
@@ -197,7 +184,7 @@ def lemma1_check(
             name="restricted_midpoint_convexity",
             passed=bool(gaps[worst] >= -CONVEXITY_SLACK),
             gap=float(gaps[worst]),
-            witness={"w1": vector_to_json(W1[worst]), "w2": vector_to_json(W2[worst])},
+            witness={"w1": W1[worst].tolist(), "w2": W2[worst].tolist()},
         )
     )
     return TrialResult(instance, checks)

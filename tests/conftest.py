@@ -17,7 +17,7 @@ def rowspace_version():
 
     def mutant(g, w, active_tol=ACTIVE_TOL):
         P = subdifferential(g.f, embed(g.fiber, w), active_tol)
-        R = row_space(g.fiber.matrix)
-        return Polytope((P.generators @ R.basis.T) @ R.basis)
+        R = row_space(g.fiber.matrix).basis
+        return Polytope(tuple((s @ R.T) @ R for s in P.summands))
 
     return mutant

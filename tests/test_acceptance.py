@@ -154,7 +154,11 @@ def test_criterion_7_mutation_sensitivity(monkeypatch, verdict, rowspace_version
     with monkeypatch.context() as patch:
         patch.setattr(restriction, "restricted_subdifferential", rowspace_version)
         mutated = run_suite("lemma1", RunConfig(trials=100, dim=6, seed=42))
-    lemma1_fails = sum(1 for t in mutated.trials if t.status == "fail")
+    lemma1_fails = sum(
+        1
+        for t in mutated.trials
+        if any(c.name.startswith("slice_interval_") and not c.passed for c in t.checks)
+    )
 
     def anchor_witness(h, x, **kwargs):
         fiber = make_fiber(h.S.T, np.asarray(x, dtype=float))

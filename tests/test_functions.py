@@ -1,5 +1,7 @@
 """Tests for the convex function families and their subdifferential calculus."""
 
+import functools
+import itertools
 import json
 import tracemalloc
 
@@ -23,6 +25,7 @@ from convexkit.functions import (
     one_dim_subdifferential,
     quadratic,
     subdifferential,
+    support_function,
 )
 from convexkit.argmin import PolyhedralDomain
 from convexkit.harness import gen_coercive_max_affine, gen_max_affine, gen_operator
@@ -197,6 +200,18 @@ def test_subdifferential_sum_is_minkowski_sum():
     assert got == {(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)}
 
 
+def test_generators_are_the_product_in_row_order():
+    """``Polytope.generators`` sums one row per summand, the first summand's row varying slowest, and is built once."""
+    rng = np.random.default_rng(5)
+    blocks = [rng.uniform(-1.0, 1.0, (m, 3)) for m in (2, 3, 1, 4)]
+    P = Polytope(tuple(blocks))
+    want = np.array([functools.reduce(np.add, rows) for rows in itertools.product(*blocks)])
+    assert P.generators.tobytes() == want.tobytes()
+    assert P.generators is P.generators
+    one = Polytope(blocks[:1])
+    assert one.generators is one.summands[0]
+
+
 def test_active_tolerance_is_relative():
     # two pieces within 5e-10 * (|max|+1) of each other: both active at default tol
     f = max_affine([((1.0,), 0.0), ((-1.0,), 5e-10)])
@@ -288,13 +303,13 @@ def test_subgradient_inequality_random():
 def test_one_dim_subdifferential_stack_matches_one_row_calls(monkeypatch):
     """A stack of directions gets each row's own interval bit for bit, at heights 0, 1 and 5, from one active-set pass."""
     calls = []
-    original = functions._summand_generators
+    original = functions.subdifferential
 
     def counted(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(functions, "_summand_generators", counted)
+    monkeypatch.setattr(functions, "subdifferential", counted)
     rng = np.random.default_rng(13)
     for _ in range(40):
         d = int(rng.integers(1, 7))
@@ -387,8 +402,11 @@ def test_validation_errors():
         SumFunction(2, ())
     with pytest.raises(DimensionMismatch):
         evaluate(ABS, (1.0, 2.0))
-    with pytest.raises(ValueError):
-        Polytope(np.zeros((0, 2)))
+    for summands in ((), (np.zeros((0, 2)),), (np.ones((1, 2)), np.zeros((0, 2)))):
+        with pytest.raises(ValueError, match="at least one summand"):
+            Polytope(summands)
+    with pytest.raises(DimensionMismatch, match="summands differ"):
+        Polytope((np.ones((1, 2)), np.ones((1, 3))))
     with pytest.raises(ValueError, match="must be finite"):
         max_affine([((1.0,), np.inf)])
     with pytest.raises(ValueError, match="constant term must be finite"):
@@ -501,9 +519,12 @@ def test_many_blocks_stay_implicit():
     try:
         # linear in the number of blocks: 12 blocks of 4 active pieces each
         assert one_dim_subdifferential(f, (0.0, 0.0), (1.0, 0.0)) == (-12.0, 12.0)
+        P = subdifferential(f, (0.0, 0.0))
+        assert [s.shape for s in P.summands] == [(4, 2)] * 12
+        assert support_function(P, (1.0, 0.0)) == 12.0
         # 4**12 generators in R^2 would take 256 MiB; the budget check comes first
         with pytest.raises(SubdifferentialTooLarge):
-            subdifferential(f, (0.0, 0.0))
+            P.generators
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -74,3 +74,23 @@ def test_benchmark_passes_match_recorded_digests(workload, monkeypatch, tmp_path
         result = workloads.run_pass(workload, q, Unwrapped(False), tmp_path)
         assert (result.failed, result.problems) == (0, [])
         assert result.digest == recorded[str(q)], f"{workload} pass {q}"
+
+
+@pytest.mark.parametrize("workload", ["lemma1-fibers", "lemma2-marginal", "lemma3-argmin", "query-oneshot"])
+def test_traced_benchmark_pass_matches_recorded_digest(workload, monkeypatch, tmp_path):
+    """Pass 0 of each benchmark workload, run with every layer wrapper of ``bench/tracing.py``, gives its recorded digest.
+
+    The wrappers and their extras call the library as a traced benchmark run
+    does, so a library change that breaks one (an extra reading an attribute
+    a result no longer has, say) fails here, not only in the benchmark.
+    """
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+    from tracing import Tracer
+
+    recorded = json.loads((BENCH / "digests.json").read_text())[workload]["digests"]
+    tracer = Tracer(True)
+    result = workloads.run_pass(workload, 0, tracer, tmp_path)
+    assert (result.failed, result.problems) == (0, [])
+    assert result.digest == recorded["0"]
+    assert not any(name.endswith(".error") for name, *_ in tracer.spans)

@@ -1,11 +1,13 @@
 """Tests for fibers, restricted subdifferentials, and the slice-interval checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from convexkit import functions, harness, linalg, restriction
-from convexkit.errors import DimensionMismatch, DomainViolation, InfeasibleFiber
+from convexkit.errors import DimensionMismatch, DomainViolation, InfeasibleFiber, SubdifferentialTooLarge
 from convexkit.functions import Polytope, SumFunction, max_affine, quadratic
 from convexkit.linalg import kernel, project, row_space, solve_anchor
 from convexkit.report import CheckResult, SuiteReport, TrialResult, report_to_json
@@ -137,9 +139,77 @@ def test_projection_containment_random():
 
 
 def test_support_function_examples():
-    square = Polytope(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
+    square = Polytope((np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]),))
     assert support_function(square, (1.0, 0.0)) == 1.0
     assert support_function(square, (1.0, 1.0)) == 2.0
+    # the same square as the Minkowski sum of two segments
+    segments = Polytope((np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([[0.0, 1.0], [0.0, -1.0]])))
+    assert support_function(segments, (1.0, 0.0)) == 1.0
+    assert support_function(segments, (1.0, 1.0)) == 2.0
+    assert {tuple(g) for g in segments.generators} == {tuple(g) for g in square.generators}
+
+
+def test_factored_supports_match_the_product_random():
+    """On sums of 1-4 blocks, with or without a quadratic, the summed supports of the subdifferential and its projection match the product's.
+
+    Within 1e-12 relative to the value (with a floor of 1), and bit for bit
+    on one summand, where the product is the summand and the projection is
+    the one product it always was.
+    """
+    rng = np.random.default_rng(47)
+    sums = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 6))
+        S = rng.uniform(-1.0, 1.0, (int(rng.integers(1, n + 1)), n))
+        fiber = make_fiber(S, S @ rng.uniform(-1.0, 1.0, n))
+        w = rng.uniform(-1.0, 1.0, fiber.fiber_dim)
+        x = embed(fiber, w)
+        parts = []
+        for _ in range(int(rng.integers(1, 5))):
+            A = rng.uniform(-2.0, 2.0, (5, n))
+            b = rng.uniform(-0.5, 0.5, 5)
+            shared = int(rng.integers(1, 5))
+            b[:shared] = 1.0 - A[:shared] @ x  # several pieces active at x
+            parts.append(max_affine(list(zip(A, b))))
+        if rng.integers(0, 2):
+            Q = rng.uniform(-1.0, 1.0, (n, n))
+            parts.append(quadratic(Q.T @ Q, c=rng.uniform(-1.0, 1.0, n)))
+        f = parts[0] if len(parts) == 1 else SumFunction(n, tuple(parts))
+        sums += len(parts) > 1
+        B = fiber.kernel_basis.basis
+        P = functions.subdifferential(f, x)
+        R = restricted_subdifferential(restriction.RestrictedFunction(f, fiber), w)
+        assert len(R.summands) == (len(parts) if len(B) else 1)
+        V = rng.uniform(-3.0, 3.0, (5, n))
+        for factored, product in ((P, P.generators), (R, (P.generators @ B.T) @ B)):
+            got = support_function(factored, V)
+            want = (product @ V[:, :, None])[:, :, 0].max(axis=1)
+            if len(parts) == 1:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+    assert sums > 100
+
+
+def test_lemma1_check_on_many_shared_kinks():
+    """k copies of |x1| + |x2| on the line {x1 = 0} give the interval [-k, k], and no Minkowski product is formed.
+
+    The product has 4^k generators: at 25 and 40 blocks only ``generators``
+    itself refuses it, and the check stays under 1 MB.
+    """
+    for k in (25, 40):
+        g = restrict(SumFunction(2, (ONE_NORM,) * k), np.array([[1.0, 0.0]]), np.array([0.0]))
+        tracemalloc.start()
+        try:
+            result = lemma1_check(g, (0.0,), [np.array([0.0, 1.0]), np.array([0.0, -2.0])], seed=k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.status == "pass" and peak < 1_000_000
+        assert result.checks[0].witness["interval"] == result.checks[0].witness["projected"] == [-k, k]
+        assert result.checks[1].witness["interval"] == [-2 * k, 2 * k]
+        with pytest.raises(SubdifferentialTooLarge):
+            restricted_subdifferential(g, (0.0,)).generators
 
 
 def test_lemma1_check_passes_on_known_instance():
@@ -254,9 +324,10 @@ def _reference_lemma1_check(g, w, directions, seed):
             raise DomainViolation(f"direction {i} does not lie in the kernel of S")
         if float(np.linalg.norm(v)) == 0.0:
             raise DomainViolation(f"direction {i} is zero")
-        along = [s @ v for s in functions._summand_generators(f, x, functions.ACTIVE_TOL)]
+        along = [s @ v for s in functions.subdifferential(f, x).summands]
         lo, hi = functions._total([float(np.min(a)) for a in along]), functions._total([float(np.max(a)) for a in along])
-        want_hi, want_lo = float(np.max(P.generators @ v)), -float(np.max(P.generators @ -v))
+        want_hi = functions._total([float(np.max(s @ v)) for s in P.summands])
+        want_lo = -functions._total([float(np.max(s @ -v)) for s in P.summands])
         gap = max(abs(lo - want_lo), abs(hi - want_hi))
         checks.append(
             CheckResult(f"slice_interval_{i}", gap <= restriction.SUPPORT_TOL, gap,
@@ -337,13 +408,16 @@ def test_lemma1_check_raises_in_direction_order():
 
 
 def test_support_function_stack_matches_one_row_calls():
-    """support_function of a stack is its one-direction call on every row, bit for bit, at heights 0, 1 and 5."""
+    """support_function of a stack is its one-direction call on every row, bit for bit, at heights 0, 1 and 5, on 1-3 summands."""
     rng = np.random.default_rng(43)
     for _ in range(40):
         n = int(rng.integers(1, 7))
-        G = rng.uniform(-2.0, 2.0, (int(rng.integers(1, 9)), n))
-        G[rng.uniform(size=G.shape) < 0.2] = 0.0
-        P = Polytope(np.vstack([G, -0.0 * G[:1]]))  # a generator of signed zeros
+        blocks = []
+        for _ in range(int(rng.integers(1, 4))):
+            G = rng.uniform(-2.0, 2.0, (int(rng.integers(1, 9)), n))
+            G[rng.uniform(size=G.shape) < 0.2] = 0.0
+            blocks.append(np.vstack([G, -0.0 * G[:1]]))  # a generator of signed zeros
+        P = Polytope(tuple(blocks))
         for height in (0, 1, 5):
             V = rng.uniform(-3.0, 3.0, (height, n))
             V[rng.uniform(size=V.shape) < 0.2] = 0.0
