@@ -25,7 +25,7 @@ from . import argmin as argmin_mod
 from . import marginal as marginal_mod
 from .errors import ConvexKitError, DimensionMismatch
 from .functions import evaluate, subdifferential
-from .harness import RunConfig, run_suite
+from .harness import RunConfig, config_error, run_suite
 from .instances import domain_from_json, function_from_json
 from .report import json_text, report_to_csv, report_to_json
 from .restriction import restrict, restricted_subdifferential
@@ -97,19 +97,10 @@ def _load_instance(path: str) -> dict:
 
 
 def _verify(config: CliConfig) -> int:
-    if config.run.trials < 0:
-        print("error: --trials must be nonnegative", file=sys.stderr)
+    if error := config_error(config.run):  # a RunConfig field is its flag's dest
+        field, requirement = error
+        print(f"error: --{field.replace('_', '-')} {requirement}", file=sys.stderr)
         return 2
-    if config.run.dim < 2:
-        print("error: --dim must be at least 2", file=sys.stderr)
-        return 2
-    if config.run.seed < 0:
-        print("error: --seed must be nonnegative", file=sys.stderr)
-        return 2
-    for flag in ("tol_active", "tol_support", "tol_membership"):
-        if not 0.0 <= getattr(config.run, flag) < np.inf:  # NaN fails both
-            print(f"error: --{flag.replace('_', '-')} must be finite and nonnegative", file=sys.stderr)
-            return 2
     report = run_suite(config.suite, config.run)
     out = config.out or ("report.json" if config.format == "json" else "report.csv")
     text = report_to_json(report) if config.format == "json" else report_to_csv(report)

@@ -21,9 +21,9 @@ A subdifferential is a polytope kept as one generator block per summand of
 the normal form (active gradients, or the quadratic's gradient): a sum's is
 the Minkowski sum of its summands' (exact since every summand is finite
 everywhere).  Support values add summand by summand (Rockafellar, Convex
-Analysis, Thm 23.8), so only ``Polytope.generators``, which the CLI prints,
-forms the product.  All values involved are immutable; every operation here
-is a pure function of its arguments.
+Analysis, Thm 23.8) and give the slice intervals (Thm 23.4), so only
+``Polytope.generators``, which the CLI prints, forms the product.  All values
+are immutable; every operation here is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -298,14 +298,13 @@ def one_dim_subdifferential(f: ConvexFunction, x, v, active_tol: float = ACTIVE_
     """Subdifferential interval of t -> f(x + t v) at t = 0, for one direction or each row of a (k, dim) stack.
 
     Returns (lo, hi) = (left derivative, right derivative), two floats or two
-    arrays; lo <= hi always.  Each summand of ``subdifferential``'s polytope
-    gives an interval on its own block, and the intervals are summed.  The
-    active sets are found once per call; each row's interval equals its own
-    call's bit for bit, as stacked matmuls make per-row gemvs.
+    arrays: the support values (-h(-v), h(v)) of ``subdifferential``'s polytope,
+    from one ``support_function`` stack [-V; V], each row its own call's bit for
+    bit.  ``0.0 -`` negates exactly and, like a zero dot product, gives +0.0.
     """
     V = as_rows(v, f.dim)
     if not row_norms(V).all():
         raise ValueError("direction must be nonzero")
-    along = [(s @ V[:, :, None])[:, :, 0] for s in subdifferential(f, x, active_tol).summands]
-    lo, hi = _total([a.min(axis=1) for a in along]), _total([a.max(axis=1) for a in along])
+    h = support_function(subdifferential(f, x, active_tol), np.concatenate([-V, V]))
+    lo, hi = 0.0 - h[: len(V)], h[len(V) :]
     return (lo, hi) if np.ndim(v) == 2 else (float(lo[0]), float(hi[0]))

@@ -43,15 +43,25 @@ def _trial_seed(seed: int, stream: int, index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def gen_max_affine(dim: int, pieces: int, rng: np.random.Generator) -> fn.MaxAffine:
-    """Random pieces with coefficients and offsets in [-2, 2].
+def _piece_block(rng: np.random.Generator, pieces: int, dim: int, slope: float, low: float, high: float):
+    """``pieces`` rows drawn as one block: a gradient in [-slope, slope]^dim, then an offset in [low, high].
 
-    One (pieces, dim + 1) block, each row a piece's gradient then its offset:
-    the same stream and the same doubles as drawing each piece's gradient and
-    then its offset in turn.
+    numpy's broadcast ``uniform`` gives the doubles of drawing each piece in turn and leaves the stream where they do.
     """
-    block = rng.uniform(-2.0, 2.0, (pieces, dim + 1))
-    return fn.MaxAffine(block[:, :dim], block[:, dim])
+    block = rng.uniform([-slope] * dim + [low], [slope] * dim + [high], (pieces, dim + 1))
+    return block[:, :dim], block[:, dim]
+
+
+def _boxed(matrix: np.ndarray, offsets: np.ndarray, slope: float, offset: float) -> fn.MaxAffine:
+    """The pieces, then the box rows slope e_j and -slope e_j for j in order, each with ``offset``."""
+    e = slope * np.eye(matrix.shape[1])
+    box = np.stack([e, -e], axis=1).reshape(2 * len(e), len(e))
+    return fn.MaxAffine(np.vstack([matrix, box]), np.concatenate([offsets, np.full(len(box), offset)]))
+
+
+def gen_max_affine(dim: int, pieces: int, rng: np.random.Generator) -> fn.MaxAffine:
+    """Random pieces with coefficients and offsets in [-2, 2]."""
+    return fn.MaxAffine(*_piece_block(rng, pieces, dim, 2.0, -2.0, 2.0))
 
 
 def gen_coercive_max_affine(dim: int, pieces: int, rng: np.random.Generator) -> fn.MaxAffine:
@@ -60,10 +70,7 @@ def gen_coercive_max_affine(dim: int, pieces: int, rng: np.random.Generator) -> 
     The bounds alone give f >= 2 max_j |r_j| - 2, a coercive minorant, so the
     function grows along every ray and inner minima over fibers always exist.
     """
-    f = gen_max_affine(dim, pieces, rng)
-    e = 2.0 * np.eye(dim)
-    bounds = np.stack([e, -e], axis=1).reshape(2 * dim, dim)  # the rows 2 e_j and -2 e_j, j in order
-    return fn.MaxAffine(np.vstack([f.matrix, bounds]), np.concatenate([f.offsets, np.full(2 * dim, -2.0)]))
+    return _boxed(*_piece_block(rng, pieces, dim, 2.0, -2.0, 2.0), 2.0, -2.0)
 
 
 def gen_flat_max_affine(dim: int, pieces: int, rng: np.random.Generator) -> fn.MaxAffine:
@@ -72,10 +79,8 @@ def gen_flat_max_affine(dim: int, pieces: int, rng: np.random.Generator) -> fn.M
     The zero piece wins on a neighborhood of the origin, so the argmin set
     over a box has interior and segment checks get distinct members.
     """
-    rows = [(np.zeros(dim), 0.0)]
-    for _ in range(pieces):
-        rows.append((rng.uniform(-2.0, 2.0, dim), float(rng.uniform(-3.0, -1.0))))
-    return fn.max_affine(rows)
+    matrix, offsets = _piece_block(rng, pieces, dim, 2.0, -3.0, -1.0)
+    return fn.MaxAffine(np.vstack([np.zeros((1, dim)), matrix]), np.concatenate([[0.0], offsets]))
 
 
 def gen_pd_quadratic(dim: int, rng: np.random.Generator) -> fn.Quadratic:
@@ -113,8 +118,10 @@ def brute_force_min_over_fiber(f, S, x, pitch: float, radius: float):
 
     The grid covers [-radius, radius]^k around the min-norm anchor, where k is
     the fiber dimension.  Only k <= 3 and at most 1e7 grid points are allowed;
-    larger fibers raise FiberTooLarge.
+    larger fibers raise FiberTooLarge, and a pitch or radius not finite and positive ValueError.
     """
+    if not (0.0 < pitch < np.inf and 0.0 < radius < np.inf):  # NaN fails both
+        raise ValueError(f"pitch and radius must be finite and positive, got {pitch!r} and {radius!r}")
     S = np.asarray(S, dtype=float)
     fiber = make_fiber(S.T, x)
     k = fiber.fiber_dim
@@ -153,6 +160,19 @@ class RunConfig:
     oracle_pitch: float | None = None
 
 
+def config_error(config: RunConfig) -> tuple[str, str] | None:
+    """The first field of ``config`` that no suite can run with, and what it must be; None if there is none."""
+    tolerances = ("tol_active", "tol_support", "tol_membership")
+    rules = [
+        ("trials", config.trials >= 0, "must be nonnegative"),
+        ("dim", config.dim >= 2, "must be at least 2"),
+        ("seed", config.seed >= 0, "must be nonnegative"),
+        *((name, 0.0 <= getattr(config, name) < np.inf, "must be finite and nonnegative") for name in tolerances),
+        ("oracle_pitch", config.oracle_pitch is None or 0.0 < config.oracle_pitch < np.inf, "must be finite and positive"),
+    ]
+    return next(((name, requirement) for name, ok, requirement in rules if not ok), None)  # NaN fails every rule
+
+
 def _slice_directions(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Five unit directions in the row span of ``basis``, mapped from uniform coordinates.
 
@@ -173,7 +193,7 @@ def _slice_directions(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray
 
 def _lemma1_trial(index: int, config: RunConfig) -> TrialResult:
     rng = trial_rng(config.seed, SUITE_STREAMS["lemma1"], index)
-    dim = int(rng.integers(2, max(3, config.dim + 1)))
+    dim = int(rng.integers(2, config.dim + 1))
     rows = int(rng.integers(1, dim))
     S = gen_operator(rows, dim, rows, rng)
     zeta = S @ rng.uniform(-1.0, 1.0, dim)
@@ -204,16 +224,7 @@ def _oracle_instance(rng, pwl: bool):
     n = rank + int(rng.integers(0, 2))
     S = gen_operator(d, n, rank, rng)
     if pwl:
-        rows = [
-            (rng.uniform(-0.3, 0.3, d), float(rng.uniform(-0.5, 0.5)))
-            for _ in range(int(rng.integers(2, 6)))
-        ]
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = 1.0
-            rows.append((e.copy(), -0.5))
-            rows.append((-e, -0.5))
-        f = fn.max_affine(rows)
+        f = _boxed(*_piece_block(rng, int(rng.integers(2, 6)), d, 0.3, -0.5, 0.5), 1.0, -0.5)
     else:
         A = rng.uniform(-1.0, 1.0, (d, d))
         f = fn.quadratic(
@@ -230,7 +241,7 @@ def _lemma2_trial(index: int, config: RunConfig) -> TrialResult:
     if config.oracle_pitch is not None:
         f, S = _oracle_instance(rng, pwl)
     else:
-        d = int(rng.integers(2, max(3, config.dim + 1)))
+        d = int(rng.integers(2, config.dim + 1))
         n = int(rng.integers(1, d + 1))
         rank = int(rng.integers(1, min(d, n) + 1))
         S = gen_operator(d, n, rank, rng)
@@ -264,7 +275,7 @@ def _lemma2_trial(index: int, config: RunConfig) -> TrialResult:
 
 def _lemma3_trial(index: int, config: RunConfig) -> TrialResult:
     rng = trial_rng(config.seed, SUITE_STREAMS["lemma3"], index)
-    dim = int(rng.integers(2, max(3, config.dim + 1)))
+    dim = int(rng.integers(2, config.dim + 1))
     radius = float(rng.uniform(2.0, 4.0))
     C = argmin.box_domain(dim, radius)
     if index % 2 == 0:
@@ -304,8 +315,11 @@ def run_suite(which: str, config: RunConfig) -> SuiteReport:
     No trial aborts the run: a trial that raises any ``Exception`` becomes a
     failed ``no_error`` check naming the exception's type and message.  The
     traceback is left out, because its file paths would make the report
-    depend on the machine.
+    depend on the machine.  A ``config`` with a ``config_error`` raises
+    ValueError before any trial.
     """
+    if error := config_error(config):
+        raise ValueError(" ".join(error))
     if which == "all":
         report = SuiteReport("all", config.seed, _tolerances(config))
         for name in ("lemma1", "lemma2", "lemma3"):

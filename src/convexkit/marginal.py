@@ -99,13 +99,14 @@ class MarginalFunction:
         get their epigraph LP, whose fiber rows [S^T, 0] ``functions.epigraph``
         writes from the view S.T, so a query sets only b_eq = x.  A quadratic
         gets its KKT system, factored once.
-        Any other mix raises UnsupportedObjective on every query.
+        Any other mix raises UnsupportedObjective, and a quadratic singular along the fiber
+        SingularKKT; a cached_property that raises caches nothing, so every query raises again.
         """
         parts, quad = fn.normal_form(self.f)
         if not parts:
             return _kkt_system(quad, self.S)
         if quad is not None and (quad.Q.any() or quad.c.any()):
-            return partial(_refuse, UnsupportedObjective, MIXED_OBJECTIVE)
+            raise UnsupportedObjective(MIXED_OBJECTIVE)
         epigraph = fn.epigraph(self.inner_dim, parts, BOX_RADIUS, (), self.S.T)
         return partial(_lp_inner, self.inner_dim, epigraph, 0.0 if quad is None else quad.r0)
 
@@ -150,8 +151,8 @@ def _lp_inner(d, epigraph, constant, X):
 def _kkt_system(quad, S):
     """The KKT solver of a quadratic f on the fibers of S^T: [[2Q, S], [S^T, 0]], factored once.
 
-    When the least eigenvalue of the Hessian 2Q reduced to the fiber kernel
-    ker(S^T) is not safely positive, every query raises SingularKKT instead.
+    Raises SingularKKT when the least eigenvalue of the Hessian 2Q reduced
+    to the fiber kernel ker(S^T) is not safely positive.
     """
     n = S.shape[1]
     K = kernel(S.T)
@@ -159,8 +160,7 @@ def _kkt_system(quad, S):
         reduced = K.basis @ (2.0 * quad.Q) @ K.basis.T
         floor = float(np.min(np.linalg.eigvalsh(reduced)))
         if floor <= KKT_SINGULAR_TOL * (1.0 + float(np.max(np.abs(reduced)))):
-            message = f"objective is not positive definite along the fiber (floor {floor:.3e})"
-            return partial(_refuse, SingularKKT, message)
+            raise SingularKKT(f"objective is not positive definite along the fiber (floor {floor:.3e})")
     return partial(_kkt_inner, quad, anchor_map(np.block([[2.0 * quad.Q, S], [S.T, np.zeros((n, n))]])))
 
 
@@ -172,11 +172,6 @@ def _kkt_inner(quad, system: AnchorMap, X):
         raise SingularKKT(f"KKT system is inconsistent: {exc}") from exc
     R = sol[:, : quad.dim].copy()
     return fn.evaluate_many(quad, R), R, "exact-KKT"
-
-
-def _refuse(error, message, X):
-    """The inner solver of a marginal its set-up refused: every query raises."""
-    raise error(message)
 
 
 def marginal_values(h: MarginalFunction, X):

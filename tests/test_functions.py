@@ -30,7 +30,7 @@ from convexkit.functions import (
 from convexkit.argmin import PolyhedralDomain
 from convexkit.harness import gen_coercive_max_affine, gen_max_affine, gen_operator
 from convexkit.instances import function_from_json, function_to_json
-from convexkit.linalg import as_vector
+from convexkit.linalg import as_rows, as_vector, row_norms
 from convexkit.marginal import BOX_RADIUS, marginal_value, marginalize
 
 # max(+-x1, +-x2), the infinity norm on R^2
@@ -330,6 +330,56 @@ def test_one_dim_subdifferential_stack_matches_one_row_calls(monkeypatch):
                 assert hi.tobytes() == np.array([b for _, b in rows], dtype=float).tobytes()
     with pytest.raises(ValueError):
         one_dim_subdifferential(ABS, (0.0,), np.array([[1.0], [0.0]]))
+
+
+def _reference_one_dim_subdifferential(f, x, v, active_tol=functions.ACTIVE_TOL):
+    """The per-summand min/max body one_dim_subdifferential replaced, kept as the bit-exact reference."""
+    V = as_rows(v, f.dim)
+    if not row_norms(V).all():
+        raise ValueError("direction must be nonzero")
+    along = [(s @ V[:, :, None])[:, :, 0] for s in subdifferential(f, x, active_tol).summands]
+    lo = functools.reduce(np.add, [a.min(axis=1) for a in along])
+    hi = functools.reduce(np.add, [a.max(axis=1) for a in along])
+    return (lo, hi) if np.ndim(v) == 2 else (float(lo[0]), float(hi[0]))
+
+
+def test_one_dim_subdifferential_matches_per_summand_min_max():
+    """The support values (-h(-v), h(v)) are the per-summand minima and maxima, byte for byte, signed zeros included.
+
+    Random sums of 1-4 kinked blocks, with and without a quadratic, at stack
+    heights 0, 1 and 5 and on single rows; then integer data at the origin,
+    where every piece is active and zero products and exact cancellations
+    give zero endpoints.
+    """
+    rng = np.random.default_rng(23)
+    cases = []
+    for _ in range(200):
+        d = int(rng.integers(1, 7))
+        x = rng.uniform(-1.0, 1.0, d)
+        blocks = []
+        for _ in range(int(rng.integers(1, 5))):
+            A = rng.uniform(-2.0, 2.0, (int(rng.integers(1, 6)), d))
+            blocks.append(MaxAffine(A, 1.0 - A @ x))  # all pieces active at x
+        Q = rng.uniform(-1.0, 1.0, (d, d))
+        quads = [quadratic(Q.T @ Q, c=rng.uniform(-1.0, 1.0, d))] if rng.uniform() < 0.5 else []
+        cases.append((SumFunction(d, (*blocks, *quads)), x, [rng.uniform(-3.0, 3.0, (h, d)) for h in (0, 1, 5)]))
+    for _ in range(200):
+        d = int(rng.integers(1, 5))
+        integer_blocks = (rng.integers(-1, 2, (int(rng.integers(1, 5)), d)) for _ in range(int(rng.integers(1, 4))))
+        blocks = tuple(MaxAffine(A, np.zeros(len(A))) for A in integer_blocks)
+        V = rng.integers(-1, 2, (5, d)).astype(float)
+        V[~V.any(axis=1), 0] = 1.0
+        cases.append((SumFunction(d, blocks) if len(blocks) > 1 else blocks[0], np.zeros(d), [V, V[:1]]))
+    zeros = 0
+    for f, x, stacks in cases:
+        for V in stacks:
+            got, want = one_dim_subdifferential(f, x, V), _reference_one_dim_subdifferential(f, x, V)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+            zeros += int(np.sum(want[0] == 0.0) + np.sum(want[1] == 0.0))
+            for v in V:
+                got, want = one_dim_subdifferential(f, x, v), _reference_one_dim_subdifferential(f, x, v)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert zeros > 100  # the integer cases reach zero endpoints
 
 
 def test_evaluate_on_strided_rows_matches_their_copies():

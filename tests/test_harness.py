@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from convexkit import argmin, cli, harness, marginal, restriction, simplex
 from convexkit.errors import FiberTooLarge
-from convexkit.functions import evaluate, max_affine, quadratic
+from convexkit.functions import MaxAffine, evaluate, max_affine, quadratic
 from convexkit.harness import (
     RunConfig,
     brute_force_min_over_fiber,
@@ -99,6 +99,11 @@ def test_brute_force_rejects_large_fibers():
         brute_force_min_over_fiber(f, np.ones((5, 1)), [1.0], 1e-2, 5.0)
     with pytest.raises(FiberTooLarge):
         brute_force_min_over_fiber(quadratic(np.eye(4)), np.ones((4, 1)), [1.0], 1e-3, 5.0)
+    # a pitch or radius that is not finite and positive is refused, not answered with (inf, anchor)
+    S = np.array([[1.0], [1.0]])
+    for pitch, radius in [(-0.01, 5.0), (0.0, 5.0), (np.nan, 5.0), (np.inf, 5.0), (1e-2, -1.0), (1e-2, 0.0), (1e-2, np.nan), (1e-2, np.inf)]:
+        with pytest.raises(ValueError, match="pitch and radius must be finite and positive"):
+            brute_force_min_over_fiber(quadratic(np.eye(2)), S, [2.0], pitch, radius)
 
 
 def test_suites_pass_on_small_runs():
@@ -137,6 +142,38 @@ def test_zero_trials_gives_empty_report():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("lemma9", RunConfig(trials=1))
+
+
+def test_run_suite_refuses_what_verify_refuses(monkeypatch, capsys, tmp_path):
+    """A config no suite can run with raises ValueError before any trial, and verify prints the same field and rule."""
+    calls = []
+    for name, runner in list(harness._TRIAL_RUNNERS.items()):
+        monkeypatch.setitem(harness._TRIAL_RUNNERS, name, lambda index, config, runner=runner: calls.append(index) or runner(index, config))
+    bad = {
+        "trials": (-3, "must be nonnegative"),
+        "dim": (1, "must be at least 2"),
+        "seed": (-1, "must be nonnegative"),
+        "tol_active": (-1e-9, "must be finite and nonnegative"),
+        "tol_support": (np.nan, "must be finite and nonnegative"),
+        "tol_membership": (np.inf, "must be finite and nonnegative"),
+        "oracle_pitch": (0.0, "must be finite and positive"),
+    }
+    for field, (value, requirement) in bad.items():
+        config = RunConfig(**{"trials": 2, field: value})
+        assert harness.config_error(config) == (field, requirement)
+        for suite in ("lemma1", "lemma2", "lemma3", "all"):
+            with pytest.raises(ValueError, match=f"^{field} {requirement}$"):
+                run_suite(suite, config)
+        out = tmp_path / f"{field}.json"
+        assert cli.main(cli.CliConfig("verify", run=config, out=str(out))) == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: --{field.replace('_', '-')} {requirement}\n"
+    for pitch in (-1e-2, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^oracle_pitch must be finite and positive$"):
+            run_suite("lemma2", RunConfig(trials=1, oracle_pitch=pitch))
+    assert calls == []
+    assert harness.config_error(RunConfig(trials=0, dim=2, seed=0, tol_active=0.0, oracle_pitch=1e-2)) is None
+    assert run_suite("lemma1", RunConfig(trials=1)).summary["pass"] == 1
+    assert calls == [0]
 
 
 def test_oracle_mode_appends_agreement_checks():
@@ -318,3 +355,57 @@ def test_slice_directions_redraw_zero_rows_after_the_block():
     assert stub.drawn == ref.drawn == 8
     kept = rows[[0, 2, 4, 6, 7]] @ basis
     assert_allclose(V, kept / np.linalg.norm(kept, axis=1, keepdims=True), rtol=1e-15, atol=1e-15)
+
+
+def _reference_gen_flat_max_affine(dim, pieces, rng):
+    """The per-piece draw loop gen_flat_max_affine replaced, kept as the bit-exact reference."""
+    rows = [(np.zeros(dim), 0.0)]
+    for _ in range(pieces):
+        rows.append((rng.uniform(-2.0, 2.0, dim), float(rng.uniform(-3.0, -1.0))))
+    return max_affine(rows)
+
+
+def _reference_gen_coercive_max_affine(dim, pieces, rng):
+    """gen_coercive_max_affine's body before the box rows had one writer, kept as the bit-exact reference."""
+    f = _reference_gen_max_affine(dim, pieces, rng)
+    e = 2.0 * np.eye(dim)
+    bounds = np.stack([e, -e], axis=1).reshape(2 * dim, dim)
+    return MaxAffine(np.vstack([f.matrix, bounds]), np.concatenate([f.offsets, np.full(2 * dim, -2.0)]))
+
+
+def _reference_oracle_instance(rng):
+    """The oracle's max-affine instance with its per-piece and per-coordinate box-row loops, kept as the bit-exact reference."""
+    k = int(rng.integers(1, 3))
+    d = k + int(rng.integers(1, 3))
+    rank = d - k
+    n = rank + int(rng.integers(0, 2))
+    S = gen_operator(d, n, rank, rng)
+    rows = [(rng.uniform(-0.3, 0.3, d), float(rng.uniform(-0.5, 0.5))) for _ in range(int(rng.integers(2, 6)))]
+    for j in range(d):
+        e = np.zeros(d)
+        e[j] = 1.0
+        rows.append((e.copy(), -0.5))
+        rows.append((-e, -0.5))
+    return max_affine(rows), S
+
+
+def test_piece_draws_match_per_piece_loops():
+    """Every max-affine family drawn as one block gives the per-piece loops' arrays byte for byte, -0.0 included, and leaves the stream where they did."""
+    negative_zeros = 0
+    for seed in range(400):
+        dim, pieces = 1 + seed % 8, 1 + (seed * 7) % 12
+        draws = [
+            (lambda rng: gen_flat_max_affine(dim, pieces, rng), lambda rng: _reference_gen_flat_max_affine(dim, pieces, rng)),
+            (lambda rng: gen_coercive_max_affine(dim, pieces, rng), lambda rng: _reference_gen_coercive_max_affine(dim, pieces, rng)),
+            (lambda rng: harness._oracle_instance(rng, True)[0], lambda rng: _reference_oracle_instance(rng)[0]),
+        ]
+        for draw, reference in draws:
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            f, want = draw(a), reference(b)
+            assert f.matrix.shape == want.matrix.shape and f.matrix.tobytes() == want.matrix.tobytes()
+            assert f.offsets.tobytes() == want.offsets.tobytes()
+            assert a.bit_generator.state == b.bit_generator.state
+            negative_zeros += int(np.sum(np.signbit(f.matrix) & (f.matrix == 0.0)))
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert harness._oracle_instance(a, True)[1].tobytes() == _reference_oracle_instance(b)[1].tobytes()
+    assert negative_zeros > 0  # the -e_j box rows

@@ -157,6 +157,21 @@ def test_mixed_sum_is_unsupported():
             marginal_value(h, [1.0, 0.0])
 
 
+def test_refused_marginal_raises_the_same_error_on_every_query():
+    """A refused set-up caches nothing: two queries in a row and a stack raise the same type and message."""
+    singular = (quadratic(np.diag([1.0, 0.0])), [[1.0], [0.0]], [1.0], SingularKKT, "objective is not positive definite along the fiber (floor ")
+    mixed = (SumFunction(2, (ONE_NORM, SQUARED_NORM)), SUM_FIBER, [1.0], UnsupportedObjective, marginal.MIXED_OBJECTIVE)
+    for f, S, x, error, message in (singular, mixed):
+        h = marginalize(f, S)
+        raised = []
+        for query in (lambda: marginal_value(h, x), lambda: marginal_value(h, x), lambda: marginal_values(h, [x, x, x])):
+            with pytest.raises(error) as info:
+                query()
+            raised.append(str(info.value))
+        assert raised[0].startswith(message) and raised == [raised[0]] * 3
+        assert "_inner" not in vars(h)
+
+
 def _kkt_reference(f, S, x):
     """Inner minimizer from a KKT system built and solved afresh for this query."""
     d, n = S.shape

@@ -4,6 +4,7 @@ import ast
 import contextlib
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import convexkit
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+README = BENCH.parent / "README.md"
 TRACING = BENCH / "tracing.py"
 SRC = Path(convexkit.__file__).resolve().parent
 # aliases bound only so that the benchmark's tracer can wrap them
@@ -36,6 +38,39 @@ def test_src_imports_are_used():
         unused |= {(path.stem, name) for name in bound - read}
     assert len(list(SRC.glob("*.py"))) > 10
     assert sorted(unused - BENCH_ALIASES) == []
+
+
+def test_src_private_definitions_are_read():
+    """Every private function or class in ``src/convexkit`` is read somewhere in ``src/``, so none outlives its last caller."""
+    defined, read = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name.startswith("_") and not node.name.endswith("__"):
+                defined.add((path.stem, node.name))
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    assert len(defined) > 20
+    assert sorted((module, name) for module, name in defined if name not in read) == []
+
+
+def test_readme_library_example_runs():
+    """README's ``python`` block runs as written and gives what its comments state."""
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    scope = {}
+    exec(compile(blocks[0], str(README), "exec"), scope)
+    assert convexkit.evaluate(scope["f"], (1.0, 1.0)) == 1.0  # max(|r1|, |r2|), not the 1-norm's 2
+    P = convexkit.restricted_subdifferential(scope["g"], [0.0])
+    u = [[0.5, -0.5], [-0.5, 0.5]]
+    assert convexkit.support_function(P, u).tolist() == pytest.approx([0.5, 0.5], abs=1e-15)  # [-1, 1] * (1, -1)/2
+    assert (scope["w"].value, scope["w"].argmin.tolist()) == (2.0, [1.0, 1.0])
+    assert scope["cert"].value == 0.0
+    assert scope["rep"].summary == {"pass": 4, "fail": 0, "skip": 0} and scope["rep"].all_passed
 
 
 def test_benchmark_binding_sites_resolve():
