@@ -25,12 +25,11 @@ from . import argmin as argmin_mod
 from . import marginal as marginal_mod
 from .errors import ConvexKitError, DimensionMismatch
 from .functions import evaluate, subdifferential
-from .harness import RunConfig, config_error, run_suite
+from .harness import SUITES, TOLERANCES, RunConfig, config_error, run_suite
 from .instances import domain_from_json, function_from_json
 from .report import json_text, report_to_csv, report_to_json
 from .restriction import restrict, restricted_subdifferential
 
-SUITES = ("lemma1", "lemma2", "lemma3", "all")
 QUERY_OPS = ("subdiff", "restricted-subdiff", "marginal", "argmin-member")
 
 
@@ -54,13 +53,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run randomized verification suites")
-    verify.add_argument("--suite", choices=SUITES, default="all")
+    verify.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     verify.add_argument("--trials", type=int, default=RunConfig.trials)
     verify.add_argument("--dim", type=int, default=RunConfig.dim, help="largest ambient dimension drawn")
     verify.add_argument("--seed", type=int, default=RunConfig.seed)
-    verify.add_argument("--tol-active", type=float, default=RunConfig.tol_active, dest="tol_active")
-    verify.add_argument("--tol-support", type=float, default=RunConfig.tol_support, dest="tol_support")
-    verify.add_argument("--tol-membership", type=float, default=RunConfig.tol_membership, dest="tol_membership")
+    for name in TOLERANCES:
+        verify.add_argument(f"--{name.replace('_', '-')}", type=float, default=getattr(RunConfig, name))
     verify.add_argument("--out", default=None, help="report path (default report.json or report.csv)")
     verify.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -115,7 +113,7 @@ def _verify(config: CliConfig) -> int:
         name = trial.instance.get("suite", report.suite)
         counts = by_suite.setdefault(name, {"pass": 0, "fail": 0, "skip": 0})
         counts[trial.status] += 1
-    order = [s for s in ("lemma1", "lemma2", "lemma3") if s in by_suite] or [report.suite]
+    order = [s for s in SUITES if s in by_suite] or [report.suite]
     for name in order:
         counts = by_suite.get(name, {"pass": 0, "fail": 0, "skip": 0})
         print(f"{name}: pass={counts['pass']} fail={counts['fail']} skip={counts['skip']}")

@@ -1,8 +1,11 @@
 """Randomized verification suites with reproducible seeding.
 
-Every random draw descends from a SeedSequence keyed by (suite stream, trial
-index), so reports are byte-identical across runs and any single trial can be
-regenerated without replaying the ones before it.
+``SUITES`` maps each suite's name to its stream and its trial runner.
+``run_suite`` alone seeds a trial: it hands the runner a generator and a check
+seed, each from a SeedSequence keyed by (suite stream, trial index), so reports
+are byte-identical across runs and any trial can be regenerated without
+replaying the ones before it.  A runner draws its instance and calls its
+check through the module attribute, so patched-in checks are the ones run.
 
 The lemma2 suite optionally cross-checks the exact inner solvers against a
 brute-force grid search over low-dimensional fibers.  Oracle-mode instances
@@ -14,7 +17,9 @@ attribute, which keeps it honest against patched-in wrong implementations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +30,6 @@ from .linalg import row_norms
 from .report import CheckResult, SuiteReport, TrialResult
 from .restriction import make_fiber
 
-SUITE_STREAMS = {"lemma1": 1, "lemma2": 2, "lemma3": 3}
 GRID_POINT_CAP = int(1e7)
 ORACLE_AGREEMENT_TOL = 1e-2
 ORACLE_RADIUS = 5.0
@@ -83,14 +87,16 @@ def gen_flat_max_affine(dim: int, pieces: int, rng: np.random.Generator) -> fn.M
     return fn.MaxAffine(np.vstack([np.zeros((1, dim)), matrix]), np.concatenate([[0.0], offsets]))
 
 
+def _pd_quadratic(rng: np.random.Generator, dim: int, shift: float, linear: float, constant: float) -> fn.Quadratic:
+    """Q = A^T A + shift I with A uniform in [-1, 1], then c in [-linear, linear]^dim and r0 in [-constant, constant]."""
+    A = rng.uniform(-1.0, 1.0, (dim, dim))
+    Q = A.T @ A + shift * np.eye(dim)
+    return fn.quadratic(Q, c=rng.uniform(-linear, linear, dim), r0=float(rng.uniform(-constant, constant)))
+
+
 def gen_pd_quadratic(dim: int, rng: np.random.Generator) -> fn.Quadratic:
     """A^T A + 0.1 I keeps the spectrum off the floor, so f is strictly convex."""
-    A = rng.uniform(-1.0, 1.0, (dim, dim))
-    return fn.quadratic(
-        A.T @ A + 0.1 * np.eye(dim),
-        c=rng.uniform(-1.0, 1.0, dim),
-        r0=float(rng.uniform(-1.0, 1.0)),
-    )
+    return _pd_quadratic(rng, dim, 0.1, 1.0, 1.0)
 
 
 def gen_operator(rows: int, cols: int, rank: int, rng: np.random.Generator) -> np.ndarray:
@@ -119,6 +125,9 @@ def brute_force_min_over_fiber(f, S, x, pitch: float, radius: float):
     The grid covers [-radius, radius]^k around the min-norm anchor, where k is
     the fiber dimension.  Only k <= 3 and at most 1e7 grid points are allowed;
     larger fibers raise FiberTooLarge, and a pitch or radius not finite and positive ValueError.
+    The points are counted before any array is built, and the grid is never
+    built whole: each chunk's rows are the meshgrid(indexing="ij") rows of its
+    flat indices, in the same order, so only the axis and one chunk are held.
     """
     if not (0.0 < pitch < np.inf and 0.0 < radius < np.inf):  # NaN fails both
         raise ValueError(f"pitch and radius must be finite and positive, got {pitch!r} and {radius!r}")
@@ -129,18 +138,18 @@ def brute_force_min_over_fiber(f, S, x, pitch: float, radius: float):
         return float(fn.evaluate(f, fiber.anchor)), fiber.anchor
     if k > 3:
         raise FiberTooLarge(f"fiber dimension {k} exceeds the brute-force limit of 3")
+    length = (radius + 0.5 * pitch + radius) / pitch  # np.arange's length for the axis below is its ceiling
+    count = math.ceil(length) ** k if length < math.inf else math.inf
+    if count > GRID_POINT_CAP:
+        raise FiberTooLarge(f"grid would hold {count} points, the cap is {GRID_POINT_CAP}")
     axis = np.arange(-radius, radius + 0.5 * pitch, pitch)
-    if len(axis) ** k > GRID_POINT_CAP:
-        raise FiberTooLarge(
-            f"grid would hold {len(axis) ** k} points, the cap is {GRID_POINT_CAP}"
-        )
-    mesh = np.meshgrid(*([axis] * k), indexing="ij")
-    W = np.stack([m.ravel() for m in mesh], axis=1)
     best_value = np.inf
     best_point = fiber.anchor
     chunk = 200000
-    for start in range(0, W.shape[0], chunk):
-        pts = fiber.anchor + W[start : start + chunk] @ fiber.kernel_basis.basis
+    for start in range(0, count, chunk):
+        flat = np.arange(start, min(start + chunk, count))
+        W = axis[np.stack(np.unravel_index(flat, axis.shape * k), axis=1)]
+        pts = fiber.anchor + W @ fiber.kernel_basis.basis
         vals = fn.evaluate_many(f, pts)
         i = int(np.argmin(vals))
         if vals[i] < best_value:
@@ -160,17 +169,30 @@ class RunConfig:
     oracle_pitch: float | None = None
 
 
+TOLERANCES = ("tol_active", "tol_support", "tol_membership")  # each a --tol-* flag, a config_error rule and a report key
+
+
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def config_error(config: RunConfig) -> tuple[str, str] | None:
-    """The first field of ``config`` that no suite can run with, and what it must be; None if there is none."""
-    tolerances = ("tol_active", "tol_support", "tol_membership")
+    """The first field of ``config`` that no suite can run with, and what it must be; None if there is none.
+
+    ``trials``, ``dim`` and ``seed`` must be integers (numpy integers are, a
+    bool is not); each rule reads its field only once the rules before it hold.
+    """
     rules = [
-        ("trials", config.trials >= 0, "must be nonnegative"),
-        ("dim", config.dim >= 2, "must be at least 2"),
-        ("seed", config.seed >= 0, "must be nonnegative"),
-        *((name, 0.0 <= getattr(config, name) < np.inf, "must be finite and nonnegative") for name in tolerances),
-        ("oracle_pitch", config.oracle_pitch is None or 0.0 < config.oracle_pitch < np.inf, "must be finite and positive"),
+        ("trials", _integer, "must be an integer"),
+        ("trials", lambda value: value >= 0, "must be nonnegative"),
+        ("dim", _integer, "must be an integer"),
+        ("dim", lambda value: value >= 2, "must be at least 2"),
+        ("seed", _integer, "must be an integer"),
+        ("seed", lambda value: value >= 0, "must be nonnegative"),
+        *((name, lambda value: 0.0 <= value < np.inf, "must be finite and nonnegative") for name in TOLERANCES),
+        ("oracle_pitch", lambda value: value is None or 0.0 < value < np.inf, "must be finite and positive"),
     ]
-    return next(((name, requirement) for name, ok, requirement in rules if not ok), None)  # NaN fails every rule
+    return next(((name, rule) for name, ok, rule in rules if not ok(getattr(config, name))), None)  # NaN fails every rule
 
 
 def _slice_directions(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -191,8 +213,7 @@ def _slice_directions(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return directions
 
 
-def _lemma1_trial(index: int, config: RunConfig) -> TrialResult:
-    rng = trial_rng(config.seed, SUITE_STREAMS["lemma1"], index)
+def _lemma1_trial(rng: np.random.Generator, seed: int, index: int, config: RunConfig) -> TrialResult:
     dim = int(rng.integers(2, config.dim + 1))
     rows = int(rng.integers(1, dim))
     S = gen_operator(rows, dim, rows, rng)
@@ -201,14 +222,8 @@ def _lemma1_trial(index: int, config: RunConfig) -> TrialResult:
     w = rng.uniform(-1.0, 1.0, fiber.fiber_dim)
     directions = _slice_directions(fiber.kernel_basis.basis, rng)
     f = gen_max_affine(dim, int(rng.integers(3, 13)), rng)
-    return restriction.lemma1_check(
-        restriction.RestrictedFunction(f, fiber),
-        w,
-        directions,
-        seed=_trial_seed(config.seed, SUITE_STREAMS["lemma1"], index),
-        support_tol=config.tol_support,
-        active_tol=config.tol_active,
-    )
+    g = restriction.RestrictedFunction(f, fiber)
+    return restriction.lemma1_check(g, w, directions, seed=seed, support_tol=config.tol_support, active_tol=config.tol_active)
 
 
 def _oracle_instance(rng, pwl: bool):
@@ -226,17 +241,11 @@ def _oracle_instance(rng, pwl: bool):
     if pwl:
         f = _boxed(*_piece_block(rng, int(rng.integers(2, 6)), d, 0.3, -0.5, 0.5), 1.0, -0.5)
     else:
-        A = rng.uniform(-1.0, 1.0, (d, d))
-        f = fn.quadratic(
-            A.T @ A + 0.5 * np.eye(d),
-            c=rng.uniform(-0.2, 0.2, d),
-            r0=float(rng.uniform(-0.5, 0.5)),
-        )
+        f = _pd_quadratic(rng, d, 0.5, 0.2, 0.5)
     return f, S
 
 
-def _lemma2_trial(index: int, config: RunConfig) -> TrialResult:
-    rng = trial_rng(config.seed, SUITE_STREAMS["lemma2"], index)
+def _lemma2_trial(rng: np.random.Generator, seed: int, index: int, config: RunConfig) -> TrialResult:
     pwl = index % 2 == 0
     if config.oracle_pitch is not None:
         f, S = _oracle_instance(rng, pwl)
@@ -249,11 +258,7 @@ def _lemma2_trial(index: int, config: RunConfig) -> TrialResult:
             f = gen_coercive_max_affine(d, int(rng.integers(2, 7)), rng)
         else:
             f = gen_pd_quadratic(d, rng)
-    result = marginal.lemma2_check(
-        f,
-        S,
-        seed=_trial_seed(config.seed, SUITE_STREAMS["lemma2"], index),
-    )
+    result = marginal.lemma2_check(f, S, seed=seed)
     if config.oracle_pitch is not None:
         h = marginal.marginalize(f, S)
         x = S.T @ rng.uniform(-0.5, 0.5, S.shape[0])
@@ -273,8 +278,7 @@ def _lemma2_trial(index: int, config: RunConfig) -> TrialResult:
     return result
 
 
-def _lemma3_trial(index: int, config: RunConfig) -> TrialResult:
-    rng = trial_rng(config.seed, SUITE_STREAMS["lemma3"], index)
+def _lemma3_trial(rng: np.random.Generator, seed: int, index: int, config: RunConfig) -> TrialResult:
     dim = int(rng.integers(2, config.dim + 1))
     radius = float(rng.uniform(2.0, 4.0))
     C = argmin.box_domain(dim, radius)
@@ -282,66 +286,46 @@ def _lemma3_trial(index: int, config: RunConfig) -> TrialResult:
         f = gen_flat_max_affine(dim, int(rng.integers(2, 7)), rng)
     else:
         f = gen_pd_quadratic(dim, rng)
-    return argmin.lemma3_check(
-        f,
-        C,
-        seed=_trial_seed(config.seed, SUITE_STREAMS["lemma3"], index),
-        tol=config.tol_membership,
-    )
+    return argmin.lemma3_check(f, C, seed=seed, tol=config.tol_membership)
 
 
-_TRIAL_RUNNERS = {
-    "lemma1": _lemma1_trial,
-    "lemma2": _lemma2_trial,
-    "lemma3": _lemma3_trial,
-}
+SUITES = {"lemma1": (1, _lemma1_trial), "lemma2": (2, _lemma2_trial), "lemma3": (3, _lemma3_trial)}  # name: (stream, runner)
 
 
 def _tolerances(config: RunConfig) -> dict:
-    tols = {
-        "active": config.tol_active,
-        "support": config.tol_support,
-        "membership": config.tol_membership,
-    }
+    tols = {name.removeprefix("tol_"): getattr(config, name) for name in TOLERANCES}
     if config.oracle_pitch is not None:
-        tols["oracle_pitch"] = config.oracle_pitch
-        tols["oracle_agreement"] = ORACLE_AGREEMENT_TOL
+        tols |= {"oracle_pitch": config.oracle_pitch, "oracle_agreement": ORACLE_AGREEMENT_TOL}
     return tols
 
 
 def run_suite(which: str, config: RunConfig) -> SuiteReport:
-    """Run one suite (or 'all') and collect a reproducible report.
+    """Run one suite of ``SUITES``, or 'all' of them in table order, and collect a reproducible report.
 
-    No trial aborts the run: a trial that raises any ``Exception`` becomes a
-    failed ``no_error`` check naming the exception's type and message.  The
+    This is the one place that seeds a trial: each runner gets its
+    ``trial_rng`` generator and its ``_trial_seed`` check seed.  No trial
+    aborts the run: a trial that raises any ``Exception`` becomes a failed
+    ``no_error`` check naming the exception's type and message.  The
     traceback is left out, because its file paths would make the report
     depend on the machine.  A ``config`` with a ``config_error`` raises
-    ValueError before any trial.
+    ValueError before any trial.  The trials run with, and the report records,
+    ``int(seed)`` and ``float`` of each tolerance and of ``oracle_pitch``, so a
+    numpy seed or tolerance writes the bytes of the equal Python value.
     """
     if error := config_error(config):
         raise ValueError(" ".join(error))
-    if which == "all":
-        report = SuiteReport("all", config.seed, _tolerances(config))
-        for name in ("lemma1", "lemma2", "lemma3"):
-            report.trials += run_suite(name, config).trials
-        return report
-    if which not in _TRIAL_RUNNERS:
+    if which != "all" and which not in SUITES:
         raise ValueError(f"unknown suite: {which!r}")
+    reals = [name for name in (*TOLERANCES, "oracle_pitch") if getattr(config, name) is not None]
+    config = replace(config, seed=int(config.seed), **{name: float(getattr(config, name)) for name in reals})
     report = SuiteReport(which, config.seed, _tolerances(config))
-    runner = _TRIAL_RUNNERS[which]
-    for index in range(config.trials):
-        try:
-            trial = runner(index, config)
-        except Exception as exc:
-            trial = TrialResult(
-                instance={"suite": which, "error": str(exc)},
-                checks=[
-                    CheckResult(
-                        name="no_error",
-                        passed=False,
-                        witness={"error": f"{type(exc).__name__}: {exc}"},
-                    )
-                ],
-            )
-        report.trials.append(trial)
+    for name in SUITES if which == "all" else [which]:
+        stream, runner = SUITES[name]
+        for index in range(config.trials):
+            try:
+                trial = runner(trial_rng(config.seed, stream, index), _trial_seed(config.seed, stream, index), index, config)
+            except Exception as exc:
+                check = CheckResult(name="no_error", passed=False, witness={"error": f"{type(exc).__name__}: {exc}"})
+                trial = TrialResult(instance={"suite": name, "error": str(exc)}, checks=[check])
+            report.trials.append(trial)
     return report

@@ -1,5 +1,6 @@
 """Tests for the command line front end, run in-process via main()."""
 
+import argparse
 import json
 import warnings
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from convexkit import restriction
+from convexkit import harness, restriction
 from convexkit.cli import CliConfig, _run_query, build_parser, main, parse_args, run
 
 ABS_DOC = {"type": "max_affine", "pieces": [{"a": [1.0], "b": 0.0}, {"a": [-1.0], "b": 0.0}]}
@@ -49,6 +50,27 @@ def test_parse_defaults():
     assert config == CliConfig(command="verify")
     assert (config.suite, config.run.trials, config.run.seed) == ("all", 100, 42)
     assert (config.format, config.out) == ("json", None)
+
+
+def test_verify_flags_and_report_read_the_harness_tables(tmp_path, capsys):
+    """--suite offers the SUITES keys and "all", each TOLERANCES field is one --tol-* flag with RunConfig's
+    default, and a report's tolerances are those fields without "tol_", plus the two oracle keys in oracle mode."""
+    subparsers = next(action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction))
+    flags = {action.option_strings[0]: action for action in subparsers.choices["verify"]._actions if action.option_strings}
+    assert tuple(flags["--suite"].choices) == (*harness.SUITES, "all")
+    assert [flag for flag in flags if flag.startswith("--tol-")] == [f"--{name.replace('_', '-')}" for name in harness.TOLERANCES]
+    for name in harness.TOLERANCES:
+        flag = flags[f"--{name.replace('_', '-')}"]
+        assert (flag.dest, flag.type, flag.default) == (name, float, getattr(harness.RunConfig(), name))
+    keys = sorted(name.removeprefix("tol_") for name in harness.TOLERANCES)
+    out = tmp_path / "r.json"
+    assert main(parse_args(["verify", "--suite", "lemma1", "--trials", "0", "--out", str(out)])) == 0
+    assert sorted(json.loads(out.read_text())["tolerances"]) == keys == ["active", "membership", "support"]
+    oracle = harness.run_suite("lemma2", harness.RunConfig(trials=0, oracle_pitch=1e-2))
+    assert sorted(oracle.tolerances) == sorted([*keys, "oracle_pitch", "oracle_agreement"])
+    assert capsys.readouterr().out == "lemma1: pass=0 fail=0 skip=0\nreport written to " + str(out) + "\n"
+    assert main(parse_args(["verify", "--trials", "1", "--out", str(out)])) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [*harness.SUITES, "report written to " + str(out)]
 
 
 def test_usage_errors_exit_two():

@@ -1,12 +1,14 @@
 """Tests for the seeded generators, the grid oracle, and the suite runner."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from convexkit import argmin, cli, harness, marginal, restriction, simplex
 from convexkit.errors import FiberTooLarge
-from convexkit.functions import MaxAffine, evaluate, max_affine, quadratic
+from convexkit.functions import MaxAffine, evaluate, evaluate_many, max_affine, quadratic
 from convexkit.harness import (
     RunConfig,
     brute_force_min_over_fiber,
@@ -99,6 +101,8 @@ def test_brute_force_rejects_large_fibers():
         brute_force_min_over_fiber(f, np.ones((5, 1)), [1.0], 1e-2, 5.0)
     with pytest.raises(FiberTooLarge):
         brute_force_min_over_fiber(quadratic(np.eye(4)), np.ones((4, 1)), [1.0], 1e-3, 5.0)
+    with pytest.raises(FiberTooLarge, match="^grid would hold inf points"):  # 2 * radius / pitch overflows
+        brute_force_min_over_fiber(quadratic(np.eye(2)), np.ones((2, 1)), [1.0], 1e-10, 1e300)
     # a pitch or radius that is not finite and positive is refused, not answered with (inf, anchor)
     S = np.array([[1.0], [1.0]])
     for pitch, radius in [(-0.01, 5.0), (0.0, 5.0), (np.nan, 5.0), (np.inf, 5.0), (1e-2, -1.0), (1e-2, 0.0), (1e-2, np.nan), (1e-2, np.inf)]:
@@ -147,18 +151,27 @@ def test_unknown_suite_rejected():
 def test_run_suite_refuses_what_verify_refuses(monkeypatch, capsys, tmp_path):
     """A config no suite can run with raises ValueError before any trial, and verify prints the same field and rule."""
     calls = []
-    for name, runner in list(harness._TRIAL_RUNNERS.items()):
-        monkeypatch.setitem(harness._TRIAL_RUNNERS, name, lambda index, config, runner=runner: calls.append(index) or runner(index, config))
-    bad = {
-        "trials": (-3, "must be nonnegative"),
-        "dim": (1, "must be at least 2"),
-        "seed": (-1, "must be nonnegative"),
-        "tol_active": (-1e-9, "must be finite and nonnegative"),
-        "tol_support": (np.nan, "must be finite and nonnegative"),
-        "tol_membership": (np.inf, "must be finite and nonnegative"),
-        "oracle_pitch": (0.0, "must be finite and positive"),
-    }
-    for field, (value, requirement) in bad.items():
+    for name, (stream, runner) in list(harness.SUITES.items()):
+        counted = lambda rng, seed, index, config, runner=runner: calls.append(index) or runner(rng, seed, index, config)
+        monkeypatch.setitem(harness.SUITES, name, (stream, counted))
+    bad = [
+        ("trials", -3, "must be nonnegative"),
+        ("dim", 1, "must be at least 2"),
+        ("seed", -1, "must be nonnegative"),
+        ("tol_active", -1e-9, "must be finite and nonnegative"),
+        ("tol_support", np.nan, "must be finite and nonnegative"),
+        ("tol_membership", np.inf, "must be finite and nonnegative"),
+        ("oracle_pitch", 0.0, "must be finite and positive"),
+        # non-integers, which argparse cannot produce: range() raised TypeError, or the trials ran truncated
+        ("trials", 2.0, "must be an integer"),
+        ("trials", True, "must be an integer"),
+        ("trials", "2", "must be an integer"),
+        ("dim", 3.5, "must be an integer"),
+        ("dim", np.float64(3.0), "must be an integer"),
+        ("seed", 1.5, "must be an integer"),
+        ("seed", np.bool_(True), "must be an integer"),
+    ]
+    for field, value, requirement in bad:
         config = RunConfig(**{"trials": 2, field: value})
         assert harness.config_error(config) == (field, requirement)
         for suite in ("lemma1", "lemma2", "lemma3", "all"):
@@ -174,6 +187,19 @@ def test_run_suite_refuses_what_verify_refuses(monkeypatch, capsys, tmp_path):
     assert harness.config_error(RunConfig(trials=0, dim=2, seed=0, tol_active=0.0, oracle_pitch=1e-2)) is None
     assert run_suite("lemma1", RunConfig(trials=1)).summary["pass"] == 1
     assert calls == [0]
+
+
+def test_numpy_config_values_write_the_python_bytes():
+    """A numpy seed, count or tolerance runs and writes as the equal Python value; an int64 seed used to fail in json."""
+    tol = np.float32(1e-7)
+    python = RunConfig(trials=2, dim=6, seed=3, tol_support=float(tol), tol_membership=0.0)
+    numpy = RunConfig(trials=np.int64(2), dim=np.int32(6), seed=np.int64(3), tol_support=tol, tol_membership=0)
+    assert report_to_json(run_suite("all", numpy)) == report_to_json(run_suite("all", python))
+    assert type(run_suite("lemma1", numpy).seed) is int
+    pitch = np.float32(1e-2)
+    oracle = [run_suite("lemma2", RunConfig(trials=2, seed=np.uint8(5), oracle_pitch=p)) for p in (pitch, float(pitch))]
+    assert report_to_json(oracle[0]) == report_to_json(oracle[1])
+    assert type(oracle[0].tolerances["oracle_pitch"]) is float
 
 
 def test_oracle_mode_appends_agreement_checks():
@@ -260,14 +286,14 @@ def test_off_kernel_direction_is_a_recorded_trial(monkeypatch):
 def test_value_error_is_a_recorded_trial(monkeypatch, tmp_path, capsys):
     """A trial raising a non-ConvexKitError fails alone; the run and the CLI report every trial."""
     clean = report_to_dict(run_suite("lemma1", RunConfig(trials=4, seed=42)))["trials"]
-    runner = harness._TRIAL_RUNNERS["lemma1"]
+    stream, runner = harness.SUITES["lemma1"]
 
-    def raising(index, config):
+    def raising(rng, seed, index, config):
         if index == 2:
             quadratic([[1.0, 2.0], [0.0, 1.0]])  # Quadratic refuses an asymmetric Q
-        return runner(index, config)
+        return runner(rng, seed, index, config)
 
-    monkeypatch.setitem(harness._TRIAL_RUNNERS, "lemma1", raising)
+    monkeypatch.setitem(harness.SUITES, "lemma1", (stream, raising))
     report = run_suite("lemma1", RunConfig(trials=4, seed=42))
     trials = report_to_dict(report)["trials"]
     assert [t["id"] for t in trials] == [0, 1, 2, 3]
@@ -287,6 +313,12 @@ def test_value_error_is_a_recorded_trial(monkeypatch, tmp_path, capsys):
     assert cli.main(cli.parse_args(["verify", "--suite", "lemma1", "--trials", "4", "--out", str(out)])) == 1
     assert out.read_bytes() == report_to_json(report).encode()
     assert "lemma1: pass=3 fail=1 skip=0" in capsys.readouterr().out
+
+    # in "all", the errored trial names its own suite and counts in that suite's summary line
+    everything = run_suite("all", RunConfig(trials=4, seed=42))
+    assert report_to_dict(everything)["trials"][2] == trials[2]
+    assert cli.main(cli.parse_args(["verify", "--trials", "4", "--out", str(out)])) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "lemma1: pass=3 fail=1 skip=0"
 
 
 # --- the block draws against the one-at-a-time loops they replaced ------------------
@@ -373,13 +405,22 @@ def _reference_gen_coercive_max_affine(dim, pieces, rng):
     return MaxAffine(np.vstack([f.matrix, bounds]), np.concatenate([f.offsets, np.full(2 * dim, -2.0)]))
 
 
-def _reference_oracle_instance(rng):
-    """The oracle's max-affine instance with its per-piece and per-coordinate box-row loops, kept as the bit-exact reference."""
+def _reference_gen_pd_quadratic(dim, rng):
+    """gen_pd_quadratic's body before the A^T A + sI draw had one writer, kept as the bit-exact reference."""
+    A = rng.uniform(-1.0, 1.0, (dim, dim))
+    return quadratic(A.T @ A + 0.1 * np.eye(dim), c=rng.uniform(-1.0, 1.0, dim), r0=float(rng.uniform(-1.0, 1.0)))
+
+
+def _reference_oracle_instance(rng, pwl=True):
+    """The oracle's instance with its per-piece and per-coordinate box-row loops and its own quadratic draw, kept as the bit-exact reference."""
     k = int(rng.integers(1, 3))
     d = k + int(rng.integers(1, 3))
     rank = d - k
     n = rank + int(rng.integers(0, 2))
     S = gen_operator(d, n, rank, rng)
+    if not pwl:
+        A = rng.uniform(-1.0, 1.0, (d, d))
+        return quadratic(A.T @ A + 0.5 * np.eye(d), c=rng.uniform(-0.2, 0.2, d), r0=float(rng.uniform(-0.5, 0.5))), S
     rows = [(rng.uniform(-0.3, 0.3, d), float(rng.uniform(-0.5, 0.5))) for _ in range(int(rng.integers(2, 6)))]
     for j in range(d):
         e = np.zeros(d)
@@ -409,3 +450,105 @@ def test_piece_draws_match_per_piece_loops():
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         assert harness._oracle_instance(a, True)[1].tobytes() == _reference_oracle_instance(b)[1].tobytes()
     assert negative_zeros > 0  # the -e_j box rows
+
+
+def test_pd_quadratic_draws_match_their_old_bodies():
+    """gen_pd_quadratic and the oracle's quadratic, now one A^T A + sI writer, give the old Q, c and r0 byte for byte
+    and leave the stream where the old bodies did."""
+    for seed in range(400):
+        dim = 1 + seed % 8
+        draws = [
+            (lambda rng: (gen_pd_quadratic(dim, rng), None), lambda rng: (_reference_gen_pd_quadratic(dim, rng), None)),
+            (lambda rng: harness._oracle_instance(rng, False), lambda rng: _reference_oracle_instance(rng, False)),
+        ]
+        for draw, reference in draws:
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            (f, S), (want, want_S) = draw(a), reference(b)
+            assert f.Q.shape == want.Q.shape and f.Q.tobytes() == want.Q.tobytes()
+            assert f.c.tobytes() == want.c.tobytes() and np.float64(f.r0).tobytes() == np.float64(want.r0).tobytes()
+            assert (S is None and want_S is None) or S.tobytes() == want_S.tobytes()
+            assert a.bit_generator.state == b.bit_generator.state
+
+# --- the streamed grid oracle against the meshgrid search it replaced ---------------
+
+
+def _reference_brute_force(f, S, x, pitch, radius):
+    """brute_force_min_over_fiber's whole-meshgrid search, kept as the bit-exact reference."""
+    fiber = restriction.make_fiber(np.asarray(S, dtype=float).T, x)
+    axis = np.arange(-radius, radius + 0.5 * pitch, pitch)
+    mesh = np.meshgrid(*([axis] * fiber.fiber_dim), indexing="ij")
+    W = np.stack([m.ravel() for m in mesh], axis=1)
+    best_value = np.inf
+    best_point = fiber.anchor
+    chunk = 200000
+    for start in range(0, W.shape[0], chunk):
+        pts = fiber.anchor + W[start : start + chunk] @ fiber.kernel_basis.basis
+        vals = evaluate_many(f, pts)
+        i = int(np.argmin(vals))
+        if vals[i] < best_value:
+            best_value = float(vals[i])
+            best_point = pts[i]
+    return best_value, best_point
+
+
+def test_streamed_grid_matches_the_meshgrid_search():
+    """Value and point equal the meshgrid search's bit for bit for k = 1 to 3, across chunk seams and at integer quotients."""
+    rng = np.random.default_rng(23)
+    integral = 0
+    for case in range(48):
+        k = 1 + case % 3
+        d = k + int(rng.integers(1, 3))
+        rank = d - k
+        S = gen_operator(d, rank + int(rng.integers(0, 2)), rank, rng)
+        x = S.T @ rng.uniform(-0.2, 0.2, d)
+        family = case // 3 % 3  # the flat max-affine is 0 at many nodes near the origin, where the first in grid order wins
+        if family == 0:
+            f = gen_coercive_max_affine(d, 3, rng)
+        elif family == 1:
+            f = gen_pd_quadratic(d, rng)
+        else:
+            f = gen_flat_max_affine(d, 3, rng)
+        radius = float(rng.uniform(0.5, 3.0))
+        steps = (250001, 501, 64)[k - 1] if case < 3 else int(rng.integers(2, (2000, 120, 25)[k - 1]))  # seams first
+        pitch = 2.0 * radius / (steps - (0.5 if case % 4 < 2 else float(rng.uniform(0.0, 1.0))))
+        integral += ((radius + 0.5 * pitch + radius) / pitch).is_integer()
+        value, point = brute_force_min_over_fiber(f, S, x, pitch, radius)
+        want_value, want_point = _reference_brute_force(f, S, x, pitch, radius)
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        assert point.tobytes() == want_point.tobytes()
+    assert integral >= 5
+
+
+def test_grid_count_is_the_arange_length(monkeypatch):
+    """The count taken before any array is built is len(np.arange(-radius, radius + pitch / 2, pitch)), integer quotients included."""
+    monkeypatch.setattr(harness, "GRID_POINT_CAP", 0)  # refuse every grid, naming its count
+    S, f = np.array([[1.0], [1.0]]), quadratic(np.eye(2))  # a one-dimensional fiber: the count is the axis length
+    rng = np.random.default_rng(29)
+    integral = 0
+    for case in range(1000):
+        radius = float(10.0 ** rng.uniform(-3.0, 3.0))
+        steps = int(rng.integers(1, 10**5))
+        pitch = 2.0 * radius / (steps - (0.5 if case % 2 else float(rng.uniform(0.0, 1.0))))
+        integral += ((radius + 0.5 * pitch + radius) / pitch).is_integer()
+        length = len(np.arange(-radius, radius + 0.5 * pitch, pitch))
+        with pytest.raises(FiberTooLarge, match=f"^grid would hold {length} points, the cap is 0$"):
+            brute_force_min_over_fiber(f, S, [2.0], pitch, radius)
+    assert integral >= 100
+
+
+def test_grid_memory_is_bounded():
+    """A refused grid allocates nothing of its size, and a legal 9.9e6-point k = 3 grid holds one chunk at a time."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(FiberTooLarge, match="^grid would hold 10000001 points"):
+            brute_force_min_over_fiber(quadratic(np.eye(2)), np.ones((2, 1)), [1.0], 1e-6, 5.0)
+        _, refused = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        value, point = brute_force_min_over_fiber(quadratic(np.eye(4)), np.ones((4, 1)), [1.0], 10 / 214, 5.0)
+        _, streamed = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert refused < 2**20  # the whole-meshgrid search built the 76 MiB axis first
+    assert streamed < 64 * 2**20  # the whole-meshgrid search peaked at 481 MiB
+    assert_allclose(value, 0.25, atol=1e-12)
+    assert_allclose(point, np.full(4, 0.25), atol=1e-12)

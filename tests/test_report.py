@@ -64,14 +64,14 @@ def test_reports_match_json_dumps():
 
 def test_errored_trial_report_matches_json_dumps(monkeypatch):
     """A trial's ``no_error`` witness keeps the brackets of its message."""
-    runner = harness._TRIAL_RUNNERS["lemma3"]
+    stream, runner = harness.SUITES["lemma3"]
 
-    def raising(index, config):
+    def raising(rng, seed, index, config):
         if index == 1:
             raise ValueError('row [1.0, {"b": 2}],\n  [3] is not a vector')
-        return runner(index, config)
+        return runner(rng, seed, index, config)
 
-    monkeypatch.setitem(harness._TRIAL_RUNNERS, "lemma3", raising)
+    monkeypatch.setitem(harness.SUITES, "lemma3", (stream, raising))
     report = run_suite("lemma3", RunConfig(trials=3, seed=42))
     witness = report.trials[1].checks[0].witness
     assert witness == {"error": 'ValueError: row [1.0, {"b": 2}],\n  [3] is not a vector'}
