@@ -15,6 +15,7 @@ box radius or point).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field, fields
@@ -45,6 +46,7 @@ class CliConfig:
     x: str | None = None
 
 
+@functools.cache  # built once per process; parse_args leaves a parser as it found it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="convexkit",

@@ -125,9 +125,9 @@ def brute_force_min_over_fiber(f, S, x, pitch: float, radius: float):
     The grid covers [-radius, radius]^k around the min-norm anchor, where k is
     the fiber dimension.  Only k <= 3 and at most 1e7 grid points are allowed;
     larger fibers raise FiberTooLarge, and a pitch or radius not finite and positive ValueError.
-    The points are counted before any array is built, and the grid is never
+    The points are counted before any array is built, and no axis or grid is
     built whole: each chunk's rows are the meshgrid(indexing="ij") rows of its
-    flat indices, in the same order, so only the axis and one chunk are held.
+    flat indices, in order, each coordinate by np.arange's own fill rule.
     """
     if not (0.0 < pitch < np.inf and 0.0 < radius < np.inf):  # NaN fails both
         raise ValueError(f"pitch and radius must be finite and positive, got {pitch!r} and {radius!r}")
@@ -142,13 +142,12 @@ def brute_force_min_over_fiber(f, S, x, pitch: float, radius: float):
     count = math.ceil(length) ** k if length < math.inf else math.inf
     if count > GRID_POINT_CAP:
         raise FiberTooLarge(f"grid would hold {count} points, the cap is {GRID_POINT_CAP}")
-    axis = np.arange(-radius, radius + 0.5 * pitch, pitch)
-    best_value = np.inf
-    best_point = fiber.anchor
+    delta = (-radius + pitch) - -radius  # np.arange's fill rule: its point i is -radius + i * delta
+    best_value, best_point = np.inf, fiber.anchor
     chunk = 200000
     for start in range(0, count, chunk):
         flat = np.arange(start, min(start + chunk, count))
-        W = axis[np.stack(np.unravel_index(flat, axis.shape * k), axis=1)]
+        W = -radius + np.stack(np.unravel_index(flat, (math.ceil(length),) * k), axis=1) * delta
         pts = fiber.anchor + W @ fiber.kernel_basis.basis
         vals = fn.evaluate_many(f, pts)
         i = int(np.argmin(vals))
@@ -176,11 +175,15 @@ def _integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def config_error(config: RunConfig) -> tuple[str, str] | None:
     """The first field of ``config`` that no suite can run with, and what it must be; None if there is none.
 
-    ``trials``, ``dim`` and ``seed`` must be integers (numpy integers are, a
-    bool is not); each rule reads its field only once the rules before it hold.
+    ``trials``, ``dim`` and ``seed`` must be integers, each tolerance and a set ``oracle_pitch`` real
+    numbers (numpy numbers are, a bool is not); each rule reads its field only once the rules before it hold.
     """
     rules = [
         ("trials", _integer, "must be an integer"),
@@ -189,7 +192,9 @@ def config_error(config: RunConfig) -> tuple[str, str] | None:
         ("dim", lambda value: value >= 2, "must be at least 2"),
         ("seed", _integer, "must be an integer"),
         ("seed", lambda value: value >= 0, "must be nonnegative"),
-        *((name, lambda value: 0.0 <= value < np.inf, "must be finite and nonnegative") for name in TOLERANCES),
+        *((name, ok, rule) for name in TOLERANCES for ok, rule in (
+            (_real, "must be a real number"), (lambda value: 0.0 <= value < np.inf, "must be finite and nonnegative"))),
+        ("oracle_pitch", lambda value: value is None or _real(value), "must be a real number"),
         ("oracle_pitch", lambda value: value is None or 0.0 < value < np.inf, "must be finite and positive"),
     ]
     return next(((name, rule) for name, ok, rule in rules if not ok(getattr(config, name))), None)  # NaN fails every rule

@@ -128,24 +128,21 @@ class MinimizationWitness:
 
 
 def _lp_inner(d, epigraph, constant, X):
-    """The prepared epigraph LP solved for b_eq = x at every row; an argmin is its first d variables."""
+    """The prepared epigraph LP solved for b_eq = x at every row, as arrays; an argmin is its first d variables.
+
+    It raises what the rows in turn would raise first: the safety box before the first failed row, or its failure.
+    """
     cost, rows, rhs, eq, lower, upper = epigraph
-    values, R = [], []
-    for sol in solve_lp(cost, A_ub=rows, b_ub=rhs, A_eq=eq, b_eq=X, lower=lower, upper=upper):
-        if isinstance(sol, LPInfeasible):
-            raise UnboundedBelow(
-                f"fiber does not meet the solver box (radius {BOX_RADIUS:g}): {sol}"
-            ) from sol
-        if isinstance(sol, Exception):
-            raise sol
-        r = sol.x[:d]
-        if float(np.max(np.abs(r))) > BOX_RADIUS - 1e-6 * BOX_RADIUS:
-            raise UnboundedBelow(
-                "minimum sits on the safety box, attainment inside it is not certified"
-            )
-        values.append(sol.value + constant)
-        R.append(r)
-    return np.array(values), np.array(R), "exact-LP"
+    Y, values, failures = solve_lp(cost, A_ub=rows, b_ub=rhs, A_eq=eq, b_eq=X, lower=lower, upper=upper)
+    first = next((i for i, failure in enumerate(failures) if failure is not None), len(failures))
+    R = Y[:, :d].copy()  # C-ordered, as the products downstream round by it
+    if (np.abs(R[:first]).max(axis=1) > BOX_RADIUS - 1e-6 * BOX_RADIUS).any():
+        raise UnboundedBelow("minimum sits on the safety box, attainment inside it is not certified")
+    if first < len(failures) and isinstance(failures[first], LPInfeasible):
+        raise UnboundedBelow(f"fiber does not meet the solver box (radius {BOX_RADIUS:g}): {failures[first]}") from failures[first]
+    if first < len(failures):
+        raise failures[first]
+    return values + constant, R, "exact-LP"
 
 
 def _kkt_system(quad, S):

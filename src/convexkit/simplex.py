@@ -20,11 +20,12 @@ problems only: everything is dense numpy.
 One routine solves every call, as a stack of LPs that differ only in b_eq
 (``b_eq`` of shape (k, m_eq)); a lone LP is the stack of one.  Which rows get
 an artificial depends only on A_ub, b_ub and the bounds, so the k tableaux
-share their shape and starting basis, and Bland pivots run on all unfinished
-tableaux in lockstep.  Each row makes exactly the pivots, ratios and ties it
-would make alone, and MAX_PIVOTS counts per row.  The rows are taken in
-stacks of at most STACK_FLOATS tableau entries, which bounds the memory of a
-tall stack.
+share their shape and starting basis, and Bland pivots run in lockstep on all
+unfinished tableaux, kept in place at the front of the stack.  Each row makes
+exactly the pivots, ratios and ties it would make alone, and MAX_PIVOTS counts
+per row; the answers are read back as arrays.  A stack holds at most
+STACK_FLOATS = 2^16 tableau entries, which bounds a tall stack's memory and
+takes a lemma2 gap check's 60 queries, at most 1,088 entries each, in one run.
 
 Every basic column stays a unit column, exactly: a pivot divides its row by
 the pivot entry, and x / x is 1, and subtracts multiples of that row, which
@@ -49,7 +50,7 @@ from .errors import DimensionMismatch, LPInfeasible, SolverFailure
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 MAX_PIVOTS = 20000
-STACK_FLOATS = 2**15  # tableau floats pivoted in lockstep at once: 256 KiB
+STACK_FLOATS = 2**16  # tableau floats pivoted in lockstep at once (512 KiB): 60 lemma2 queries of 1,088
 
 
 @dataclass(frozen=True)
@@ -88,62 +89,55 @@ def _run_stack(T, basis, structural, columns) -> list:
     """Bland pivots on every tableau of the stack in lockstep; per row None or its SolverFailure.
 
     Columns up to ``structural``, the guard, may enter; every basis label is
-    below ``columns``.  The rows are pivoted in place until one stops, then on
-    compact copies of the unfinished rows; a stopped row is written back and never touched again.
+    below ``columns``.  The n unfinished rows lead the stack and are pivoted on
+    the views T[:n] and basis[:n]: when rows stop, one gather moves the rest
+    ahead, and one inverse gather at the end restores the order; no copy is kept.
     """
     failures = [None] * len(T)
-    if not failures:
-        return failures
-    live = np.arange(len(T))
-    t, b, s = T, basis, live
+    t, b, s, order = T, basis, np.arange(len(T)), np.arange(len(T))  # t, b: the n unfinished rows; order[p]: the row at p
     obj, rhs = t[:, -1, : structural + 1], t[:, :-1, -1]
     no_ratios = np.full(rhs.shape, np.nan)
-    for _ in range(MAX_PIVOTS):
+    for _ in range(MAX_PIVOTS if len(T) else 0):
         col = (obj < -PIVOT_TOL).argmax(axis=1)  # Bland: smallest eligible index enters
         column = t[s, :, col]
         entries = column[:, :-1]
-        ratios = np.divide(rhs, entries, out=no_ratios[: live.size].copy(), where=entries > PIVOT_TOL)
+        ratios = np.divide(rhs, entries, out=no_ratios[: s.size].copy(), where=entries > PIVOT_TOL)
         # each tableau's tie bound on its least ratio; NaN where no row blocks
         least = np.fmin.reduce(ratios, axis=1)
         bound = least + 1e-12 * (1.0 + np.abs(least))
         stop = np.isnan(bound)
         if stop.any():  # a tableau stops
-            for j, entering in enumerate(col.tolist()):
-                if stop[j] and entering < structural:  # the guard enters only at an optimum
-                    failures[live[j]] = SolverFailure("no blocking row for the entering column")
-            if t is not T:
-                T[live[stop]], basis[live[stop]] = t[stop], b[stop]
-            if stop.all():
-                return failures
-            keep = ~stop
-            live, t, b, col, column, ratios, bound = (a[keep] for a in (live, t, b, col, column, ratios, bound))
-            s = s[: live.size]
+            for j in stop.nonzero()[0]:
+                if col[j] < structural:  # the guard enters only at an optimum
+                    failures[order[j]] = SolverFailure("no blocking row for the entering column")
+            s = s[: s.size - np.count_nonzero(stop)]
+            if not s.size:
+                break
+            moved = np.argsort(stop, kind="stable")  # the unfinished rows first, each part in its order
+            t[:], b[:], order[: moved.size] = t[moved], b[moved], order[moved]
+            live = moved[: s.size]
+            t, b, col, column, ratios, bound = t[: s.size], b[: s.size], col[live], column[live], ratios[live], bound[live]
             obj, rhs = t[:, -1, : structural + 1], t[:, :-1, -1]
         ties = ratios <= bound[:, None]
         row = np.where(ties, b, columns).argmin(axis=1)  # Bland: smallest basic index leaves
         _pivot_stack(t, b, s, row, col, column)
-    for j in live:
+    for j in order[: s.size]:
         failures[j] = SolverFailure(f"simplex did not terminate within {MAX_PIVOTS} pivots")
-    T[live], basis[live] = t, b
+    if len(T) > 1 and (np.diff(order) < 0).any():  # the inverse gather
+        T[:], basis[:] = T[np.argsort(order)], basis[np.argsort(order)]
     return failures
 
 
-def _solution(T: np.ndarray, basis: np.ndarray, columns: int, c: np.ndarray, lower: np.ndarray) -> LPSolution:
-    z = np.zeros(columns)
-    z[basis] = T[:-1, -1]
-    x = z[: c.shape[0]] + lower
-    return LPSolution(x=x, value=float(c @ x))
+def _solve_stack(T, basis, n_art, c, lower, X, values) -> list:
+    """The two phases on every tableau of the stack, modified in place; per row None or its error, in order.
 
-
-def _solve_stack(T, basis, n_art, c, lower) -> list:
-    """The two phases on every tableau of the stack, modified in place; its outcome per row, in order.
-
-    Its n_art artificials are basis labels past the guard with no column.
+    Row i's x and value go to X[i] and values[i], NaN if it fails.  Its n_art
+    artificials are basis labels past the guard with no column.
     """
     k, structural, columns = T.shape[0], T.shape[2] - 2, T.shape[2] - 1 + n_art  # every label is below columns
     cost = np.zeros(columns)
     cost[structural] = -np.inf  # the guard
-    outcomes = [None] * k
+    failures = [None] * k
     ids = np.arange(k)  # the rows still being solved
 
     # phase 1: minimize the artificial sum
@@ -153,8 +147,8 @@ def _solve_stack(T, basis, n_art, c, lower) -> list:
         for s, failure in enumerate(_run_stack(T, basis, structural, columns)):
             if failure is None and -T[s, -1, -1] > FEAS_TOL:
                 failure = LPInfeasible(f"phase 1 optimum {-T[s, -1, -1]:.3e} above feasibility tolerance")
-            outcomes[s] = failure
-        ids = np.array([s for s in range(k) if outcomes[s] is None], dtype=int)
+            failures[s] = failure
+        ids = np.array([s for s in range(k) if failures[s] is None], dtype=int)
         if len(ids) < k:
             T, basis = T[ids], basis[ids]
         # drive leftover artificials out of the basis where possible, row i of every tableau in turn;
@@ -171,9 +165,17 @@ def _solve_stack(T, basis, n_art, c, lower) -> list:
     # phase 2: the original objective on the shifted variables
     cost[: c.shape[0]] = c
     _set_objective(T, basis, cost)
-    for s, failure in enumerate(_run_stack(T, basis, structural, columns)):
-        outcomes[ids[s]] = failure if failure is not None else _solution(T[s], basis[s], columns, c, lower)
-    return outcomes
+    for i, failure in zip(ids, _run_stack(T, basis, structural, columns)):
+        failures[i] = failure
+    # the answers at once; a stacked dot over C-ordered rows is the one-row dot c @ x
+    Z = np.zeros((len(T), columns))
+    Z[np.arange(len(T))[:, None], basis] = T[:, :-1, -1]
+    x = Z[:, : c.shape[0]] + lower
+    X[ids], values[ids] = x, (x[:, None, :] @ c[:, None])[:, 0, 0]
+    for i, failure in enumerate(failures):
+        if failure is not None:
+            X[i], values[i] = np.nan, np.nan
+    return failures
 
 
 def _tableaux(c, A_ub, b_ub, A_eq, B_eq, lower, upper):
@@ -218,15 +220,15 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, lower, upper):
     as do bounds, A_ub and A_eq not of shapes (n,), (len(b_ub), n) and (m_eq, n).
 
     With ``b_eq`` of shape (k, m_eq) it solves the k LPs that differ only in
-    b_eq and returns their k outcomes in row order: each is an LPSolution, or
-    the LPInfeasible or SolverFailure instance that a one-row call would raise.
+    b_eq and returns their answers as arrays, (X, values, failures): row i of
+    X (k, n) and values (k,) is the x and value of a one-row call, or NaN
+    where failures[i] is the LPInfeasible or SolverFailure it would raise.
     """
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     if n == 0:
         raise DimensionMismatch("a linear program needs at least one variable")
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     if lower.shape != (n,) or upper.shape != (n,):
         raise DimensionMismatch(f"bounds {lower.shape} and {upper.shape} must be ({n},)")
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
@@ -241,18 +243,19 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, lower, upper):
     if A_ub.shape != (len(b_ub), n) or A_eq.shape != (B_eq.shape[1], n):
         raise DimensionMismatch(f"A_ub {A_ub.shape} and A_eq {A_eq.shape} must be (rows of b_ub or b_eq, {n})")
 
+    X, values = np.empty((len(B_eq), n)), np.empty(len(B_eq))
     if (upper < lower).any():
-        outcomes = [LPInfeasible("empty box: some upper bound is below its lower bound") for _ in B_eq]
+        X[:], values[:] = np.nan, np.nan
+        failures = [LPInfeasible("empty box: some upper bound is below its lower bound") for _ in B_eq]
     else:
         # a tableau has m_ub + m_eq + 1 rows and n + m_ub + 2 columns
         m_ub = A_ub.shape[0] + n
         height = max(1, STACK_FLOATS // ((m_ub + A_eq.shape[0] + 1) * (n + m_ub + 2)))
-        outcomes = []
-        for start in range(0, len(B_eq), height):
-            T, basis, n_art = _tableaux(c, A_ub, b_ub, A_eq, B_eq[start : start + height], lower, upper)
-            outcomes += _solve_stack(T, basis, n_art, c, lower)
+        failures = []
+        for rows in (slice(start, start + height) for start in range(0, len(B_eq), height)):
+            failures += _solve_stack(*_tableaux(c, A_ub, b_ub, A_eq, B_eq[rows], lower, upper), c, lower, X[rows], values[rows])
     if b_eq.ndim == 2:
-        return outcomes
-    if isinstance(outcomes[0], Exception):
-        raise outcomes[0]
-    return outcomes[0]
+        return X, values, failures
+    if failures[0] is not None:
+        raise failures[0]
+    return LPSolution(x=X[0], value=float(values[0]))

@@ -3,6 +3,7 @@
 import argparse
 import json
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -50,6 +51,29 @@ def test_parse_defaults():
     assert config == CliConfig(command="verify")
     assert (config.suite, config.run.trials, config.run.seed) == ("all", 100, 42)
     assert (config.format, config.out) == ("json", None)
+
+
+def test_one_parser_parses_as_fresh_parsers_do():
+    """The cached parser gives, call after call, the configs and help text that a parser built afresh gives."""
+    fresh = build_parser.__wrapped__
+    argvs = [
+        ["verify", "--suite", "lemma2", "--trials", "3", "--tol-active", "1e-6", "--format", "csv", "--out", "r.csv"],
+        ["query", "marginal", "--instance", "doc.json", "--x", "1,2"],
+        ["verify"],
+    ]
+    for argv in argvs:
+        flags = vars(fresh().parse_args(argv))
+        run = {f.name: flags.pop(f.name) for f in fields(harness.RunConfig) if f.name in flags}
+        assert parse_args(argv) == CliConfig(**flags, run=harness.RunConfig(**run))
+    assert parse_args(["verify"]) == CliConfig(command="verify")
+    assert build_parser() is build_parser()
+    assert build_parser().format_help() == fresh().format_help()
+
+    def verify_help(parser):
+        subparsers = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+        return subparsers.choices["verify"].format_help()
+
+    assert verify_help(build_parser()) == verify_help(fresh())
 
 
 def test_verify_flags_and_report_read_the_harness_tables(tmp_path, capsys):

@@ -170,6 +170,12 @@ def test_run_suite_refuses_what_verify_refuses(monkeypatch, capsys, tmp_path):
         ("dim", np.float64(3.0), "must be an integer"),
         ("seed", 1.5, "must be an integer"),
         ("seed", np.bool_(True), "must be an integer"),
+        # non-reals: a bool ran as 1.0, and a string raised TypeError from the range rule
+        ("tol_support", True, "must be a real number"),
+        ("tol_membership", np.bool_(False), "must be a real number"),
+        ("tol_active", "1e-9", "must be a real number"),
+        ("oracle_pitch", "0.01", "must be a real number"),
+        ("oracle_pitch", True, "must be a real number"),
     ]
     for field, value, requirement in bad:
         config = RunConfig(**{"trials": 2, field: value})
@@ -491,6 +497,40 @@ def _reference_brute_force(f, S, x, pitch, radius):
     return best_value, best_point
 
 
+def _whole_axis_brute_force(f, S, x, pitch, radius):
+    """brute_force_min_over_fiber's streamed search over a whole np.arange axis, kept as the bit-exact reference."""
+    fiber = restriction.make_fiber(np.asarray(S, dtype=float).T, x)
+    k = fiber.fiber_dim
+    axis = np.arange(-radius, radius + 0.5 * pitch, pitch)
+    best_value, best_point = np.inf, fiber.anchor
+    for start in range(0, axis.size**k, 200000):
+        flat = np.arange(start, min(start + 200000, axis.size**k))
+        pts = fiber.anchor + axis[np.stack(np.unravel_index(flat, axis.shape * k), axis=1)] @ fiber.kernel_basis.basis
+        vals = evaluate_many(f, pts)
+        i = int(np.argmin(vals))
+        if vals[i] < best_value:
+            best_value, best_point = float(vals[i]), pts[i]
+    return best_value, best_point
+
+
+def test_fill_rule_axis_matches_the_whole_axis():
+    """np.arange's fill rule, -radius + i * ((-radius + pitch) - -radius), gives its axis byte for byte,
+    and the search on it gives the whole-axis search's value and point, across chunk seams for k = 1 to 3."""
+    rng = np.random.default_rng(31)
+    for case in range(2000):
+        radius = float(10.0 ** rng.uniform(-3.0, 3.0))
+        pitch = radius * float(10.0 ** rng.uniform(-3.0, 0.5)) if case % 2 else 2.0 * radius / (int(rng.integers(1, 2000)) - 0.5)
+        axis = np.arange(-radius, radius + 0.5 * pitch, pitch)
+        assert (-radius + np.arange(axis.size) * ((-radius + pitch) - -radius)).tobytes() == axis.tobytes()
+    for k, steps in [(1, 450001), (1, 1999), (2, 701), (3, 63)]:
+        S = np.ones((k + 1, 1))  # the fiber r_1 + ... + r_(k+1) = 0.3 has dimension k
+        f = quadratic(np.diag(rng.uniform(0.5, 2.0, k + 1)), c=rng.uniform(-1.0, 1.0, k + 1))
+        radius = float(rng.uniform(0.5, 3.0))
+        pitch = 2.0 * radius / (steps - float(rng.uniform(0.0, 1.0)))
+        got, want = brute_force_min_over_fiber(f, S, [0.3], pitch, radius), _whole_axis_brute_force(f, S, [0.3], pitch, radius)
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
 def test_streamed_grid_matches_the_meshgrid_search():
     """Value and point equal the meshgrid search's bit for bit for k = 1 to 3, across chunk seams and at integer quotients."""
     rng = np.random.default_rng(23)
@@ -537,7 +577,7 @@ def test_grid_count_is_the_arange_length(monkeypatch):
 
 
 def test_grid_memory_is_bounded():
-    """A refused grid allocates nothing of its size, and a legal 9.9e6-point k = 3 grid holds one chunk at a time."""
+    """A refused grid allocates nothing of its size, and legal 9.9e6-point grids, k = 3 and k = 1, hold one chunk at a time."""
     tracemalloc.start()
     try:
         with pytest.raises(FiberTooLarge, match="^grid would hold 10000001 points"):
@@ -546,9 +586,14 @@ def test_grid_memory_is_bounded():
         tracemalloc.reset_peak()
         value, point = brute_force_min_over_fiber(quadratic(np.eye(4)), np.ones((4, 1)), [1.0], 10 / 214, 5.0)
         _, streamed = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        line_value, _ = brute_force_min_over_fiber(quadratic(np.eye(2)), np.ones((2, 1)), [1.0], 10 / 9999998.5, 5.0)
+        _, line = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert refused < 2**20  # the whole-meshgrid search built the 76 MiB axis first
     assert streamed < 64 * 2**20  # the whole-meshgrid search peaked at 481 MiB
+    assert line < 32 * 2**20  # a 9,999,999-point k = 1 grid: the whole axis alone was 76 MiB, the peak about 93 MiB
+    assert_allclose(line_value, 0.5, atol=1e-12)
     assert_allclose(value, 0.25, atol=1e-12)
     assert_allclose(point, np.full(4, 0.25), atol=1e-12)

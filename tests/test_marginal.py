@@ -277,6 +277,31 @@ def test_marginal_values_raise_the_first_error_in_row_order():
     assert (values.shape, argmins.shape, status) == ((0,), (0, 2), None)
 
 
+def test_lp_stack_raises_box_and_fiber_errors_in_row_order():
+    """A minimum on the safety box and a fiber missing the box raise in the order of their rows, either way round.
+
+    f = r1 - r2 falls along every fiber r1 + r2 = x, so x = 0 lands on the box,
+    and x = 5000 misses the box |r| <= 1000.  On the one-norm, the clean rows
+    before a missed fiber answer as they do alone.
+    """
+    h = marginalize(max_affine([((1.0, -1.0), 0.0)]), SUM_FIBER)
+    box, far = "minimum sits on the safety box", "fiber does not meet the solver box"
+    for X, message in [([[0.0], [5000.0]], box), ([[5000.0], [0.0]], far), ([[0.0], [0.0]], box)]:
+        X = np.array(X)
+        assert str(_first_error(h, X)).startswith(message)
+        with pytest.raises(UnboundedBelow, match=message):
+            marginal_values(h, X)
+    clean = marginalize(ONE_NORM, SUM_FIBER)
+    X = np.array([[1.0], [-2.0], [5000.0]])
+    with pytest.raises(UnboundedBelow, match=far):
+        marginal_values(clean, X)
+    values, argmins, _ = marginal_values(clean, X[:2])
+    assert argmins.flags.c_contiguous  # C-ordered rows, which the stacked products downstream assume
+    for x, v, r in zip(X[:2], values, argmins):
+        witness = marginal_value(clean, x)
+        assert (repr(witness.value), witness.argmin.tobytes()) == (repr(float(v)), r.tobytes())
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)

@@ -9,6 +9,9 @@ The bit-exact reference for the lockstep solver is the solver's earlier
 one-LP two-phase routine and tableau builder, kept below unchanged but for
 reading the tolerances and pivot limit through the module: every row of every
 stack must give its x bytes and repr(value), or its error type and message.
+The stacked routine as it was before its answers became arrays, with compact
+copies of the unfinished rows and a per-row solution, is kept as well: the
+in-place runs must leave the same tableaux, bases and failures byte for byte.
 """
 
 import itertools
@@ -98,7 +101,8 @@ def test_constraint_shapes_are_checked():
     with pytest.raises(DimensionMismatch):  # a stack of two-wide b_eq rows for one equality row
         solve_lp([-1.0, -1.0], A_eq=[[1.0, 1.0]], b_eq=np.ones((3, 2)), **box)
     assert solve_lp([-1.0, -1.0], A_ub=[[1, 0], [0, 1]], b_ub=[1, 1], **box).value == -2.0
-    assert [s.value for s in solve_lp([-1.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=np.ones((3, 1)), **box)] == [-1.0] * 3
+    X, values, failures = solve_lp([-1.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=np.ones((3, 1)), **box)
+    assert values.tolist() == [-1.0] * 3 and X.shape == (3, 2) and failures == [None] * 3
 
 
 def test_degenerate_rows_terminate():
@@ -445,6 +449,13 @@ def _fingerprint(outcome):
     return type(outcome).__name__, str(outcome)
 
 
+def _outcomes(X, values, failures):
+    """A stacked solve's arrays as one outcome per row: its LPSolution, or its error; a failed row holds NaN."""
+    assert len(X) == len(values) == len(failures)
+    assert all(np.isnan(X[i]).all() and np.isnan(values[i]) for i, f in enumerate(failures) if f is not None)
+    return [LPSolution(x, float(v)) if f is None else f for x, v, f in zip(X, values, failures)]
+
+
 @pytest.mark.parametrize("max_pivots", [simplex.MAX_PIVOTS, 0, 3])
 def test_stacked_solves_match_one_row_solves(monkeypatch, max_pivots):
     """Row i of a stacked solve, and the 1-D call on b_eq[i], give the reference outcome of b_eq[i].
@@ -455,7 +466,7 @@ def test_stacked_solves_match_one_row_solves(monkeypatch, max_pivots):
     kinds = set()
     for seed in range(60):
         c, A_ub, b_ub, A_eq, B_eq, lower, upper = (_epigraph_stack if seed % 3 else _degenerate_equality_stack)(seed)
-        stacked = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=B_eq, lower=lower, upper=upper)
+        stacked = _outcomes(*solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=B_eq, lower=lower, upper=upper))
         assert len(stacked) == len(B_eq)
         for b_eq, outcome in zip(B_eq, stacked):
             want = _reference(c, A_ub, b_ub, A_eq, b_eq, lower, upper)
@@ -552,19 +563,154 @@ def test_stack_shapes(monkeypatch):
     for budget, expected in chunks.items():
         monkeypatch.setattr(simplex, "STACK_FLOATS", budget)
         heights.clear()
-        assert [_fingerprint(o) for o in solve_lp(c, b_eq=B_eq, **lp)] == want
+        assert [_fingerprint(o) for o in _outcomes(*solve_lp(c, b_eq=B_eq, **lp))] == want
         assert heights == expected
     far = 1e4 * B_eq  # every fiber misses the box
     want = [_fingerprint(_reference(c, A_ub, b_ub, A_eq, b_eq, lower, upper)) for b_eq in far]
-    got = solve_lp(c, b_eq=far, **lp)
+    got = _outcomes(*solve_lp(c, b_eq=far, **lp))
     assert {type(o) for o in got} == {LPInfeasible}
     assert [_fingerprint(o) for o in got] == want
 
     c, A_eq = np.array([0.0, 1.0]), np.array([[1.0, 1.0]])
     box = dict(lower=-5.0 * np.ones(2), upper=5.0 * np.ones(2))
-    [one] = solve_lp(c, A_eq=A_eq, b_eq=[[2.0]], **box)
+    [one] = _outcomes(*solve_lp(c, A_eq=A_eq, b_eq=[[2.0]], **box))
     reference = _fingerprint(_reference(c, None, None, A_eq, np.array([2.0]), **box))
     assert _fingerprint(one) == _fingerprint(solve_lp(c, A_eq=A_eq, b_eq=[2.0], **box)) == reference
-    assert solve_lp(c, A_eq=A_eq, b_eq=np.zeros((0, 1)), **box) == []
-    empty = solve_lp(c, A_eq=A_eq, b_eq=[[2.0], [3.0]], lower=np.ones(2), upper=np.zeros(2))
+    X, values, failures = solve_lp(c, A_eq=A_eq, b_eq=np.zeros((0, 1)), **box)
+    assert X.shape == (0, 2) and values.shape == (0,) and failures == []
+    empty = _outcomes(*solve_lp(c, A_eq=A_eq, b_eq=[[2.0], [3.0]], lower=np.ones(2), upper=np.zeros(2)))
     assert [type(e) for e in empty] == [LPInfeasible, LPInfeasible]
+
+
+# --- the reference: the stacked routine with compact copies and per-row solutions --
+
+
+def _compact_run_stack(T, basis, structural, columns) -> list:
+    """The lockstep run as the solver had it: compact copies of the unfinished rows, stopped rows written back."""
+    failures = [None] * len(T)
+    if not failures:
+        return failures
+    live = np.arange(len(T))
+    t, b, s = T, basis, live
+    obj, rhs = t[:, -1, : structural + 1], t[:, :-1, -1]
+    no_ratios = np.full(rhs.shape, np.nan)
+    for _ in range(simplex.MAX_PIVOTS):
+        col = (obj < -simplex.PIVOT_TOL).argmax(axis=1)
+        column = t[s, :, col]
+        entries = column[:, :-1]
+        ratios = np.divide(rhs, entries, out=no_ratios[: live.size].copy(), where=entries > simplex.PIVOT_TOL)
+        least = np.fmin.reduce(ratios, axis=1)
+        bound = least + 1e-12 * (1.0 + np.abs(least))
+        stop = np.isnan(bound)
+        if stop.any():
+            for j, entering in enumerate(col.tolist()):
+                if stop[j] and entering < structural:
+                    failures[live[j]] = SolverFailure("no blocking row for the entering column")
+            if t is not T:
+                T[live[stop]], basis[live[stop]] = t[stop], b[stop]
+            if stop.all():
+                return failures
+            keep = ~stop
+            live, t, b, col, column, ratios, bound = (a[keep] for a in (live, t, b, col, column, ratios, bound))
+            s = s[: live.size]
+            obj, rhs = t[:, -1, : structural + 1], t[:, :-1, -1]
+        ties = ratios <= bound[:, None]
+        row = np.where(ties, b, columns).argmin(axis=1)
+        simplex._pivot_stack(t, b, s, row, col, column)
+    for j in live:
+        failures[j] = SolverFailure(f"simplex did not terminate within {simplex.MAX_PIVOTS} pivots")
+    T[live], basis[live] = t, b
+    return failures
+
+
+def _row_solution(T, basis, columns, c, lower) -> LPSolution:
+    """One finished tableau's x and value, read row by row as the solver had it."""
+    z = np.zeros(columns)
+    z[basis] = T[:-1, -1]
+    x = z[: c.shape[0]] + lower
+    return LPSolution(x=x, value=float(c @ x))
+
+
+def _compact_solve_stack(T, basis, n_art, c, lower) -> list:
+    """The two phases as the solver had them, with the two references above; the outcome per row."""
+    k, structural, columns = T.shape[0], T.shape[2] - 2, T.shape[2] - 1 + n_art
+    cost = np.zeros(columns)
+    cost[structural] = -np.inf
+    outcomes = [None] * k
+    ids = np.arange(k)
+    if n_art:
+        simplex._set_objective(T, basis, np.concatenate([cost[: structural + 1], np.ones(n_art)]))
+        for s, failure in enumerate(_compact_run_stack(T, basis, structural, columns)):
+            if failure is None and -T[s, -1, -1] > simplex.FEAS_TOL:
+                failure = LPInfeasible(f"phase 1 optimum {-T[s, -1, -1]:.3e} above feasibility tolerance")
+            outcomes[s] = failure
+        ids = np.array([s for s in range(k) if outcomes[s] is None], dtype=int)
+        if len(ids) < k:
+            T, basis = T[ids], basis[ids]
+        for i in (basis > structural).any(axis=0).nonzero()[0]:
+            pivots = np.abs(T[:, i, :structural]) > simplex.PIVOT_TOL
+            rows = np.flatnonzero((basis[:, i] > structural) & pivots.any(axis=1))
+            if rows.size:
+                t, b, s = T[rows], basis[rows], np.arange(rows.size)
+                col = pivots[rows].argmax(axis=1)
+                simplex._pivot_stack(t, b, s, np.full(rows.size, i), col, t[s, :, col])
+                T[rows], basis[rows] = t, b
+    cost[: c.shape[0]] = c
+    simplex._set_objective(T, basis, cost)
+    for s, failure in enumerate(_compact_run_stack(T, basis, structural, columns)):
+        outcomes[ids[s]] = failure if failure is not None else _row_solution(T[s], basis[s], columns, c, lower)
+    return outcomes
+
+
+@pytest.mark.parametrize("max_pivots", [simplex.MAX_PIVOTS, 0, 3])
+def test_in_place_runs_and_array_answers_match_compact_copies(monkeypatch, max_pivots):
+    """Every run leaves T, basis and failures as the compact-copy run does, and every answer is the per-row one.
+
+    Each ``_run_stack`` call of the stacked solves, phase 1 and phase 2 alike,
+    is checked byte for byte against ``_compact_run_stack`` on copies of its
+    input, and the stacked arrays against ``_compact_solve_stack``'s per-row
+    solutions, on stacks with infeasible rows and, under small MAX_PIVOTS,
+    SolverFailure rows.  A stack whose rows break down at different pivots,
+    after other rows have moved, is run as well.
+    """
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", max_pivots)
+    run, kinds = simplex._run_stack, set()
+
+    def checked(T, basis, structural, columns):
+        t, b = T.copy(), basis.copy()
+        want = _compact_run_stack(t, b, structural, columns)
+        got = run(T, basis, structural, columns)
+        assert T.tobytes() == t.tobytes() and basis.tobytes() == b.tobytes()
+        assert [_fingerprint(f) for f in got] == [_fingerprint(f) for f in want]
+        kinds.update(type(f).__name__ for f in got)
+        return got
+
+    monkeypatch.setattr(simplex, "_run_stack", checked)
+    for seed in range(60):
+        c, A_ub, b_ub, A_eq, B_eq, lower, upper = (_epigraph_stack if seed % 3 else _degenerate_equality_stack)(seed)
+        got = _outcomes(*solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=B_eq, lower=lower, upper=upper))
+        T, basis, n_art = simplex._tableaux(c, A_ub, b_ub, A_eq, B_eq, lower, upper)
+        want = _compact_solve_stack(T, basis, n_art, c, lower)
+        assert [_fingerprint(o) for o in got] == [_fingerprint(o) for o in want], seed
+        kinds.update(type(o).__name__ for o in got)
+    # x1 + s1 = 1, a x2 + s2 = 1, objective c1 x1 - x2: with c1 = -1 a row pivots twice, with c1 = 1 once,
+    # and a < 0 makes its last entering column a breakdown, so rows stop at pivots 1 to 3 and break down after moves
+    rng = np.random.default_rng(3)
+    stack = np.array([[[1.0, 0.0, 1.0, 0.0, 0.0, 1.0], [0.0, a, 0.0, 1.0, 0.0, 1.0], [c1, -1.0, 0.0, 0.0, -np.inf, 0.0]]
+                      for c1, a in zip(rng.choice([-1.0, 1.0], 40), rng.choice([-1.0, 0.5, 2.0], 40))])
+    checked(stack, np.tile([2, 3], (40, 1)), 4, 5)
+    assert "SolverFailure" in kinds and ("NoneType" in kinds or max_pivots == 0)
+    if max_pivots:
+        assert "LPInfeasible" in kinds
+
+
+def test_default_lemma2_stacks_are_one_run(monkeypatch):
+    """Every LP stack of a default lemma2 run is its gap check's 3 * MIDPOINT_PAIRS queries, taken as one stack.
+
+    A change that grew the tableaux past STACK_FLOATS would split them, and fail here.
+    """
+    heights = []
+    solve_stack = simplex._solve_stack
+    monkeypatch.setattr(simplex, "_solve_stack", lambda T, *rest: heights.append(len(T)) or solve_stack(T, *rest))
+    harness.run_suite("lemma2", harness.RunConfig())
+    assert heights and set(heights) == {3 * marginal.MIDPOINT_PAIRS}
