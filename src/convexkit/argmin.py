@@ -12,10 +12,12 @@ lift, solved by a primal active-set method (status ``exact-QP``).
 The segment check behind lemma3_check does not depend on the accuracy of the
 minimum: for any level m the set {x in C : f(x) <= m + tol} is convex, so
 convex combinations of harvested members must stay members at a relaxed
-tolerance.  Every point check goes through one batched probe (constraint
+tolerance.  Every point check is one batched evaluation (constraint
 violation plus ``functions.evaluate_many``) whose rows equal the one-point
-checks bit for bit; the harvest bisects all its rays in lockstep, two
-levels per probe, and the segment check probes all its points at once.
+checks bit for bit.  The harvest asks membership alone (``_members``): it
+carries only its live rays and bisects them in lockstep, two levels per
+probe, and keeps at most MAX_MEMBERS distinct points.  The witness and
+segment checks, which report gaps, are one ``_probe`` of all their points.
 """
 
 from __future__ import annotations
@@ -206,6 +208,11 @@ def minimize_over(f, C: PolyhedralDomain) -> ArgminCertificate:
     return _qp_minimize(f, blocks, quad, C)
 
 
+def _members(f, C: PolyhedralDomain, X, m: float, tol: float) -> np.ndarray:
+    """Membership at tol of each row of X: feasible within tol and within tol of the level m."""
+    return (_violations(C, X) <= tol) & (fn.evaluate_many(f, X) <= m + tol)
+
+
 def _probe(f, C: PolyhedralDomain, X, m: float, tol: float):
     """Membership at tol, and the signed gap (<= 0 for a clean member), of each row of X."""
     violation = _violations(C, X)
@@ -215,45 +222,53 @@ def _probe(f, C: PolyhedralDomain, X, m: float, tol: float):
 
 def argmin_membership(f, C: PolyhedralDomain, x, m: float, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
     """Is x feasible and within tol of the level m in objective value?"""
-    return bool(_probe(f, C, as_vector(x, C.dim)[None], m, tol)[0][0])
+    return bool(_members(f, C, as_vector(x, C.dim)[None], m, tol)[0])
 
 
 def _extreme_members(f, C, base, V, m, tol):
     """Farthest member along base + t v for every row v of V, by lockstep bisection on t.
 
     Each ray is normalized and bisected on its own, exactly as one ray at a
-    time would be; the rays only share the batched membership probes.  A
-    probe takes two halvings: it checks the midpoint and both midpoints that
-    can come next, each the scalar step's float expression.  A zero ray
-    yields base, and so does a ray whose hi falls below DISTINCT_TOL / 2,
-    whose member ``_distinct`` would drop beside base anyway.
+    time would be; the rays only share the batched membership probes.  Only
+    the live rays are carried: their indices, brackets (a, b) and unit
+    directions.  A probe takes two halvings: it checks the midpoint and both
+    midpoints that can come next, each the scalar step's float expression,
+    as one (3, live) stack of parameters against the live directions.  A
+    zero ray yields base, and so does a ray whose b falls below
+    DISTINCT_TOL / 2, whose member ``_distinct`` would drop beside base
+    anyway; such rays leave the live set before the next probe.
     """
     norms = row_norms(V)
     zero = norms == 0.0
     U = V / np.where(zero, 1.0, norms)[:, None]
     top = 2.0 * C.box_radius * np.sqrt(C.dim)
-    reach = _probe(f, C, base + top * U, m, tol)[0]
-    lo, hi = np.zeros(len(V)), np.full(len(V), top)
-    live = ~zero & ~reach
+    reach = _members(f, C, base + top * U, m, tol)
+    rays = np.flatnonzero(~zero & ~reach)
+    a, b, W = np.zeros(rays.size), np.full(rays.size, top), U[rays]
     for remaining in range(BISECTION_STEPS, 0, -2):
-        live &= hi >= DISTINCT_TOL / 2
-        if not live.any():
+        keep = b >= DISTINCT_TOL / 2
+        if not keep.all():
+            rays, a, b, W = rays[keep], a[keep], b[keep], W[keep]
+        if not rays.size:
             break
-        a, b = lo[live], hi[live]
         mid = 0.5 * (a + b)
-        t = np.concatenate([mid, 0.5 * (a + mid), 0.5 * (mid + b)])
-        inside = _probe(f, C, base + t[:, None] * np.tile(U[live], (3, 1)), m, tol)[0].reshape(3, -1)
+        t = np.stack([mid, 0.5 * (a + mid), 0.5 * (mid + b)])
+        inside = _members(f, C, (base + t[:, :, None] * W).reshape(-1, C.dim), m, tol).reshape(3, -1)
         a, b = np.where(inside[0], mid, a), np.where(inside[0], b, mid)
         if remaining > 1:
             inside, mid = np.where(inside[0], inside[2], inside[1]), 0.5 * (a + b)
             a, b = np.where(inside, mid, a), np.where(inside, b, mid)
-        lo[live], hi[live] = a, b
-    return np.where((live | reach & ~zero)[:, None], base + np.where(reach, top, lo)[:, None] * U, base)
+    found, lo = reach & ~zero, np.where(reach, top, 0.0)
+    found[rays], lo[rays] = True, a
+    return np.where(found[:, None], base + lo[:, None] * U, base)
 
 
-def _distinct(points, tol):
+def _distinct(points, tol, limit=None):
+    """The points, in order, that lie farther than tol from every point kept before them; at most limit of them."""
     kept = []
     for p in points:
+        if len(kept) == limit:
+            break
         if all(float(np.linalg.norm(p - q)) > tol for q in kept):
             kept.append(p)
     return kept
@@ -271,11 +286,13 @@ def lemma3_check(
     Members of {x in C : f(x) <= m + tol} are harvested from the minimizer
     witness and bisection line searches along seeded directions and their
     negatives, bisected in lockstep, two halvings per batched probe (rays
-    that can only end within DISTINCT_TOL / 2 of the witness stop early).
-    Trials whose harvest collapses to fewer than two points separated by
-    DISTINCT_TOL are skipped as degenerate (a singleton argmin set is convex
-    but carries no segment evidence).  Every convex combination of members
-    at the lambdas 0.1 .. 0.9 must be a member at 10 * tol.
+    that can only end within DISTINCT_TOL / 2 of the witness stop early),
+    and the first MAX_MEMBERS points separated by DISTINCT_TOL are kept.
+    Trials whose harvest collapses to fewer than two such points are
+    skipped as degenerate (a singleton argmin set is convex but carries no
+    segment evidence).  Every convex combination of members at the lambdas
+    0.1 .. 0.9 must be a member at 10 * tol; the witness and those points
+    are probed at once.
     """
     cert = minimize_over(f, C)
     m = cert.value
@@ -292,16 +309,17 @@ def lemma3_check(
     # the axes before the random draws.
     probes = np.vstack([-base, np.eye(C.dim), rng.standard_normal((PROBE_DIRECTIONS, C.dim))])
     rays = np.stack([probes, -probes], axis=1).reshape(-1, C.dim)
-    members = _distinct([base, *_extreme_members(f, C, base, rays, m, tol)], DISTINCT_TOL)[:MAX_MEMBERS]
+    members = _distinct([base, *_extreme_members(f, C, base, rays, m, tol)], DISTINCT_TOL, MAX_MEMBERS)
     if len(members) < 2:
         return TrialResult(instance, skip_reason="SkippedDegenerate")
 
-    inside, gap = _probe(f, C, base[None], m, tol)
-    checks = [CheckResult(name="witness_validity", passed=bool(inside[0]), gap=float(gap[0]))]
     pairs = np.array(list(itertools.combinations(members, 2)))
     lam = np.array(SEGMENT_LAMBDAS)[None, :, None]
     points = (lam * pairs[:, None, 0] + (1.0 - lam) * pairs[:, None, 1]).reshape(-1, C.dim)
-    gaps = _probe(f, C, points, m, tol)[1]
+    # one probe: the witness, then the segment points
+    inside, gaps = _probe(f, C, np.vstack([base[None], points]), m, tol)
+    checks = [CheckResult(name="witness_validity", passed=bool(inside[0]), gap=float(gaps[0]))]
+    gaps = gaps[1:]
     worst = int(np.argmax(gaps))
     checks.append(
         CheckResult(

@@ -161,7 +161,8 @@ def lemma1_check(
     }
     checks: list[CheckResult] = []
     if len(V):  # a zero-dimensional fiber has no direction to check and needs no active set
-        bounds = (*functions.one_dim_subdifferential(f, x, V, active_tol), -support_function(P, -V), support_function(P, V))
+        h = support_function(P, np.concatenate([-V, V]))
+        bounds = (*functions.one_dim_subdifferential(f, x, V, active_tol), -h[: len(V)], h[len(V) :])
         for i, (v, lo, hi, want_lo, want_hi) in enumerate(zip(*(b.tolist() for b in (V, *bounds)))):
             gap = max(abs(lo - want_lo), abs(hi - want_hi))
             checks.append(

@@ -132,7 +132,9 @@ def _solve_stack(T, basis, n_art, c, lower, X, values) -> list:
     """The two phases on every tableau of the stack, modified in place; per row None or its error, in order.
 
     Row i's x and value go to X[i] and values[i], NaN if it fails.  Its n_art
-    artificials are basis labels past the guard with no column.
+    artificials are basis labels past the guard with no column.  The rows
+    that pass phase 1 are moved to the front of T and basis, in order, and
+    phase 2 runs on those views, so no second stack is held.
     """
     k, structural, columns = T.shape[0], T.shape[2] - 2, T.shape[2] - 1 + n_art  # every label is below columns
     cost = np.zeros(columns)
@@ -150,7 +152,8 @@ def _solve_stack(T, basis, n_art, c, lower, X, values) -> list:
             failures[s] = failure
         ids = np.array([s for s in range(k) if failures[s] is None], dtype=int)
         if len(ids) < k:
-            T, basis = T[ids], basis[ids]
+            T[: len(ids)], basis[: len(ids)] = T[ids], basis[ids]
+            T, basis = T[: len(ids)], basis[: len(ids)]
         # drive leftover artificials out of the basis where possible, row i of every tableau in turn;
         # a row with none to pivot on is redundant, and its artificial stays basic at value zero
         for i in (basis > structural).any(axis=0).nonzero()[0]:

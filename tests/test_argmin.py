@@ -27,6 +27,7 @@ from convexkit.argmin import (
 from convexkit.errors import DimensionMismatch, InfeasibleDomain, LPInfeasible
 from convexkit.functions import MaxAffine, SumFunction, evaluate, evaluate_many, max_affine, quadratic
 from convexkit.harness import RunConfig, run_suite
+from convexkit.linalg import row_norms
 from convexkit.simplex import solve_lp
 
 FLAT_INTERVAL = max_affine([((0.0,), 0.0), ((1.0,), -1.0), ((-1.0,), -1.0)])
@@ -491,3 +492,121 @@ def test_default_trials_harvest_in_few_probes(monkeypatch):
     assert [t.status for t in report.trials] == ["pass", "skip"] * 10
     assert max(counts[1::2]) <= 8
     assert max(counts[0::2]) <= argmin.BISECTION_STEPS // 2 + 4
+
+
+# --- the live-ray harvest against the masked harvest it replaced -------------------
+
+
+def _masked_extreme_members(f, C, base, V, m, tol):
+    """The lockstep harvest over masks of all rays, with tiled directions and gap probes, kept as the bit-exact reference."""
+    norms = row_norms(V)
+    zero = norms == 0.0
+    U = V / np.where(zero, 1.0, norms)[:, None]
+    top = 2.0 * C.box_radius * np.sqrt(C.dim)
+    reach = argmin._probe(f, C, base + top * U, m, tol)[0]
+    lo, hi = np.zeros(len(V)), np.full(len(V), top)
+    live = ~zero & ~reach
+    for remaining in range(argmin.BISECTION_STEPS, 0, -2):
+        live &= hi >= argmin.DISTINCT_TOL / 2
+        if not live.any():
+            break
+        a, b = lo[live], hi[live]
+        mid = 0.5 * (a + b)
+        t = np.concatenate([mid, 0.5 * (a + mid), 0.5 * (mid + b)])
+        inside = argmin._probe(f, C, base + t[:, None] * np.tile(U[live], (3, 1)), m, tol)[0].reshape(3, -1)
+        a, b = np.where(inside[0], mid, a), np.where(inside[0], b, mid)
+        if remaining > 1:
+            inside, mid = np.where(inside[0], inside[2], inside[1]), 0.5 * (a + b)
+            a, b = np.where(inside, mid, a), np.where(inside, b, mid)
+        lo[live], hi[live] = a, b
+    return np.where((live | reach & ~zero)[:, None], base + np.where(reach, top, lo)[:, None] * U, base)
+
+
+def _unlimited_distinct(points, tol):
+    """``_distinct`` before it took a limit, kept as the bit-exact reference."""
+    kept = []
+    for p in points:
+        if all(float(np.linalg.norm(p - q)) > tol for q in kept):
+            kept.append(p)
+    return kept
+
+
+@pytest.mark.parametrize("steps", [1, 7, 49, 50])
+def test_live_ray_harvest_matches_masked_harvest(monkeypatch, steps):
+    """The harvest's members equal the masked harvest's byte for byte, zero and early-settling rays included.
+
+    The rays are lemma3's (the first is zero where the witness is the
+    origin) plus an explicit zero ray and random ones.  A bisection probe
+    shorter than the one before it shows rays that settled early, which no
+    bracket can do within 7 halvings of a box diagonal of at least 2.
+    """
+    monkeypatch.setattr(argmin, "BISECTION_STEPS", steps)
+    heights, members = [], argmin._members
+    monkeypatch.setattr(argmin, "_members", lambda f, C, X, m, tol: heights.append(len(X)) or members(f, C, X, m, tol))
+    rng = np.random.default_rng(63)
+    centred = settled = 0
+    for seed in range(60):
+        f, C = _flat_instance(rng)
+        cert = minimize_over(f, C)
+        m, base, tol = cert.value, cert.witness, argmin.DEFAULT_MEMBERSHIP_TOL
+        probe_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(34,)))
+        probes = np.vstack([-base, np.eye(C.dim), probe_rng.standard_normal((argmin.PROBE_DIRECTIONS, C.dim))])
+        rays = np.vstack([np.stack([probes, -probes], axis=1).reshape(-1, C.dim), np.zeros((1, C.dim)), rng.standard_normal((4, C.dim))])
+        centred += not np.any(base)  # lemma3's first ray, -base, is zero too
+        want = _masked_extreme_members(f, C, base, rays, m, tol)
+        heights.clear()
+        got = argmin._extreme_members(f, C, base, rays, m, tol)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), seed
+        settled += any(b < a for a, b in zip(heights[1:], heights[2:]))
+    assert centred > 0
+    assert (settled > 0) == (steps >= 49)
+
+
+def test_distinct_stops_at_its_limit():
+    """``_distinct`` with a limit keeps the first limit points the unlimited one keeps, the same objects, on lists with near-duplicates."""
+    rng = np.random.default_rng(64)
+    limited = 0
+    for _ in range(300):
+        d = int(rng.integers(1, 5))
+        seeds = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 10)), d))
+        picks = seeds[rng.integers(0, len(seeds), int(rng.integers(0, 20)))]
+        nudge = rng.uniform(-1.0, 1.0, picks.shape) * argmin.DISTINCT_TOL * rng.choice([0.0, 0.3, 0.9, 2.0], (len(picks), 1))
+        points = list(picks + nudge)
+        want = _unlimited_distinct(points, argmin.DISTINCT_TOL)
+        got = argmin._distinct(points, argmin.DISTINCT_TOL, argmin.MAX_MEMBERS)
+        assert len(got) == min(len(want), argmin.MAX_MEMBERS)
+        assert all(p is q for p, q in zip(got, want))
+        unlimited = argmin._distinct(points, argmin.DISTINCT_TOL)
+        assert len(unlimited) == len(want) and all(p is q for p, q in zip(unlimited, want))
+        limited += len(want) > argmin.MAX_MEMBERS
+    assert 0 < limited < 300
+
+
+def test_default_harvest_probes_only_live_rays(monkeypatch):
+    """On a default lemma3 run, every harvest probes its rays once, then only its live rays, three points each.
+
+    Per trial: at most BISECTION_STEPS // 2 + 1 membership probes, the first
+    as tall as the ray count, the later ones multiples of 3 that never grow.
+    A harvest that re-probed settled rays or stopped batching fails here.
+    """
+    trials, members, lemma3 = [], argmin._members, argmin.lemma3_check
+
+    def counted(f, C, X, m, tol):
+        trials[-1][1].append(len(X))
+        return members(f, C, X, m, tol)
+
+    def check(f, C, *args, **kwargs):
+        trials.append((C.dim, []))
+        return lemma3(f, C, *args, **kwargs)
+
+    monkeypatch.setattr(argmin, "_members", counted)
+    monkeypatch.setattr(argmin, "lemma3_check", check)
+    config = RunConfig()
+    run_suite("lemma3", config)
+    assert len(trials) == config.trials
+    for dim, heights in trials:
+        assert 0 < len(heights) <= argmin.BISECTION_STEPS // 2 + 1
+        assert heights[0] == 2 * (1 + dim + argmin.PROBE_DIRECTIONS)
+        later = heights[1:]
+        assert all(h > 0 and h % 3 == 0 for h in later)
+        assert all(b <= a for a, b in zip(later, later[1:]))

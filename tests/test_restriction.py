@@ -425,3 +425,35 @@ def test_support_function_stack_matches_one_row_calls():
             assert got.shape == (height,)
             assert got.tobytes() == np.array([support_function(P, v) for v in V], dtype=float).tobytes()
             assert all(type(support_function(P, v)) is float for v in V)
+
+
+def test_one_support_stack_gives_both_bounds():
+    """lemma1's support bounds from one [-V; V] call equal the two calls -h(-V) and h(V) byte for byte, on random sums of blocks.
+
+    The blocks hold signed-zero generators and the directions zero entries,
+    so a bound of -0.0 or +0.0 would show a changed sign; lemma1_check's
+    projected bounds are checked against the two calls as well.
+    """
+    rng = np.random.default_rng(53)
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        blocks = []
+        for _ in range(int(rng.integers(1, 5))):
+            G = rng.uniform(-2.0, 2.0, (int(rng.integers(1, 9)), n))
+            G[rng.uniform(size=G.shape) < 0.2] = 0.0
+            blocks.append(np.vstack([G, -0.0 * G[:1]]))
+        P = Polytope(tuple(blocks))
+        V = rng.uniform(-3.0, 3.0, (int(rng.integers(1, 6)), n))
+        V[rng.uniform(size=V.shape) < 0.2] = 0.0
+        h = support_function(P, np.concatenate([-V, V]))
+        assert (-h[: len(V)]).tobytes() == (-support_function(P, -V)).tobytes()
+        assert h[len(V) :].tobytes() == support_function(P, V).tobytes()
+    # through lemma1_check, whose projected bounds on a constant sum are [-0.0, 0.0]
+    constant = SumFunction(2, (max_affine([((0.0, 0.0), 0.0)]), max_affine([((0.0, 0.0), 1.0)])))
+    trials = [(restrict(constant, S_SUM, np.array([0.0])), (0.0,), [np.array([1.0, -1.0]), np.array([-2.0, 2.0])])]
+    trials += [_random_lemma1_trial(rng, int(rng.integers(2, 7))) for _ in range(30)]
+    for g, w, directions in trials:
+        P = restricted_subdifferential(g, w)
+        for check, v in zip(lemma1_check(g, w, directions).checks, directions):
+            want = [-support_function(P, -v), support_function(P, v)]
+            assert np.array(check.witness["projected"]).tobytes() == np.array(want).tobytes()

@@ -15,6 +15,7 @@ in-place runs must leave the same tableaux, bases and failures byte for byte.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -714,3 +715,29 @@ def test_default_lemma2_stacks_are_one_run(monkeypatch):
     monkeypatch.setattr(simplex, "_solve_stack", lambda T, *rest: heights.append(len(T)) or solve_stack(T, *rest))
     harness.run_suite("lemma2", harness.RunConfig())
     assert heights and set(heights) == {3 * marginal.MIDPOINT_PAIRS}
+
+
+def test_phase_one_failures_hold_one_stack():
+    """A row that fails phase 1 costs no second stack: the survivors move to the front in place.
+
+    On a 60-row lemma2 epigraph stack, ``solve_lp``'s ``tracemalloc`` peak
+    with one row far off the box stays within 10% of the peak with none off.
+    """
+    rng = np.random.default_rng(0)
+    d = 6
+    S = harness.gen_operator(d, 3, 3, rng)
+    f = functions.SumFunction(d, (harness.gen_coercive_max_affine(d, 6, rng), harness.gen_max_affine(d, 3, rng)))
+    c, A_ub, b_ub, A_eq, lower, upper = functions.epigraph(d, functions.normal_form(f)[0], marginal.BOX_RADIUS, (), S.T)
+    B_eq = rng.uniform(-2.0, 2.0, (3 * marginal.MIDPOINT_PAIRS, d)) @ S
+    peaks = []
+    for off in (0, 1):
+        B = B_eq.copy()
+        B[:off] *= 1e4
+        tracemalloc.start()
+        try:
+            failures = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=B, lower=lower, upper=upper)[2]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert [type(e) for e in failures if e is not None] == [LPInfeasible] * off
+    assert peaks[1] <= 1.1 * peaks[0], peaks
