@@ -1,14 +1,20 @@
 """Tests for the command line front end, run in-process via main()."""
 
 import argparse
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import convexkit
 from convexkit import harness, restriction
 from convexkit.cli import CliConfig, _run_query, build_parser, main, parse_args, run
 
@@ -134,6 +140,45 @@ def test_verify_reruns_are_byte_identical(tmp_path, capsys):
         assert rc == 0
     capsys.readouterr()
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def _why_no_kernel_switch():
+    """Why OPENBLAS_CORETYPE cannot select each of the four kernels here, or None."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in blas.get("name", "") or "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return "numpy's BLAS is not OpenBLAS built with DYNAMIC_ARCH, so OPENBLAS_CORETYPE selects no kernel"
+    try:
+        flags = Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return "no /proc/cpuinfo to tell whether this CPU runs the SkylakeX kernel"
+    if "avx512f" not in flags:
+        return "this CPU lacks AVX-512, which the SkylakeX kernel needs"
+    return None
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP items 14 and 19: products and instance draws round by the BLAS kernel, so the bytes follow it",
+)
+def test_verify_bytes_hold_under_every_blas_kernel(tmp_path):
+    """A 10-trial ``verify --suite all`` writes the same bytes under the SkylakeX, Haswell, SandyBridge and Prescott kernels.
+
+    Each report comes from a child process with OPENBLAS_CORETYPE set in its
+    environment alone; this process keeps its own kernel.
+    """
+    reason = _why_no_kernel_switch()
+    if reason:
+        pytest.skip(reason)
+    src = Path(convexkit.__file__).parents[1]
+    reports = {}
+    for kernel in ("SkylakeX", "Haswell", "SandyBridge", "Prescott"):
+        out = tmp_path / f"{kernel}.json"
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        code = f"from convexkit.cli import run; run(['verify', '--trials', '10', '--out', {str(out)!r}])"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, timeout=120)
+        reports[kernel] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert len(set(reports.values())) == 1, reports
 
 
 def test_verify_exit_one_when_checks_fail(tmp_path, monkeypatch, capsys, rowspace_version):

@@ -543,3 +543,32 @@ def test_lemma2_check_matches_one_query_at_a_time():
         f = harness.gen_pd_quadratic(d, rng) if seed % 2 else harness.gen_coercive_max_affine(d, 4, rng)
         got = [(c.name, repr(c.gap), c.witness) for c in lemma2_check(f, S, seed=seed).checks]
         assert got == [(name, repr(gap), witness) for name, gap, witness in _reference_lemma2_checks(f, S, seed)]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=UnboundedBelow,
+    reason="ROADMAP item 17: after 275 or more pivots the phase-1 value drifts past FEAS_TOL on this feasible LP",
+)
+def test_dim96_lemma2_query_answers():
+    """Row 16 of the first midpoint stack of lemma2 trial 4 at seed 42, dim 96, answers with a witness.
+
+    The trial draws d = 95, n = 82, rank 18 and 193 pieces; its tableau is
+    above STACK_FLOATS, so the query pivots alone.  Every query x = S^T r with
+    r in the sample box meets the solver box, yet phase 1 ends at 3.939e-07,
+    above FEAS_TOL, and the query raises UnboundedBelow.
+    """
+    rng = harness.trial_rng(42, 2, 4)
+    d = int(rng.integers(2, 97))
+    n = int(rng.integers(1, d + 1))
+    S = harness.gen_operator(d, n, int(rng.integers(1, min(d, n) + 1)), rng)
+    f = harness.gen_coercive_max_affine(d, int(rng.integers(2, 7)), rng)
+    assert (d, n, f.matrix.shape[0]) == (95, 82, 193)
+    h = marginalize(f, S)
+    # the points of lemma2_check's first midpoint stack, drawn as it draws them
+    draws = np.random.default_rng(np.random.SeedSequence(entropy=harness._trial_seed(42, 2, 4), spawn_key=(22,)))
+    P = (h.S.T @ draws.uniform(-marginal.SAMPLE_SCALE, marginal.SAMPLE_SCALE, (2 * marginal.MIDPOINT_PAIRS, d))[:, :, None])[:, :, 0]
+    x = np.stack([P[0::2], P[1::2], 0.5 * (P[0::2] + P[1::2])], axis=1).reshape(-1, n)[16]
+    witness = marginal_value(h, x)
+    assert np.linalg.norm(S.T @ witness.argmin - x) <= marginal.WITNESS_FEAS_TOL
+    assert abs(evaluate(f, witness.argmin) - witness.value) <= marginal.WITNESS_VALUE_TOL * (1.0 + abs(witness.value))

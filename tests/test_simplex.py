@@ -11,7 +11,10 @@ reading the tolerances and pivot limit through the module: every row of every
 stack must give its x bytes and repr(value), or its error type and message.
 The stacked routine as it was before its answers became arrays, with compact
 copies of the unfinished rows and a per-row solution, is kept as well: the
-in-place runs must leave the same tableaux, bases and failures byte for byte.
+runs on a stack of pivot paths must leave each LP the same tableau (its path's
+tableau with its own right-hand side), basis and failure byte for byte.  It
+reaches the solver's tableau pivot and objective build on stacks of one LP per
+tableau, where they do the arithmetic the stacks of LPs had.
 """
 
 import itertools
@@ -125,6 +128,37 @@ def _lone_tableau(a, rhs):
     return np.array([[a, 1.0, 0.0, rhs], [-1.0, 0.0, -np.inf, 0.0]])
 
 
+def _paths(T, basis):
+    """The solver's stack of the LPs with per-LP tableaux T and bases basis.
+
+    LPs whose tableaux and bases match outside the last column share a path,
+    led by the first of them.
+    """
+    groups = {}
+    for j in range(len(T)):
+        groups.setdefault((T[j, :, :-1].tobytes(), basis[j].tobytes()), []).append(j)
+    first = [g[0] for g in groups.values()]
+    rest = [(p, j) for p, g in enumerate(groups.values()) for j in g[1:]]
+    R = np.array([T[j, :, -1] for _, j in rest]).reshape(len(rest), T.shape[1])
+    owner, ids = np.array([p for p, _ in rest], dtype=int), np.array(first + [j for _, j in rest])
+    return simplex._Stack(T[first].copy(), basis[first].copy(), R, owner, ids)
+
+
+def _per_lp(stack):
+    """Each LP's tableau, its path's with its own right-hand side, and its basis, in the order of its id."""
+    path = np.concatenate([np.arange(len(stack.T)), stack.owner])
+    T = stack.T[path]
+    T[len(stack.T) :, :, -1] = stack.R
+    order = np.argsort(stack.ids)
+    return T[order], stack.basis[path][order]
+
+
+def _by_lp(stack, failures):
+    """A run's failures, given in the order of stack.ids, by LP id."""
+    by_id = dict(zip(stack.ids.tolist(), failures))
+    return [by_id[j] for j in sorted(by_id)]
+
+
 def _after_reference_run(T):
     """The reference ``_run`` on T's rows and objective without the guard column; its tableau or error."""
     rows, obj, basis = np.delete(T[:-1], 2, axis=1), np.delete(T[-1], 2), np.array([1])
@@ -144,17 +178,17 @@ def test_missing_blocking_row_is_a_solver_failure():
     """
     message = "no blocking row for the entering column"
     assert str(_after_reference_run(_lone_tableau(-1.0, 1.0))) == message
-    [lone] = simplex._run_stack(_lone_tableau(-1.0, 1.0)[None], np.array([[1]]), 2, 3)
+    [lone] = simplex._run_stack(_paths(_lone_tableau(-1.0, 1.0)[None], np.array([[1]])), 2, 3)
     assert isinstance(lone, SolverFailure) and str(lone) == message
 
     rows = [(1.0, 1.0), (-1.0, 1.0), (2.0, 3.0)]
-    stack = np.array([_lone_tableau(*r) for r in rows])
-    basis = np.ones((3, 1), dtype=int)
-    failures = simplex._run_stack(stack, basis, 2, 3)
+    stack = _paths(np.array([_lone_tableau(*r) for r in rows]), np.ones((3, 1), dtype=int))
+    failures = _by_lp(stack, simplex._run_stack(stack, 2, 3))
     assert failures[0] is None and failures[2] is None
     assert isinstance(failures[1], SolverFailure) and str(failures[1]) == message
+    T, basis = _per_lp(stack)
     for i in (0, 2):
-        got = np.delete(stack[i, :-1], 2, axis=1), np.delete(stack[i, -1], 2), basis[i]
+        got = np.delete(T[i, :-1], 2, axis=1), np.delete(T[i, -1], 2), basis[i]
         assert tuple(a.tobytes() for a in got) == _after_reference_run(_lone_tableau(*rows[i]))
 
 
@@ -519,7 +553,8 @@ def test_phase_one_tableaux_match_reference():
     """
     for seed in range(30):
         c, A_ub, b_ub, A_eq, B_eq, lower, upper = (_epigraph_stack if seed % 3 else _degenerate_equality_stack)(seed)
-        T, basis, n_art = simplex._tableaux(c, A_ub, b_ub, A_eq, B_eq, lower, upper)
+        stack, n_art = simplex._tableaux(c, A_ub, b_ub, A_eq, B_eq, lower, upper)
+        T, basis = _per_lp(stack)
         ref_T, ref_basis, ref_n_art = _tableaux(c, A_ub, b_ub, A_eq, B_eq, lower, upper)
         structural = T.shape[2] - 2  # the guard's column
         artificials = np.arange(structural, structural + n_art)  # the reference's artificial columns
@@ -530,9 +565,10 @@ def test_phase_one_tableaux_match_reference():
             continue
         cost = np.zeros(structural + 1 + n_art)
         cost[structural], cost[structural + 1 :] = -np.inf, 1.0
-        simplex._set_objective(T, basis, cost)
-        start = T[:, -1].copy()
-        failures = simplex._run_stack(T, basis, structural, cost.size)
+        simplex._set_objective(stack, cost)
+        start = _per_lp(stack)[0][:, -1]
+        failures = _by_lp(stack, simplex._run_stack(stack, structural, cost.size))
+        T, basis = _per_lp(stack)
         for j in range(len(B_eq)):
             t, b = ref_T[j], ref_basis.copy()
             obj = _build_objective(np.delete(cost, structural), t, b)
@@ -556,7 +592,7 @@ def test_stack_shapes(monkeypatch):
     """
     heights = []
     solve_stack = simplex._solve_stack
-    monkeypatch.setattr(simplex, "_solve_stack", lambda T, *rest: heights.append(len(T)) or solve_stack(T, *rest))
+    monkeypatch.setattr(simplex, "_solve_stack", lambda stack, *rest: heights.append(len(stack.ids)) or solve_stack(stack, *rest))
     c, A_ub, b_ub, A_eq, B_eq, lower, upper = _epigraph_stack(15)  # 28 rows, 4 of them infeasible
     lp = dict(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, lower=lower, upper=upper)
     want = [_fingerprint(_reference(c, A_ub, b_ub, A_eq, b_eq, lower, upper)) for b_eq in B_eq]
@@ -584,6 +620,16 @@ def test_stack_shapes(monkeypatch):
 
 
 # --- the reference: the stacked routine with compact copies and per-row solutions --
+
+
+def _pivot_tableaux(T, basis, s, row, col, column) -> None:
+    """The solver's pivot on tableaux that hold one LP each."""
+    simplex._pivot_stack(T, basis, s, row, col, column, np.zeros((0, T.shape[1])), np.zeros(0, dtype=int))
+
+
+def _objective_on_tableaux(T, basis, cost) -> None:
+    """The solver's objective build on tableaux that hold one LP each."""
+    simplex._set_objective(simplex._Stack(T, basis, np.zeros((0, T.shape[1])), np.zeros(0, dtype=int), np.arange(len(T))), cost)
 
 
 def _compact_run_stack(T, basis, structural, columns) -> list:
@@ -617,7 +663,7 @@ def _compact_run_stack(T, basis, structural, columns) -> list:
             obj, rhs = t[:, -1, : structural + 1], t[:, :-1, -1]
         ties = ratios <= bound[:, None]
         row = np.where(ties, b, columns).argmin(axis=1)
-        simplex._pivot_stack(t, b, s, row, col, column)
+        _pivot_tableaux(t, b, s, row, col, column)
     for j in live:
         failures[j] = SolverFailure(f"simplex did not terminate within {simplex.MAX_PIVOTS} pivots")
     T[live], basis[live] = t, b
@@ -640,7 +686,7 @@ def _compact_solve_stack(T, basis, n_art, c, lower) -> list:
     outcomes = [None] * k
     ids = np.arange(k)
     if n_art:
-        simplex._set_objective(T, basis, np.concatenate([cost[: structural + 1], np.ones(n_art)]))
+        _objective_on_tableaux(T, basis, np.concatenate([cost[: structural + 1], np.ones(n_art)]))
         for s, failure in enumerate(_compact_run_stack(T, basis, structural, columns)):
             if failure is None and -T[s, -1, -1] > simplex.FEAS_TOL:
                 failure = LPInfeasible(f"phase 1 optimum {-T[s, -1, -1]:.3e} above feasibility tolerance")
@@ -654,10 +700,10 @@ def _compact_solve_stack(T, basis, n_art, c, lower) -> list:
             if rows.size:
                 t, b, s = T[rows], basis[rows], np.arange(rows.size)
                 col = pivots[rows].argmax(axis=1)
-                simplex._pivot_stack(t, b, s, np.full(rows.size, i), col, t[s, :, col])
+                _pivot_tableaux(t, b, s, np.full(rows.size, i), col, t[s, :, col])
                 T[rows], basis[rows] = t, b
     cost[: c.shape[0]] = c
-    simplex._set_objective(T, basis, cost)
+    _objective_on_tableaux(T, basis, cost)
     for s, failure in enumerate(_compact_run_stack(T, basis, structural, columns)):
         outcomes[ids[s]] = failure if failure is not None else _row_solution(T[s], basis[s], columns, c, lower)
     return outcomes
@@ -677,12 +723,13 @@ def test_in_place_runs_and_array_answers_match_compact_copies(monkeypatch, max_p
     monkeypatch.setattr(simplex, "MAX_PIVOTS", max_pivots)
     run, kinds = simplex._run_stack, set()
 
-    def checked(T, basis, structural, columns):
-        t, b = T.copy(), basis.copy()
+    def checked(stack, structural, columns):
+        t, b = _per_lp(stack)
         want = _compact_run_stack(t, b, structural, columns)
-        got = run(T, basis, structural, columns)
+        got = run(stack, structural, columns)
+        T, basis = _per_lp(stack)
         assert T.tobytes() == t.tobytes() and basis.tobytes() == b.tobytes()
-        assert [_fingerprint(f) for f in got] == [_fingerprint(f) for f in want]
+        assert [_fingerprint(f) for f in _by_lp(stack, got)] == [_fingerprint(f) for f in want]
         kinds.update(type(f).__name__ for f in got)
         return got
 
@@ -690,8 +737,8 @@ def test_in_place_runs_and_array_answers_match_compact_copies(monkeypatch, max_p
     for seed in range(60):
         c, A_ub, b_ub, A_eq, B_eq, lower, upper = (_epigraph_stack if seed % 3 else _degenerate_equality_stack)(seed)
         got = _outcomes(*solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=B_eq, lower=lower, upper=upper))
-        T, basis, n_art = simplex._tableaux(c, A_ub, b_ub, A_eq, B_eq, lower, upper)
-        want = _compact_solve_stack(T, basis, n_art, c, lower)
+        stack, n_art = simplex._tableaux(c, A_ub, b_ub, A_eq, B_eq, lower, upper)
+        want = _compact_solve_stack(*_per_lp(stack), n_art, c, lower)
         assert [_fingerprint(o) for o in got] == [_fingerprint(o) for o in want], seed
         kinds.update(type(o).__name__ for o in got)
     # x1 + s1 = 1, a x2 + s2 = 1, objective c1 x1 - x2: with c1 = -1 a row pivots twice, with c1 = 1 once,
@@ -699,10 +746,39 @@ def test_in_place_runs_and_array_answers_match_compact_copies(monkeypatch, max_p
     rng = np.random.default_rng(3)
     stack = np.array([[[1.0, 0.0, 1.0, 0.0, 0.0, 1.0], [0.0, a, 0.0, 1.0, 0.0, 1.0], [c1, -1.0, 0.0, 0.0, -np.inf, 0.0]]
                       for c1, a in zip(rng.choice([-1.0, 1.0], 40), rng.choice([-1.0, 0.5, 2.0], 40))])
-    checked(stack, np.tile([2, 3], (40, 1)), 4, 5)
+    checked(_paths(stack, np.tile([2, 3], (40, 1))), 4, 5)
     assert "SolverFailure" in kinds and ("NoneType" in kinds or max_pivots == 0)
     if max_pivots:
         assert "LPInfeasible" in kinds
+
+
+def test_runs_start_from_the_compact_tableaux(monkeypatch):
+    """Each run of a stacked solve starts every LP on the tableau and basis that ``_compact_solve_stack`` gives it.
+
+    Phase 2 starts after the drive-out of leftover artificials, whose pivot
+    entry can be negative: a zero right-hand side then divides to -0.0, which
+    the pivot writes as +0.0, on a tableau and on a row of R alike.
+    """
+    run, compact, starts, reference_starts = simplex._run_stack, _compact_run_stack, [], []
+
+    def solver_run(stack, structural, columns):
+        starts.append([a.tobytes() for a in _per_lp(stack)])
+        return run(stack, structural, columns)
+
+    def reference_run(T, basis, structural, columns):
+        reference_starts.append([T.tobytes(), basis.tobytes()])
+        return compact(T, basis, structural, columns)
+
+    monkeypatch.setattr(simplex, "_run_stack", solver_run)
+    monkeypatch.setitem(globals(), "_compact_run_stack", reference_run)
+    for seed in range(60):
+        c, A_ub, b_ub, A_eq, B_eq, lower, upper = (_shared_path_stack, _degenerate_equality_stack, _epigraph_stack)[seed % 3](seed)
+        starts.clear()
+        reference_starts.clear()
+        solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=B_eq, lower=lower, upper=upper)
+        stack, n_art = simplex._tableaux(c, A_ub, b_ub, A_eq, B_eq, lower, upper)
+        _compact_solve_stack(*_per_lp(stack), n_art, c, lower)
+        assert len(starts) == 2 and starts == reference_starts, seed
 
 
 def test_default_lemma2_stacks_are_one_run(monkeypatch):
@@ -712,9 +788,124 @@ def test_default_lemma2_stacks_are_one_run(monkeypatch):
     """
     heights = []
     solve_stack = simplex._solve_stack
-    monkeypatch.setattr(simplex, "_solve_stack", lambda T, *rest: heights.append(len(T)) or solve_stack(T, *rest))
+    monkeypatch.setattr(simplex, "_solve_stack", lambda stack, *rest: heights.append(len(stack.ids)) or solve_stack(stack, *rest))
     harness.run_suite("lemma2", harness.RunConfig())
     assert heights and set(heights) == {3 * marginal.MIDPOINT_PAIRS}
+
+
+def test_default_lemma2_pivots_share_tableaux(monkeypatch):
+    """A default lemma2 run pivots one tableau per pivot path, not one per LP.
+
+    Summed over the lockstep steps of ``run_suite("lemma2")``, the tableaux
+    pivoted stay under 15% of the running LPs (12.1% at seed 42); a stack of
+    one tableau per LP would pivot 100%.
+    """
+    pivot, run, counts = simplex._pivot_stack, simplex._run_stack, {"tableaux": 0, "lps": 0, "steps": 0}
+
+    def counted(T, basis, s, row, col, column, R, owner):
+        counts["tableaux"] += len(T)
+        counts["lps"] += len(T) + len(R)
+        counts["steps"] += 1
+        return pivot(T, basis, s, row, col, column, R, owner)
+
+    def lockstep(*args):
+        monkeypatch.setattr(simplex, "_pivot_stack", counted)
+        try:
+            return run(*args)
+        finally:
+            monkeypatch.setattr(simplex, "_pivot_stack", pivot)
+
+    monkeypatch.setattr(simplex, "_run_stack", lockstep)
+    harness.run_suite("lemma2", harness.RunConfig())
+    assert counts["steps"] > 1000, counts
+    assert counts["tableaux"] < 0.15 * counts["lps"], counts
+
+
+def _shared_path_stack(seed):
+    """A degenerate equality LP with a stack of right-hand sides A_eq @ x0 of both signs, x0 integer in [0, 3]^n.
+
+    The first rows are 40 times others: they miss the box, keep those rows'
+    signs, and come first, so each leads its path and fails phase 1 while
+    the later LPs on that path pass.
+    """
+    rng = np.random.default_rng(seed)
+    c, A_ub, b_ub, A_eq, _, lower, upper = _degenerate_equality_lp(rng)
+    B_eq = rng.integers(0, 4, (int(rng.integers(8, 30)), len(c))) @ A_eq.T
+    return c, A_ub, b_ub, A_eq, np.concatenate([40.0 * B_eq[:3], B_eq]).astype(float), lower, upper
+
+
+@pytest.mark.parametrize("max_pivots", [simplex.MAX_PIVOTS, 0, 3])
+def test_shared_path_solves_match_reference(monkeypatch, max_pivots):
+    """LPs that share tableaux give the reference outcome of each LP alone, bit for bit.
+
+    The stacks start on two or more paths, their LPs part mid-phase, and a
+    path's first LP fails phase 1 while other LPs on the path pass; all
+    three are seen at the full pivot limit.
+    """
+    full = max_pivots == simplex.MAX_PIVOTS
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", max_pivots)
+    regroup, run, seen, ends = simplex._regroup, simplex._run_stack, set(), []
+
+    def regrouped(stack, key):
+        paths = len(stack.T)
+        out = regroup(stack, key)
+        if len(stack.T) > paths:
+            seen.add("split")
+        return out
+
+    def ran(stack, structural, columns):
+        failures = run(stack, structural, columns)
+        ends.append((stack.ids[: len(stack.T)].tolist(), stack.ids[len(stack.T) :], stack.owner.copy()))
+        return failures
+
+    monkeypatch.setattr(simplex, "_regroup", regrouped)
+    monkeypatch.setattr(simplex, "_run_stack", ran)
+    for seed in range(40):
+        c, A_ub, b_ub, A_eq, B_eq, lower, upper = (_shared_path_stack if seed % 2 else _epigraph_stack)(seed)
+        if len(simplex._tableaux(c, A_ub, b_ub, A_eq, B_eq, lower, upper)[0].T) > 1:
+            seen.add("several starts")
+        ends.clear()
+        got = _outcomes(*solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=B_eq, lower=lower, upper=upper))
+        want = [_reference(c, A_ub, b_ub, A_eq, b_eq, lower, upper) for b_eq in B_eq]
+        assert [_fingerprint(o) for o in got] == [_fingerprint(o) for o in want], seed
+        assert [_fingerprint(_one_row(c, A_ub, b_ub, A_eq, b_eq, lower, upper)) for b_eq in B_eq] == [_fingerprint(o) for o in want], seed
+        first, others, owner = ends[0]  # the paths as phase 1 leaves them
+        for p, j in enumerate(first):
+            if isinstance(want[j], LPInfeasible) and any(not isinstance(want[i], LPInfeasible) for i in others[owner == p]):
+                seen.add("first fails phase 1")
+    if full:
+        assert seen == {"several starts", "split", "first fails phase 1"}
+
+
+@pytest.mark.parametrize("max_pivots", [simplex.MAX_PIVOTS, 0, 3])
+def test_shared_path_runs_match_compact_copies(monkeypatch, max_pivots):
+    """Runs on stacks whose LPs share tableaux leave each LP's tableau and failure as the compact-copy run does.
+
+    Random 3-row tableaux, four per stack, each shared by about 15 LPs with
+    their own right-hand sides, so paths part on the ratio test, and columns
+    with no positive entry stop LPs on "no blocking row".
+    """
+    full = max_pivots == simplex.MAX_PIVOTS
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", max_pivots)
+    rng, kinds = np.random.default_rng(11), set()
+    for _ in range(20):
+        shapes = [(rng.integers(-1, 3, (3, 3)), rng.integers(-1, 2, 3)) for _ in range(4)]
+        T = np.zeros((60, 4, 8))  # columns: three variables, three slacks, the guard, the right-hand side
+        for t, j in zip(T, rng.integers(0, 4, 60)):
+            t[:3, :3], t[:3, 3:6], t[:3, -1] = shapes[j][0], np.eye(3), rng.integers(1, 4, 3)
+            t[3, :3], t[3, 6] = shapes[j][1], -np.inf
+        stack = _paths(T, np.tile([3, 4, 5], (60, 1)))
+        t, b = _per_lp(stack)
+        want = _compact_run_stack(t, b, 6, 7)
+        got = _by_lp(stack, simplex._run_stack(stack, 6, 7))
+        T, basis = _per_lp(stack)
+        assert T.tobytes() == t.tobytes() and basis.tobytes() == b.tobytes()
+        assert [_fingerprint(f) for f in got] == [_fingerprint(f) for f in want]
+        kinds.update(str(f) for f in got)
+    if full:
+        assert {"None", "no blocking row for the entering column"} <= kinds
+    else:
+        assert f"simplex did not terminate within {max_pivots} pivots" in kinds
 
 
 def test_phase_one_failures_hold_one_stack():
