@@ -299,12 +299,13 @@ def one_dim_subdifferential(f: ConvexFunction, x, v, active_tol: float = ACTIVE_
 
     Returns (lo, hi) = (left derivative, right derivative), two floats or two
     arrays: the support values (-h(-v), h(v)) of ``subdifferential``'s polytope,
-    from one ``support_function`` stack [-V; V], each row its own call's bit for
-    bit.  ``0.0 -`` negates exactly and, like a zero dot product, gives +0.0.
+    the sums over its summands of the least and the greatest product with v,
+    each row its own call's bit for bit.  Both come from one product per
+    summand, so lo <= hi however the products round.
     """
     V = as_rows(v, f.dim)
     if not row_norms(V).all():
         raise ValueError("direction must be nonzero")
-    h = support_function(subdifferential(f, x, active_tol), np.concatenate([-V, V]))
-    lo, hi = 0.0 - h[: len(V)], h[len(V) :]
+    along = [(s @ V[:, :, None])[:, :, 0] for s in subdifferential(f, x, active_tol).summands]
+    lo, hi = _total([a.min(axis=1) for a in along]), _total([a.max(axis=1) for a in along])
     return (lo, hi) if np.ndim(v) == 2 else (float(lo[0]), float(hi[0]))

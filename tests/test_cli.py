@@ -142,11 +142,19 @@ def test_verify_reruns_are_byte_identical(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def _why_no_kernel_switch():
-    """Why OPENBLAS_CORETYPE cannot select each of the four kernels here, or None."""
+def _why_no_coretype():
+    """Why OPENBLAS_CORETYPE selects no kernel here, or None."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     if "openblas" not in blas.get("name", "") or "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
         return "numpy's BLAS is not OpenBLAS built with DYNAMIC_ARCH, so OPENBLAS_CORETYPE selects no kernel"
+    return None
+
+
+def _why_no_kernel_switch():
+    """Why OPENBLAS_CORETYPE cannot select each of the four kernels here, or None."""
+    reason = _why_no_coretype()
+    if reason:
+        return reason
     try:
         flags = Path("/proc/cpuinfo").read_text().split()
     except OSError:
@@ -179,6 +187,23 @@ def test_verify_bytes_hold_under_every_blas_kernel(tmp_path):
         subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, timeout=120)
         reports[kernel] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert len(set(reports.values())) == 1, reports
+
+
+def test_interval_order_and_shared_paths_hold_under_prescott():
+    """The interval order and the shared-path simplex hold under the Prescott kernel too.
+
+    Both tests run in a child pytest with OPENBLAS_CORETYPE=Prescott set in
+    its environment alone; this process keeps its own kernel.
+    """
+    reason = _why_no_coretype()
+    if reason:
+        pytest.skip(reason)
+    tests = ["tests/test_functions.py::test_interval_endpoints_order_random", "tests/test_simplex.py::test_shared_path_solves_match_reference"]
+    env, root = dict(os.environ, OPENBLAS_CORETYPE="Prescott"), Path(__file__).parents[1]
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests]
+    child = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stdout[-2000:]
+    assert "4 passed" in child.stdout, child.stdout[-2000:]
 
 
 def test_verify_exit_one_when_checks_fail(tmp_path, monkeypatch, capsys, rowspace_version):

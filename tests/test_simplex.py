@@ -132,25 +132,21 @@ def _paths(T, basis):
     """The solver's stack of the LPs with per-LP tableaux T and bases basis.
 
     LPs whose tableaux and bases match outside the last column share a path,
-    led by the first of them.
+    and each LP's last column is its row of R.
     """
     groups = {}
     for j in range(len(T)):
         groups.setdefault((T[j, :, :-1].tobytes(), basis[j].tobytes()), []).append(j)
-    first = [g[0] for g in groups.values()]
-    rest = [(p, j) for p, g in enumerate(groups.values()) for j in g[1:]]
-    R = np.array([T[j, :, -1] for _, j in rest]).reshape(len(rest), T.shape[1])
-    owner, ids = np.array([p for p, _ in rest], dtype=int), np.array(first + [j for _, j in rest])
-    return simplex._Stack(T[first].copy(), basis[first].copy(), R, owner, ids)
+    first, ids = [g[0] for g in groups.values()], np.array([j for g in groups.values() for j in g])
+    owner = np.array([p for p, g in enumerate(groups.values()) for _ in g], dtype=int)
+    return simplex._Stack(T[first, :, :-1], basis[first].copy(), T[ids, :, -1], owner, ids)
 
 
 def _per_lp(stack):
-    """Each LP's tableau, its path's with its own right-hand side, and its basis, in the order of its id."""
-    path = np.concatenate([np.arange(len(stack.T)), stack.owner])
-    T = stack.T[path]
-    T[len(stack.T) :, :, -1] = stack.R
+    """Each LP's tableau, its path's with its own right-hand side as the last column, and its basis, in the order of its id."""
     order = np.argsort(stack.ids)
-    return T[order], stack.basis[path][order]
+    path = stack.owner[order]
+    return np.concatenate([stack.T[path], stack.R[order, :, None]], axis=2), stack.basis[path]
 
 
 def _by_lp(stack, failures):
@@ -628,8 +624,10 @@ def _pivot_tableaux(T, basis, s, row, col, column) -> None:
 
 
 def _objective_on_tableaux(T, basis, cost) -> None:
-    """The solver's objective build on tableaux that hold one LP each."""
-    simplex._set_objective(simplex._Stack(T, basis, np.zeros((0, T.shape[1])), np.zeros(0, dtype=int), np.arange(len(T))), cost)
+    """The solver's objective build on tableaux that hold one LP each, split into a stack and written back."""
+    stack = simplex._Stack(T[:, :, :-1].copy(), basis, T[:, :, -1].copy(), np.arange(len(T)), np.arange(len(T)))
+    simplex._set_objective(stack, cost)
+    T[:, :, :-1], T[:, :, -1] = stack.T, stack.R
 
 
 def _compact_run_stack(T, basis, structural, columns) -> list:
@@ -804,7 +802,7 @@ def test_default_lemma2_pivots_share_tableaux(monkeypatch):
 
     def counted(T, basis, s, row, col, column, R, owner):
         counts["tableaux"] += len(T)
-        counts["lps"] += len(T) + len(R)
+        counts["lps"] += len(R)
         counts["steps"] += 1
         return pivot(T, basis, s, row, col, column, R, owner)
 
@@ -824,9 +822,8 @@ def test_default_lemma2_pivots_share_tableaux(monkeypatch):
 def _shared_path_stack(seed):
     """A degenerate equality LP with a stack of right-hand sides A_eq @ x0 of both signs, x0 integer in [0, 3]^n.
 
-    The first rows are 40 times others: they miss the box, keep those rows'
-    signs, and come first, so each leads its path and fails phase 1 while
-    the later LPs on that path pass.
+    The first rows are 40 times others: they miss the box and keep those
+    rows' signs, so each fails phase 1 while other LPs on its path pass.
     """
     rng = np.random.default_rng(seed)
     c, A_ub, b_ub, A_eq, _, lower, upper = _degenerate_equality_lp(rng)
@@ -838,9 +835,9 @@ def _shared_path_stack(seed):
 def test_shared_path_solves_match_reference(monkeypatch, max_pivots):
     """LPs that share tableaux give the reference outcome of each LP alone, bit for bit.
 
-    The stacks start on two or more paths, their LPs part mid-phase, and a
-    path's first LP fails phase 1 while other LPs on the path pass; all
-    three are seen at the full pivot limit.
+    The stacks start on two or more paths, their LPs part mid-phase, and an
+    LP fails phase 1 beside a passing LP on its path; all three are seen at
+    the full pivot limit.
     """
     full = max_pivots == simplex.MAX_PIVOTS
     monkeypatch.setattr(simplex, "MAX_PIVOTS", max_pivots)
@@ -855,7 +852,7 @@ def test_shared_path_solves_match_reference(monkeypatch, max_pivots):
 
     def ran(stack, structural, columns):
         failures = run(stack, structural, columns)
-        ends.append((stack.ids[: len(stack.T)].tolist(), stack.ids[len(stack.T) :], stack.owner.copy()))
+        ends.append((stack.ids.copy(), stack.owner.copy()))
         return failures
 
     monkeypatch.setattr(simplex, "_regroup", regrouped)
@@ -869,12 +866,12 @@ def test_shared_path_solves_match_reference(monkeypatch, max_pivots):
         want = [_reference(c, A_ub, b_ub, A_eq, b_eq, lower, upper) for b_eq in B_eq]
         assert [_fingerprint(o) for o in got] == [_fingerprint(o) for o in want], seed
         assert [_fingerprint(_one_row(c, A_ub, b_ub, A_eq, b_eq, lower, upper)) for b_eq in B_eq] == [_fingerprint(o) for o in want], seed
-        first, others, owner = ends[0]  # the paths as phase 1 leaves them
-        for p, j in enumerate(first):
-            if isinstance(want[j], LPInfeasible) and any(not isinstance(want[i], LPInfeasible) for i in others[owner == p]):
-                seen.add("first fails phase 1")
+        ids, owner = ends[0]  # the paths as phase 1 leaves them
+        for p in np.unique(owner):
+            if len({isinstance(want[j], LPInfeasible) for j in ids[owner == p]}) == 2:
+                seen.add("fails beside a passing LP")
     if full:
-        assert seen == {"several starts", "split", "first fails phase 1"}
+        assert seen == {"several starts", "split", "fails beside a passing LP"}
 
 
 @pytest.mark.parametrize("max_pivots", [simplex.MAX_PIVOTS, 0, 3])
