@@ -30,7 +30,7 @@ import numpy as np
 from . import functions as fn
 from .errors import DimensionMismatch, InfeasibleDomain, LPInfeasible, SolverFailure
 from .instances import domain_to_json, function_to_json
-from .linalg import as_vector, row_norms
+from .linalg import as_vector, row_norms, rows_dot
 from .report import CheckResult, TrialResult
 from .simplex import solve_lp
 
@@ -80,7 +80,7 @@ def _violations(C: PolyhedralDomain, X) -> np.ndarray:
     """Largest constraint violation of each row of X, zero inside the domain."""
     worst = np.abs(X).max(axis=1) - C.box_radius
     for g, h in C.inequalities:
-        worst = _larger(worst, (X[:, None, :] @ g[:, None])[:, 0, 0] - h)
+        worst = _larger(worst, rows_dot(X, g) - h)
     return _larger(worst, 0.0)
 
 

@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -110,15 +111,10 @@ def _verify(config: CliConfig) -> int:
     except OSError as exc:
         print(f"error: could not write report: {exc}", file=sys.stderr)
         return 2
-    by_suite: dict[str, dict[str, int]] = {}
-    for trial in report.trials:
-        name = trial.instance.get("suite", report.suite)
-        counts = by_suite.setdefault(name, {"pass": 0, "fail": 0, "skip": 0})
-        counts[trial.status] += 1
-    order = [s for s in SUITES if s in by_suite] or [report.suite]
-    for name in order:
-        counts = by_suite.get(name, {"pass": 0, "fail": 0, "skip": 0})
-        print(f"{name}: pass={counts['pass']} fail={counts['fail']} skip={counts['skip']}")
+    counts = Counter((trial.instance.get("suite", report.suite), trial.status) for trial in report.trials)
+    suites = {name for name, _ in counts}
+    for name in [s for s in SUITES if s in suites] or [report.suite]:
+        print(f"{name}: pass={counts[name, 'pass']} fail={counts[name, 'fail']} skip={counts[name, 'skip']}")
     print(f"report written to {out}")
     return 0 if report.all_passed else 1
 

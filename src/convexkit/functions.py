@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, SubdifferentialTooLarge
-from .linalg import as_matrix, as_rows, as_vector, row_norms
+from .linalg import as_matrix, as_rows, as_vector, row_dots, row_norms, rows_dot
 
 ACTIVE_TOL = 1e-9
 PSD_FLOOR = -1e-8
@@ -188,10 +188,10 @@ def support_function(P: Polytope, v) -> float | np.ndarray:
     """h_P(v) = max over P of the inner product with v: a float, or an array for a (k, dim) stack.
 
     The maxima of the summands' blocks are summed in summand order.  Each row
-    equals its own call bit for bit (see ``linalg.project``).
+    equals its own call bit for bit.
     """
-    V = as_rows(v, P.ambient_dim)[:, :, None]
-    h = _total([(s @ V)[:, :, 0].max(axis=1) for s in P.summands])
+    V = as_rows(v, P.ambient_dim)
+    h = _total([rows_dot(V, s).max(axis=1) for s in P.summands])
     return h if np.ndim(v) == 2 else float(h[0])
 
 
@@ -225,20 +225,14 @@ def evaluate(f: ConvexFunction, x) -> float:
 
 
 def evaluate_many(f: ConvexFunction, X) -> np.ndarray:
-    """Exact values at the rows of ``X`` (shape (N, dim)); row i equals ``evaluate(f, X[i])`` bit for bit.
-
-    Every product is a matmul stacked over the C-ordered rows, which makes
-    the same per-row BLAS call (gemv or dot) as the one-point product;
-    one matrix-matrix product over all rows would round differently.
-    """
+    """Exact values at the rows of ``X`` (shape (N, dim)); row i equals ``evaluate(f, X[i])`` bit for bit."""
     X = as_matrix(X)
     if X.shape[1] != f.dim:
         raise DimensionMismatch(f"points have dimension {X.shape[1]}, function has {f.dim}")
     blocks, quad = normal_form(f)
-    columns, rows = X[:, :, None], X[:, None, :]
-    terms = [((b.matrix @ columns)[:, :, 0] + b.offsets).max(axis=1) for b in blocks]
+    terms = [(rows_dot(X, b.matrix) + b.offsets).max(axis=1) for b in blocks]
     if quad is not None:
-        terms.append(((rows @ quad.Q) @ columns)[:, 0, 0] + (rows @ quad.c[:, None])[:, 0, 0] + quad.r0)
+        terms.append(row_dots(rows_dot(X, quad.Q.T), X) + rows_dot(X, quad.c) + quad.r0)
     return _total(terms)
 
 
@@ -306,6 +300,6 @@ def one_dim_subdifferential(f: ConvexFunction, x, v, active_tol: float = ACTIVE_
     V = as_rows(v, f.dim)
     if not row_norms(V).all():
         raise ValueError("direction must be nonzero")
-    along = [(s @ V[:, :, None])[:, :, 0] for s in subdifferential(f, x, active_tol).summands]
+    along = [rows_dot(V, s) for s in subdifferential(f, x, active_tol).summands]
     lo, hi = _total([a.min(axis=1) for a in along]), _total([a.max(axis=1) for a in along])
     return (lo, hi) if np.ndim(v) == 2 else (float(lo[0]), float(hi[0]))

@@ -26,7 +26,7 @@ import numpy as np
 from . import argmin, marginal, restriction
 from . import functions as fn
 from .errors import FiberTooLarge, SolverFailure
-from .linalg import row_norms
+from .linalg import row_norms, rows_dot
 from .report import CheckResult, SuiteReport, TrialResult
 from .restriction import make_fiber
 
@@ -203,15 +203,15 @@ def config_error(config: RunConfig) -> tuple[str, str] | None:
 def _slice_directions(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Five unit directions in the row span of ``basis``, mapped from uniform coordinates.
 
-    Each round draws the missing directions as one block and maps it with one
-    stacked product, whose rows equal their one-row products bit for bit; rows
+    Each round draws the missing directions as one block and maps it with
+    ``rows_dot``, whose rows equal their one-row products bit for bit; rows
     of norm at most 1e-9 are dropped and redrawn in the next round, so the
     kept rows are those of drawing one direction at a time, in draw order.
     """
     directions = np.empty((0, basis.shape[1]))
     while len(directions) < 5:
         U = rng.uniform(-1.0, 1.0, (5 - len(directions), basis.shape[0]))
-        V = (basis.T @ U[:, :, None])[:, :, 0]
+        V = rows_dot(U, basis.T)
         norms = row_norms(V)
         keep = norms > 1e-9
         directions = np.vstack([directions, V[keep] / norms[keep, None]])

@@ -1,10 +1,28 @@
-"""Dense real linear algebra: orthonormal bases, kernels, projections, anchors.
+"""Dense real linear algebra: orthonormal bases, kernels, projections, anchors, row products.
 
 Everything here is deterministic and allocation-light.  The coercers
 ``as_vector``, ``as_matrix`` and ``as_rows`` return finite C-ordered float
-arrays: numpy's matmul takes another BLAS path for strided rows, so every
-"row i equals its one-row call bit for bit" promise in the package rests on
-callers coercing through them.
+arrays.
+
+Every product taken row by row over a stack goes through ``rows_dot`` (row i
+against every row of a matrix, or against one vector) or ``row_dots`` (row i
+against row i), so the package's "row i equals its one-row call bit for bit"
+promises rest on these two bodies alone.  Each is one stacked matmul over
+C-ordered rows, which makes the same per-row BLAS call (gemv or dot) as the
+one-row product; a matrix-matrix product over all rows, or a reduction such
+as ``norm(V, axis=1)``, rounds differently, and a strided row takes another
+BLAS path, hence the coercers.  The row comes first: against a vector a,
+``rows_dot`` computes ``X[i] @ a``, never ``a @ X[i]``, which rounds
+differently under OpenBLAS's Prescott kernel.  That kernel also rounds a
+row by its 16-byte alignment, so there a row copied to fresh memory can
+differ from the row in place.  Products stay outside the two routines where
+nothing is stacked: one-row products (``_orthonormalize``'s per-row strip,
+``np.linalg.norm``, ``functions.subdifferential`` and ``_gradient``), which
+would pay the stacking overhead on lemma1's hot path; whole-matrix products
+(``anchor_map``'s ``M`` and ``normal``, ``restricted_subdifferential``'s
+projection, the KKT system); the QP's inner steps; the simplex's tableau
+arithmetic and ``A @ lower``, which rounds by its operand's memory order;
+and the instance draws.
 
 Every orthonormal basis comes from one loop: modified Gram-Schmidt over a
 sequence of vectors, each stripped of an optional fixed basis and of the rows
@@ -108,8 +126,7 @@ def _orthonormalize(V: np.ndarray, fixed: np.ndarray, threshold: float, rounds: 
     at most ``threshold`` is dropped, any other is normalized and kept.
 
     The first two strips of ``fixed`` need no kept row, so they run on all
-    of V as one stack: on C-ordered rows the stacked matmuls make the same
-    per-row gemv calls as one row at a time.  Kept rows fill a preallocated
+    of V as one stack.  Kept rows fill a preallocated
     (n - len(fixed), n) basis, and the loop stops once it is full.  That
     stop changes no result: with no ``fixed`` rows a further kept row would
     be an (n + 1)-th orthonormal row in R^n, which Subspace refuses, and
@@ -120,7 +137,7 @@ def _orthonormalize(V: np.ndarray, fixed: np.ndarray, threshold: float, rounds: 
     basis = np.empty((n - len(fixed), n))
     if len(fixed) and len(basis):
         for _ in range(2):
-            V = V - (fixed.T @ (fixed @ V[:, :, None]))[:, :, 0]
+            V = V - rows_dot(rows_dot(V, fixed), fixed.T)
     k = 0
     for u in V:
         if k == len(basis):
@@ -164,23 +181,24 @@ def kernel(S) -> Subspace:
     return complement(row_space(S))
 
 
-def row_norms(V: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row of V, equal to ``np.linalg.norm`` of that row bit for bit.
+def rows_dot(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Row i of X against every row of a matrix A, ``A @ X[i]`` as row i; against a vector, ``X[i] @ A`` as entry i."""
+    return (X[:, None, :] @ A[:, None])[:, 0, 0] if A.ndim == 1 else (A @ X[:, :, None])[:, :, 0]
 
-    ``np.linalg.norm`` of a vector is the square root of its BLAS dot with
-    itself; a stacked matmul makes that same dot per C-ordered row, while a
-    reduction such as ``norm(V, axis=1)`` sums in a different order.
-    """
-    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
+
+def row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row i of X against row i of Y, ``X[i] @ Y[i]`` as entry i."""
+    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
+
+
+def row_norms(V: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of V, equal to ``np.linalg.norm`` of that row bit for bit."""
+    return np.sqrt(row_dots(V, V))
 
 
 def project(x, W: Subspace) -> np.ndarray:
-    """Orthogonal projection of ``x`` onto the subspace ``W``, or of each row of a (k, n) stack.
-
-    Each row equals its own projection bit for bit: on C-ordered rows the
-    stacked matmuls make the same per-row gemv calls.
-    """
-    P = (W.basis.T @ (W.basis @ as_rows(x, W.ambient_dim)[:, :, None]))[:, :, 0]
+    """Orthogonal projection of ``x`` onto the subspace ``W``, or of each row of a (k, n) stack, each its own projection bit for bit."""
+    P = rows_dot(rows_dot(as_rows(x, W.ambient_dim), W.basis), W.basis.T)
     return P if np.ndim(x) == 2 else P[0]
 
 
@@ -203,14 +221,13 @@ class AnchorMap:
 
         ``zeta`` is a float vector of length ``S.shape[0]``, checked by the
         caller, or a (k, S.shape[0]) stack of them.  A stack gets one solution
-        per row, each equal to that row's own solve bit for bit: on C-ordered
-        rows the stacked matmuls and ``np.linalg.solve`` make the same per-row
-        gemv and gesv calls.  The error names the first row that misses the
-        bound.
+        per row, each equal to that row's own solve bit for bit: ``np.linalg.solve``
+        makes one gesv call per row.  The error names the first row that misses
+        the bound.
         """
         Z = np.ascontiguousarray(np.atleast_2d(zeta))
-        Y = (self.rows.basis.T @ np.linalg.solve(self.normal, self.M.T @ Z[:, :, None]))[:, :, 0]
-        residual = row_norms((self.S @ Y[:, :, None])[:, :, 0] - Z)
+        Y = rows_dot(np.linalg.solve(self.normal, rows_dot(Z, self.M.T)[:, :, None])[:, :, 0], self.rows.basis.T)
+        residual = row_norms(rows_dot(Y, self.S) - Z)
         tol = ANCHOR_RESIDUAL_TOL * (1.0 + row_norms(Z))
         bad = np.flatnonzero(residual > tol)
         if bad.size:

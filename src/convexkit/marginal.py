@@ -48,7 +48,7 @@ from .errors import (
     UnsupportedObjective,
 )
 from .instances import function_to_json, matrix_to_json
-from .linalg import AnchorMap, Subspace, anchor_map, as_matrix, as_vector, kernel, project, row_norms, row_space
+from .linalg import AnchorMap, Subspace, anchor_map, as_matrix, as_vector, kernel, project, row_norms, row_space, rows_dot
 # unused, but bound here so that bench/tracing.py can wrap this binding site
 from .linalg import solve_anchor  # noqa: F401
 from .report import CheckResult, TrialResult
@@ -135,7 +135,7 @@ def _lp_inner(d, epigraph, constant, X):
     cost, rows, rhs, eq, lower, upper = epigraph
     Y, values, failures = solve_lp(cost, A_ub=rows, b_ub=rhs, A_eq=eq, b_eq=X, lower=lower, upper=upper)
     first = next((i for i, failure in enumerate(failures) if failure is not None), len(failures))
-    R = Y[:, :d].copy()  # C-ordered, as the products downstream round by it
+    R = Y[:, :d].copy()
     if (np.abs(R[:first]).max(axis=1) > BOX_RADIUS - 1e-6 * BOX_RADIUS).any():
         raise UnboundedBelow("minimum sits on the safety box, attainment inside it is not certified")
     if first < len(failures) and isinstance(failures[first], LPInfeasible):
@@ -249,11 +249,11 @@ def lemma2_check(f, S, *, seed: int = 0) -> TrialResult:
     }
 
     def sample_x(k):
-        return (h.S.T @ rng.uniform(-SAMPLE_SCALE, SAMPLE_SCALE, (k, d))[:, :, None])[:, :, 0]
+        return rows_dot(rng.uniform(-SAMPLE_SCALE, SAMPLE_SCALE, (k, d)), h.S.T)
 
     P = sample_x(2 * MIDPOINT_PAIRS)
     gap, pair, points, values, R = _least_gap(h, P[0::2], P[1::2])
-    residuals = row_norms((h.S.T @ R[:, :, None])[:, :, 0] - points)
+    residuals = row_norms(rows_dot(R, h.S.T) - points)
     value_errs = np.abs(fn.evaluate_many(f, R) - values) / (1.0 + np.abs(values))
     max_residual = float(np.max(residuals, initial=0.0))
     max_value_err = float(np.max(value_errs, initial=0.0))

@@ -27,7 +27,7 @@ from . import functions
 from .errors import DimensionMismatch, DomainViolation
 from .functions import ACTIVE_TOL, Polytope, subdifferential, support_function
 from .instances import function_to_json
-from .linalg import Subspace, anchor_map, as_rows, as_vector, complement, project, row_norms
+from .linalg import Subspace, anchor_map, as_rows, as_vector, complement, project, row_norms, rows_dot
 # unused, but bound here so that bench/tracing.py can wrap these binding sites
 from .linalg import kernel, solve_anchor  # noqa: F401
 from .report import CheckResult, TrialResult
@@ -71,11 +71,11 @@ def make_fiber(S, zeta) -> AffineFiber:
 def embed(fiber: AffineFiber, w) -> np.ndarray:
     """Map fiber coordinates w, or each row of a (k, fiber_dim) stack, to the ambient point anchor + B^T w.
 
-    Each row equals its own embedding bit for bit (see ``project``); a
-    zero-dimensional fiber gives copies of the anchor, signed zeros included.
+    Each row equals its own embedding bit for bit; a zero-dimensional fiber
+    gives copies of the anchor, signed zeros included.
     """
     W, B = as_rows(w, fiber.fiber_dim), fiber.kernel_basis.basis
-    X = fiber.anchor + (B.T @ W[:, :, None])[:, :, 0] if len(B) else np.tile(fiber.anchor, (len(W), 1))
+    X = fiber.anchor + rows_dot(W, B.T) if len(B) else np.tile(fiber.anchor, (len(W), 1))
     return X if np.ndim(w) == 2 else X[0]
 
 

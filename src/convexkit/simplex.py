@@ -58,6 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, LPInfeasible, SolverFailure
+from .linalg import rows_dot
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
@@ -238,12 +239,12 @@ def _solve_stack(stack, n_art, c, lower, X, values) -> list:
     ended = _run_stack(stack, structural, columns)
     for j, failure in zip(stack.ids.tolist(), ended):
         failures[j] = failure
-    # the answers at once; a stacked dot over C-ordered rows is the one-row dot c @ x
+    # the answers at once
     basis, R, ids = stack.basis, stack.R, stack.ids
     Z = np.zeros((len(ids), columns))
     Z[np.arange(len(ids))[:, None], basis if len(R) == len(basis) else basis[stack.owner]] = R[:, :-1]
     x = Z[:, : c.shape[0]] + lower
-    X[ids], values[ids] = x, (x[:, None, :] @ c[:, None])[:, 0, 0]
+    X[ids], values[ids] = x, rows_dot(x, c)
     for i, failure in enumerate(failures):
         if failure is not None:
             X[i], values[i] = np.nan, np.nan

@@ -189,21 +189,58 @@ def test_verify_bytes_hold_under_every_blas_kernel(tmp_path):
     assert len(set(reports.values())) == 1, reports
 
 
-def test_interval_order_and_shared_paths_hold_under_prescott():
-    """The interval order and the shared-path simplex hold under the Prescott kernel too.
-
-    Both tests run in a child pytest with OPENBLAS_CORETYPE=Prescott set in
-    its environment alone; this process keeps its own kernel.
-    """
+def _pytest_under_prescott(tests, *flags):
+    """Run ``tests`` in a child pytest with OPENBLAS_CORETYPE=Prescott set in its environment alone."""
     reason = _why_no_coretype()
     if reason:
         pytest.skip(reason)
-    tests = ["tests/test_functions.py::test_interval_endpoints_order_random", "tests/test_simplex.py::test_shared_path_solves_match_reference"]
     env, root = dict(os.environ, OPENBLAS_CORETYPE="Prescott"), Path(__file__).parents[1]
-    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests]
-    child = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *flags, *tests]
+    return subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_interval_order_and_shared_paths_hold_under_prescott():
+    """The interval order, the row products and the shared-path simplex hold under the Prescott kernel too.
+
+    The tests run in a child pytest under Prescott; this process keeps its own
+    kernel.  Only there does the row products' vector case catch a swapped
+    operand.
+    """
+    child = _pytest_under_prescott([
+        "tests/test_functions.py::test_interval_endpoints_order_random",
+        "tests/test_linalg.py::test_row_products_match_one_row_products",
+        "tests/test_simplex.py::test_shared_path_solves_match_reference",
+    ])
     assert child.returncode == 0, child.stdout[-2000:]
-    assert "4 passed" in child.stdout, child.stdout[-2000:]
+    assert "5 passed" in child.stdout, child.stdout[-2000:]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP items 14 and 19: under Prescott a stacked row and its one-row reference round apart",
+)
+def test_stacked_rows_match_one_row_calls_under_prescott():
+    """The nine stacked-versus-one-row tests that fail under the Prescott kernel, run there in one child pytest.
+
+    The child stops at the first failure (-x), and the tests run fastest
+    first, so the expected failure costs little.
+    """
+    child = _pytest_under_prescott([
+        "tests/test_restriction.py::test_one_support_stack_gives_both_bounds",
+        "tests/test_harness.py::test_slice_directions_match_one_at_a_time_draws",
+        "tests/test_restriction.py::test_midpoint_sweep_matches_scalar_loop",
+        "tests/test_restriction.py::test_lemma1_check_matches_one_direction_at_a_time",
+        "tests/test_functions.py::test_evaluate_many_matches_scalar",
+        "tests/test_linalg.py::test_orthonormal_bases_match_reference_loops_random",
+        "tests/test_marginal.py::test_marginal_values_match_one_by_one",
+        "tests/test_marginal.py::test_lemma2_check_matches_one_query_at_a_time",
+        "tests/test_argmin.py::test_lockstep_harvest_matches_scalar_bisection",
+    ], "-x")
+    if child.returncode not in (0, 1):  # a usage or collection error is no expected failure
+        raise RuntimeError(child.stdout[-2000:])
+    assert child.returncode == 0, child.stdout[-2000:]
+    assert "9 passed" in child.stdout, child.stdout[-2000:]
 
 
 def test_verify_exit_one_when_checks_fail(tmp_path, monkeypatch, capsys, rowspace_version):

@@ -14,8 +14,10 @@ from convexkit.linalg import (
     complement,
     kernel,
     project,
+    row_dots,
     row_norms,
     row_space,
+    rows_dot,
     solve_anchor,
 )
 from convexkit.restriction import make_fiber
@@ -236,6 +238,27 @@ def test_anchor_map_reuse_is_bitwise_random():
             bump -= project(bump, row_space(S.T))  # outside the range of S
             with pytest.raises(InfeasibleFiber):
                 amap.solve(S @ np.ones(n) + bump)
+
+
+def test_row_products_match_one_row_products():
+    """rows_dot and row_dots equal their one-row products byte for byte: A @ X[i], X[i] @ a and X[i] @ Y[i].
+
+    A is C-ordered or the F-ordered view S.T, at heights 1, 26 and 200.  The
+    row comes first against a vector: under OpenBLAS's Prescott kernel
+    a @ X[i] rounds differently from X[i] @ a, and a row copied to fresh
+    memory can round differently from the row in place.
+    """
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        n, m = (int(v) for v in rng.integers(1, 13, 2))
+        S = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+        a = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        for k in (1, 26, 200):
+            X, Y = (rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, (k, 1)) for _ in range(2))
+            for A in (np.ascontiguousarray(S.T), S.T):
+                assert rows_dot(X, A).tobytes() == np.array([A @ x for x in X]).tobytes()
+            assert rows_dot(X, a).tobytes() == np.array([x @ a for x in X]).tobytes()
+            assert row_dots(X, Y).tobytes() == np.array([x @ y for x, y in zip(X, Y)]).tobytes()
 
 
 def test_row_norms_match_norm_of_each_row():

@@ -40,6 +40,24 @@ def test_src_imports_are_used():
     assert sorted(unused - BENCH_ALIASES) == []
 
 
+def test_stacked_products_go_through_linalg():
+    """Outside ``linalg`` no ``@`` has an operand subscripted with None: every batched matmul is ``rows_dot`` or ``row_dots``."""
+
+    def stacked(node):
+        index = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+        return any(isinstance(i, ast.Constant) and i.value is None for i in index)
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                if any(isinstance(side, ast.Subscript) and stacked(side) for side in (node.left, node.right)):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_src_private_definitions_are_read():
     """Every private function or class in ``src/convexkit`` is read somewhere in ``src/``, so none outlives its last caller."""
     defined, read = set(), set()
