@@ -110,11 +110,12 @@ class ArgminCertificate:
 
 def _lp_minimize(blocks, C: PolyhedralDomain) -> ArgminCertificate:
     cost, rows, rhs, eq, lower, upper = fn.epigraph(C.dim, blocks, C.box_radius, C.inequalities, np.zeros((0, C.dim)))
-    try:
-        sol = solve_lp(cost, A_ub=rows, b_ub=rhs, A_eq=eq, lower=lower, upper=upper)
-    except LPInfeasible as exc:
-        raise InfeasibleDomain(f"domain is empty: {exc}") from exc
-    return ArgminCertificate(float(sol.value), sol.x[: C.dim], "exact-LP")
+    X, values, [failure] = solve_lp(cost, A_ub=rows, b_ub=rhs, A_eq=eq, lower=lower, upper=upper)
+    if isinstance(failure, LPInfeasible):
+        raise InfeasibleDomain(f"domain is empty: {failure}") from failure
+    if failure is not None:
+        raise failure
+    return ArgminCertificate(float(values[0]), X[0, : C.dim], "exact-LP")
 
 
 def _face_step(H, W, grad, scale):

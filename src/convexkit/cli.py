@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -73,8 +74,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv=None) -> CliConfig:
-    """The parsed flags; those named after a RunConfig field make up its ``run``."""
-    flags = vars(build_parser().parse_args(argv))
+    """The parsed flags; those named after a RunConfig field make up its ``run``.
+
+    A point after ``--x`` that argparse would read as a flag, such as ``-1,2``, is joined to it: ``--x=-1,2``.
+    """
+    args = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(args) - 1, 0, -1):  # from the end, so a join moves no argument before it
+        if args[i - 1] == "--x" and re.match(r"-[\d.]", args[i]):
+            args[i - 1 : i + 1] = ["--x=" + args[i]]
+    flags = vars(build_parser().parse_args(args))
     run = {f.name: flags.pop(f.name) for f in fields(RunConfig) if f.name in flags}
     return CliConfig(**flags, run=RunConfig(**run))
 
@@ -112,8 +120,7 @@ def _verify(config: CliConfig) -> int:
         print(f"error: could not write report: {exc}", file=sys.stderr)
         return 2
     counts = Counter((trial.instance.get("suite", report.suite), trial.status) for trial in report.trials)
-    suites = {name for name, _ in counts}
-    for name in [s for s in SUITES if s in suites] or [report.suite]:
+    for name in SUITES if config.suite == "all" else [config.suite]:
         print(f"{name}: pass={counts[name, 'pass']} fail={counts[name, 'fail']} skip={counts[name, 'skip']}")
     print(f"report written to {out}")
     return 0 if report.all_passed else 1

@@ -39,14 +39,14 @@ no result (``_orthonormalize`` says why).
 
 Solving ``S y = zeta`` for many right-hand sides goes through one reusable
 AnchorMap: ``anchor_map(S)`` factors S once (its row-space basis, ``M`` and
-``M^T M``), and each ``AnchorMap.solve`` is one small linear solve that
-returns a freshly allocated array, or one stacked solve for a stack of
-right-hand sides whose rows equal their one-row solves bit for bit.  Its one residual rule,
-ANCHOR_RESIDUAL_TOL * (1 + |zeta|), serves every caller: fibers, the KKT
-systems of marginals and ``solve_anchor``.  A map is never mutated after it
-is built.  Every other function is pure and returns freshly allocated arrays.
-A rank-zero subspace or map needs no branch of its own: numpy's empty
-products give the zero vector.
+``M^T M``), and each ``AnchorMap.solve`` is one stacked solve of a (k, m)
+stack of right-hand sides, a lone one being the stack of one, that returns a
+freshly allocated array whose rows equal their one-row solves bit for bit.
+Its one residual rule, ANCHOR_RESIDUAL_TOL * (1 + |zeta|), serves every
+caller: fibers, the KKT systems of marginals and ``solve_anchor``.  A map is
+never mutated after it is built.  Every other function is pure and returns
+freshly allocated arrays.  A rank-zero subspace or map needs no branch of its
+own: numpy's empty products give the zero vector.
 """
 
 from __future__ import annotations
@@ -216,16 +216,16 @@ class AnchorMap:
     M: np.ndarray
     normal: np.ndarray
 
-    def solve(self, zeta: np.ndarray) -> np.ndarray:
-        """Minimum-norm solution; InfeasibleFiber when the residual exceeds ANCHOR_RESIDUAL_TOL * (1 + |zeta|).
+    def solve(self, Z: np.ndarray) -> np.ndarray:
+        """Minimum-norm solution of each row; InfeasibleFiber when a residual exceeds ANCHOR_RESIDUAL_TOL * (1 + |zeta|).
 
-        ``zeta`` is a float vector of length ``S.shape[0]``, checked by the
-        caller, or a (k, S.shape[0]) stack of them.  A stack gets one solution
-        per row, each equal to that row's own solve bit for bit: ``np.linalg.solve``
-        makes one gesv call per row.  The error names the first row that misses
-        the bound.
+        ``Z`` is a (k, S.shape[0]) float stack of right-hand sides zeta,
+        checked by the caller; a lone zeta is the stack ``zeta[None]``.  Row i
+        of the (k, S.shape[1]) answer equals row i's own solve bit for bit:
+        ``np.linalg.solve`` makes one gesv call per row.  The error gives the
+        residual of the first row that misses the bound.
         """
-        Z = np.ascontiguousarray(np.atleast_2d(zeta))
+        Z = np.ascontiguousarray(Z)
         Y = rows_dot(np.linalg.solve(self.normal, rows_dot(Z, self.M.T)[:, :, None])[:, :, 0], self.rows.basis.T)
         residual = row_norms(rows_dot(Y, self.S) - Z)
         tol = ANCHOR_RESIDUAL_TOL * (1.0 + row_norms(Z))
@@ -235,7 +235,7 @@ class AnchorMap:
             raise InfeasibleFiber(
                 f"no solution within tolerance: residual {residual[i]:.3e} > {tol[i]:.3e}"
             )
-        return Y if zeta.ndim == 2 else Y[0]
+        return Y
 
 
 def anchor_map(S) -> AnchorMap:
@@ -249,4 +249,4 @@ def anchor_map(S) -> AnchorMap:
 def solve_anchor(S, zeta) -> np.ndarray:
     """Minimum-norm solution of ``S y = zeta``; see AnchorMap.solve for its residual bound."""
     amap = anchor_map(S)
-    return amap.solve(as_vector(zeta, amap.S.shape[0]))
+    return amap.solve(as_vector(zeta, amap.S.shape[0])[None])[0]

@@ -65,7 +65,7 @@ def make_fiber(S, zeta) -> AffineFiber:
     """
     amap = anchor_map(S)
     zeta = as_vector(zeta, amap.S.shape[0])
-    return AffineFiber(amap.S, zeta, amap.solve(zeta), complement(amap.rows))
+    return AffineFiber(amap.S, zeta, amap.solve(zeta[None])[0], complement(amap.rows))
 
 
 def embed(fiber: AffineFiber, w) -> np.ndarray:

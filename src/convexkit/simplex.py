@@ -32,7 +32,8 @@ ratio test for every LP; where the LPs of a path choose different leaving
 rows, the path splits before the pivot, its tableau copied.  The running paths
 and their LPs are kept in place at the front of the stack.  Each LP makes
 exactly the pivots, ratios and ties it would make alone, and MAX_PIVOTS counts
-per LP; the answers are read back as arrays.  A stack takes at most
+per LP.  Every call answers with arrays, a lone LP included, and each LP's
+error goes once into one per-LP list, never raised.  A stack takes at most
 STACK_FLOATS = 2^16 floats counted one tableau and right-hand side per LP, the
 most its paths can hold, which bounds a tall stack's memory and takes a lemma2
 gap check's 60 queries, at most 1,088 floats each, in one run.  Those start on
@@ -64,12 +65,6 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 MAX_PIVOTS = 20000
 STACK_FLOATS = 2**16  # floats of a stack's LPs, one tableau and right-hand side each (512 KiB), the most its paths hold: 60 lemma2 queries of 1,088
-
-
-@dataclass(frozen=True)
-class LPSolution:
-    x: np.ndarray
-    value: float
 
 
 @dataclass
@@ -130,27 +125,32 @@ def _set_objective(stack, cost) -> None:
 
 
 def _regroup(stack, key):
-    """Regroup the LPs of the stack by key, one int per row of R; each path's key and source.
+    """Regroup the LPs of the stack by key, one int per row of R; each path's key and source, and the live counts n, x.
 
     Every tableau is gathered anew: the LPs of a path with one key stay on
-    one path, and each further key takes a copy of the tableau.  The paths
-    whose key is at least 0 come first, then the others, each in their former
-    order, and R's rows follow their paths; src[q] is the path that path q
-    was copied from.
+    one path, and each further key takes a copy of the tableau.  The n paths
+    whose key is at least 0 come first, holding the x LPs whose key is, then
+    the others, each in their former order, and R's rows follow their paths;
+    src[q] is the path that path q was copied from.
     """
     T, owner = stack.T, stack.owner
     group = (owner + len(T) * (key < 0)) * T.shape[1] + key + 1
     order = group.argsort(kind="stable")  # a group's LPs in stack order
     starts = np.concatenate([[True], group[order[1:]] != group[order[:-1]]])
     first = order[starts]
-    src = owner[first]
+    path_key, src = key[first], owner[first]
     stack.T, stack.basis = T[src], stack.basis[src]
     stack.R, stack.owner, stack.ids = stack.R[order], np.cumsum(starts) - 1, stack.ids[order]
-    return key[first], src
+    return path_key, src, np.count_nonzero(path_key >= 0), np.count_nonzero(key >= 0)
 
 
-def _run_stack(stack, structural, columns) -> list:
-    """Bland pivots on every LP of the stack in lockstep; per LP None or its SolverFailure, in the order of stack.ids.
+def _head(stack, n, x):
+    """The stack's first n paths and first x LPs, as views."""
+    return _Stack(stack.T[:n], stack.basis[:n], stack.R[:x], stack.owner[:x], stack.ids[:x])
+
+
+def _run_stack(stack, structural, columns, failures) -> None:
+    """Bland pivots on every LP of the stack in lockstep; an LP that breaks down gets its SolverFailure at failures[id].
 
     Columns up to ``structural``, the guard, may enter; every basis label is
     below ``columns``.  A step picks each path's entering column and runs the
@@ -160,7 +160,7 @@ def _run_stack(stack, structural, columns) -> list:
     splits the paths by the LPs' choices and moves the stopped ones behind
     the rest.  Where n equals x, own is the identity, and is not read.
     """
-    failures, n, x = {}, len(stack.T), len(stack.R)
+    n, x = len(stack.T), len(stack.R)
     every, no_ratios = np.arange(x), np.full((x, stack.R.shape[1] - 1), np.nan)
     t, b, r, own, s = stack.T, stack.basis, stack.R, stack.owner, every[:n]
     obj, rhs, lead = t[:, -1], r[:, :-1], s if n == x else np.searchsorted(own, s)  # lead: each path's first LP
@@ -178,25 +178,22 @@ def _run_stack(stack, structural, columns) -> list:
             for j in stack.ids[:x][stop & (col[own] < structural)].tolist():  # the guard enters only at an optimum
                 failures[j] = SolverFailure("no blocking row for the entering column")
             if stop.all():
-                break
+                return
         row = np.where(ratios <= bound[:, None], bases, columns).argmin(axis=1)  # Bland: smallest basic index leaves
         path_row = row if n == x else row[lead]
         if stops or (n < x and (path_row[own] != row).any()):
             key = np.concatenate([np.where(stop, -1, row), np.full(len(stack.ids) - x, -1)])  # -1: the LP stops, or stopped before
-            path_row, src = _regroup(stack, key)
-            n, x = np.count_nonzero(path_row >= 0), np.count_nonzero(key >= 0)
+            path_row, src, n, x = _regroup(stack, key)
             t, b, r, own, s = stack.T[:n], stack.basis[:n], stack.R[:x], stack.owner[:x], every[:n]
             obj, rhs, lead = t[:, -1], r[:, :-1], s if n == x else np.searchsorted(own, s)
             col, column = col[src[:n]], column[src[:n]]
         _pivot_stack(t, b, s, path_row[:n], col, column, r, own)
-    else:
-        for j in stack.ids[:x].tolist():
-            failures[j] = SolverFailure(f"simplex did not terminate within {MAX_PIVOTS} pivots")
-    return [failures.get(j) for j in stack.ids.tolist()]
+    for j in stack.ids[:x].tolist():
+        failures[j] = SolverFailure(f"simplex did not terminate within {MAX_PIVOTS} pivots")
 
 
 def _solve_stack(stack, n_art, c, lower, X, values) -> list:
-    """The two phases on every LP of the stack, which they change; per LP None or its error, in order.
+    """The two phases on every LP of the stack, which they change; per LP None or its error, one list both runs write.
 
     LP i's x and value go to X[i] and values[i], NaN if it fails.  Its n_art
     artificials are basis labels past the guard with no column.  The LPs that
@@ -210,35 +207,27 @@ def _solve_stack(stack, n_art, c, lower, X, values) -> list:
     # phase 1: minimize the artificial sum
     if n_art:
         _set_objective(stack, np.concatenate([cost[: structural + 1], np.ones(n_art)]))
-        ended = _run_stack(stack, structural, columns)
-        ids = stack.ids.tolist()
-        for j, failure, value in zip(ids, ended, (-stack.R[:, -1]).tolist()):
-            if failure is None and value > FEAS_TOL:
-                failure = LPInfeasible(f"phase 1 optimum {value:.3e} above feasibility tolerance")
-            failures[j] = failure
-        failed = np.array([failures[j] is not None for j in ids])
+        _run_stack(stack, structural, columns, failures)
+        for j, value in zip(stack.ids.tolist(), (-stack.R[:, -1]).tolist()):
+            if failures[j] is None and value > FEAS_TOL:
+                failures[j] = LPInfeasible(f"phase 1 optimum {value:.3e} above feasibility tolerance")
+        failed = np.array([failure is not None for failure in failures])[stack.ids]
         if failed.any():  # the LPs that passed lead the regrouped stack, and the rest leave it
-            n, x = np.count_nonzero(_regroup(stack, -failed.astype(int))[0] >= 0), np.count_nonzero(~failed)
-            stack.T, stack.basis, stack.R, stack.owner, stack.ids = stack.T[:n], stack.basis[:n], stack.R[:x], stack.owner[:x], stack.ids[:x]
+            stack = _head(stack, *_regroup(stack, -failed.astype(int))[2:])
         # drive leftover artificials out of the basis where possible, row i of every path in turn;
         # a row with none to pivot on is redundant, and its artificial stays basic at value zero
         for i in (stack.basis > structural).any(axis=0).nonzero()[0]:
-            pivots = np.abs(stack.T[:, i, :structural]) > PIVOT_TOL
-            paths = (stack.basis[:, i] > structural) & pivots.any(axis=1)
-            if paths.any():
-                if not paths.all():  # the paths to pivot lead the regrouped stack
-                    _regroup(stack, paths[stack.owner].astype(int) - 1)
-                n = np.count_nonzero(paths)
-                x, s = np.count_nonzero(stack.owner < n), np.arange(n)
-                col = (np.abs(stack.T[:n, i, :structural]) > PIVOT_TOL).argmax(axis=1)
-                _pivot_stack(stack.T[:n], stack.basis[:n], s, np.full(n, i), col, stack.T[s, :, col], stack.R[:x], stack.owner[:x])
+            paths = (stack.basis[:, i] > structural) & (np.abs(stack.T[:, i, :structural]) > PIVOT_TOL).any(axis=1)
+            if paths.any():  # the paths to pivot lead the regrouped stack
+                head = stack if paths.all() else _head(stack, *_regroup(stack, paths[stack.owner].astype(int) - 1)[2:])
+                s = np.arange(len(head.T))
+                col = (np.abs(head.T[:, i, :structural]) > PIVOT_TOL).argmax(axis=1)
+                _pivot_stack(head.T, head.basis, s, np.full(len(s), i), col, head.T[s, :, col], head.R, head.owner)
 
     # phase 2: the original objective on the shifted variables
     cost[: c.shape[0]] = c
     _set_objective(stack, cost)
-    ended = _run_stack(stack, structural, columns)
-    for j, failure in zip(stack.ids.tolist(), ended):
-        failures[j] = failure
+    _run_stack(stack, structural, columns, failures)
     # the answers at once
     basis, R, ids = stack.basis, stack.R, stack.ids
     Z = np.zeros((len(ids), columns))
@@ -294,15 +283,14 @@ def _tableaux(c, A_ub, b_ub, A_eq, B_eq, lower, upper):
 
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, lower, upper):
-    """Solve the boxed LP; raises LPInfeasible when no point satisfies the rows.
+    """Solve the boxed LPs that differ only in b_eq, one per row of ``b_eq`` (k, m_eq); returns (X, values, failures).
 
-    An LP needs at least one variable: ``c`` of length 0 raises DimensionMismatch,
-    as do bounds, A_ub and A_eq not of shapes (n,), (len(b_ub), n) and (m_eq, n).
-
-    With ``b_eq`` of shape (k, m_eq) it solves the k LPs that differ only in
-    b_eq and returns their answers as arrays, (X, values, failures): row i of
-    X (k, n) and values (k,) is the x and value of a one-row call, or NaN
-    where failures[i] is the LPInfeasible or SolverFailure it would raise.
+    A ``b_eq`` that is None or of shape (m_eq,) is a stack of one.  Row i of
+    X (k, n) and values (k,) is LP i's x and value, or NaN where failures[i]
+    is its LPInfeasible (no point satisfies the rows) or SolverFailure, and
+    None where it is solved.  An LP needs at least one variable: ``c`` of
+    length 0 raises DimensionMismatch, as do bounds, A_ub and A_eq not of
+    shapes (n,), (len(b_ub), n) and (m_eq, n).
     """
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
@@ -318,24 +306,16 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, lower, upper):
     A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float)
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).reshape(-1)
     A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
-    B_eq = b_eq if b_eq.ndim == 2 else b_eq.reshape(1, -1)
-    if A_ub.shape != (len(b_ub), n) or A_eq.shape != (B_eq.shape[1], n):
+    B_eq = np.atleast_2d(np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float))  # a 1-d b_eq is a stack of one
+    if B_eq.ndim != 2 or A_ub.shape != (len(b_ub), n) or A_eq.shape != (B_eq.shape[1], n):
         raise DimensionMismatch(f"A_ub {A_ub.shape} and A_eq {A_eq.shape} must be (rows of b_ub or b_eq, {n})")
 
-    X, values = np.empty((len(B_eq), n)), np.empty(len(B_eq))
+    X, values, failures = np.empty((len(B_eq), n)), np.empty(len(B_eq)), [None] * len(B_eq)
     if (upper < lower).any():
-        X[:], values[:] = np.nan, np.nan
-        failures = [LPInfeasible("empty box: some upper bound is below its lower bound") for _ in B_eq]
-    else:
-        # a tableau has m_ub + m_eq + 1 rows and n + m_ub + 1 columns, and each LP a right-hand-side column beside it
-        m_ub = A_ub.shape[0] + n
-        height = max(1, STACK_FLOATS // ((m_ub + A_eq.shape[0] + 1) * (n + m_ub + 2)))
-        failures = []
-        for rows in (slice(start, start + height) for start in range(0, len(B_eq), height)):
-            failures += _solve_stack(*_tableaux(c, A_ub, b_ub, A_eq, B_eq[rows], lower, upper), c, lower, X[rows], values[rows])
-    if b_eq.ndim == 2:
-        return X, values, failures
-    if failures[0] is not None:
-        raise failures[0]
-    return LPSolution(x=X[0], value=float(values[0]))
+        return np.full_like(X, np.nan), np.full_like(values, np.nan), [LPInfeasible("empty box: some upper bound is below its lower bound") for _ in B_eq]
+    # a tableau has m_ub + m_eq + 1 rows and n + m_ub + 1 columns, and each LP a right-hand-side column beside it
+    m_ub = A_ub.shape[0] + n
+    height = max(1, STACK_FLOATS // ((m_ub + A_eq.shape[0] + 1) * (n + m_ub + 2)))
+    for rows in (slice(start, start + height) for start in range(0, len(B_eq), height)):
+        failures[rows] = _solve_stack(*_tableaux(c, A_ub, b_ub, A_eq, B_eq[rows], lower, upper), c, lower, X[rows], values[rows])
+    return X, values, failures

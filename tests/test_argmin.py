@@ -110,17 +110,18 @@ def test_empty_domain_raises():
 
 def _hand_built_feasible_point(C):
     """A zero-cost LP over C's box and halfspaces, its arrays built by hand."""
-    try:
-        sol = solve_lp(
-            np.zeros(C.dim),
-            A_ub=np.array([g for g, _ in C.inequalities]),
-            b_ub=np.array([h for _, h in C.inequalities]),
-            lower=np.full(C.dim, -C.box_radius),
-            upper=np.full(C.dim, C.box_radius),
-        )
-    except LPInfeasible as exc:
-        raise InfeasibleDomain(f"domain is empty: {exc}") from exc
-    return sol.x
+    (x,), _, (failure,) = solve_lp(
+        np.zeros(C.dim),
+        A_ub=np.array([g for g, _ in C.inequalities]),
+        b_ub=np.array([h for _, h in C.inequalities]),
+        lower=np.full(C.dim, -C.box_radius),
+        upper=np.full(C.dim, C.box_radius),
+    )
+    if isinstance(failure, LPInfeasible):
+        raise InfeasibleDomain(f"domain is empty: {failure}") from failure
+    if failure is not None:
+        raise failure
+    return x
 
 
 def test_feasible_point_is_the_zero_block_epigraph_lp():

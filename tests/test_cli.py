@@ -101,6 +101,8 @@ def test_verify_flags_and_report_read_the_harness_tables(tmp_path, capsys):
     assert capsys.readouterr().out == "lemma1: pass=0 fail=0 skip=0\nreport written to " + str(out) + "\n"
     assert main(parse_args(["verify", "--trials", "1", "--out", str(out)])) == 0
     assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [*harness.SUITES, "report written to " + str(out)]
+    assert main(parse_args(["verify", "--suite", "all", "--trials", "0", "--out", str(out)])) == 0
+    assert capsys.readouterr().out.splitlines() == [f"{name}: pass=0 fail=0 skip=0" for name in harness.SUITES] + [f"report written to {out}"]
 
 
 def test_usage_errors_exit_two():
@@ -287,6 +289,21 @@ def test_query_subdiff(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"generators": [[1.0], [-1.0]]}
+
+
+def test_query_point_with_negative_first_coordinate(tmp_path, capsys):
+    """--x takes a point whose first coordinate is negative with or without "=", and a flag after it is no point."""
+    inst = _write(tmp_path / "one.json", ONE_NORM_DOC)
+    for x in ("-1,2", "-1e-3,2", "-.5,1"):
+        config = parse_args(["query", "subdiff", "--instance", inst, "--x", x])
+        assert config.x == x and config == parse_args(["query", "subdiff", f"--x={x}", "--instance", inst])
+        assert main(config) == 0
+        assert json.loads(capsys.readouterr().out) == {"generators": [[-1.0, 1.0]]}
+    for argv in (["query", "subdiff", "--x", "--instance", inst], ["query", "subdiff", "--instance", inst, "--x"]):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_query_restricted_subdiff(tmp_path, capsys):

@@ -222,7 +222,7 @@ def test_anchor_map_reuse_is_bitwise_random():
         previous = None
         for _ in range(20):
             zeta = S @ rng.uniform(-2.0, 2.0, size=n)
-            y = amap.solve(zeta)
+            y = amap.solve(zeta[None])[0]
             assert np.array_equal(y, _fresh_anchor(S, zeta))
             assert np.array_equal(y, solve_anchor(S, zeta))
             # every answer is a fresh array, shared with neither the map nor the last answer
@@ -237,7 +237,7 @@ def test_anchor_map_reuse_is_bitwise_random():
             bump = rng.normal(size=d)
             bump -= project(bump, row_space(S.T))  # outside the range of S
             with pytest.raises(InfeasibleFiber):
-                amap.solve(S @ np.ones(n) + bump)
+                amap.solve((S @ np.ones(n) + bump)[None])
 
 
 def test_row_products_match_one_row_products():
@@ -354,4 +354,4 @@ def test_anchor_map_of_f_ordered_operator_matches_c_ordered_copy():
         n, d = int(rng.integers(1, 9)), int(rng.integers(1, 9))
         S = _random_operator(rng, d, n, int(rng.integers(1, min(n, d) + 1)))
         zeta = S.T @ rng.uniform(-2.0, 2.0, d)
-        assert anchor_map(S.T).solve(zeta).tobytes() == anchor_map(np.ascontiguousarray(S.T)).solve(zeta).tobytes()
+        assert anchor_map(S.T).solve(zeta[None]).tobytes() == anchor_map(np.ascontiguousarray(S.T)).solve(zeta[None]).tobytes()

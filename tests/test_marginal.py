@@ -6,6 +6,8 @@ midpoint gap equals (x - y)^2 / 8.  With f the one-norm on the same fiber the
 cheapest representative puts all mass on one coordinate, so h(x) = |x|.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,7 +179,7 @@ def _kkt_reference(f, S, x):
     d, n = S.shape
     system = np.vstack([np.hstack([2.0 * f.Q, S]), np.hstack([S.T, np.zeros((n, n))])])
     rhs = np.concatenate([-f.c, x])
-    r = anchor_map(system).solve(rhs)[:d]
+    r = anchor_map(system).solve(rhs[None])[0, :d]
     return r, float(evaluate(f, r))
 
 
@@ -546,9 +548,11 @@ def test_lemma2_check_matches_one_query_at_a_time():
 
 
 @pytest.mark.xfail(
+    os.environ.get("OPENBLAS_CORETYPE", "").lower() in ("", "skylakex", "haswell"),  # unset: the kernel OpenBLAS picks for the CPU
     strict=True,
     raises=UnboundedBelow,
-    reason="ROADMAP item 17: after 275 or more pivots the phase-1 value drifts past FEAS_TOL on this feasible LP",
+    reason="ROADMAP item 17: after 275 or more pivots the phase-1 value drifts past FEAS_TOL on this feasible LP "
+    "under the SkylakeX and Haswell BLAS kernels (SandyBridge and Prescott answer)",
 )
 def test_dim96_lemma2_query_answers():
     """Row 16 of the first midpoint stack of lemma2 trial 4 at seed 42, dim 96, answers with a witness.

@@ -9,6 +9,8 @@ The bit-exact reference for the lockstep solver is the solver's earlier
 one-LP two-phase routine and tableau builder, kept below unchanged but for
 reading the tolerances and pivot limit through the module: every row of every
 stack must give its x bytes and repr(value), or its error type and message.
+The references return their own record, the test-local ``LPSolution``, as
+``solve_lp`` answers only with arrays.
 The stacked routine as it was before its answers became arrays, with compact
 copies of the unfinished rows and a per-row solution, is kept as well: the
 runs on a stack of pivot paths must leave each LP the same tableau (its path's
@@ -19,6 +21,7 @@ tableau, where they do the arithmetic the stacks of LPs had.
 
 import itertools
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -26,56 +29,67 @@ from numpy.testing import assert_allclose
 
 from convexkit import functions, harness, marginal, simplex
 from convexkit.errors import DimensionMismatch, LPInfeasible, SolverFailure
-from convexkit.simplex import LPSolution, solve_lp
+from convexkit.simplex import solve_lp
+
+
+@dataclass(frozen=True)
+class LPSolution:
+    """One LP's x and value, as the references below return them."""
+
+    x: np.ndarray
+    value: float
 
 
 def test_simple_box_lp():
     # minimize x1 + x2 on [1, 3] x [-2, 5]
-    got = solve_lp(np.array([1.0, 1.0]), lower=np.array([1.0, -2.0]), upper=np.array([3.0, 5.0]))
-    assert_allclose(got.x, [1.0, -2.0], atol=1e-9)
-    assert got.value == pytest.approx(-1.0, abs=1e-9)
+    (x,), (value,), (failure,) = solve_lp(np.array([1.0, 1.0]), lower=np.array([1.0, -2.0]), upper=np.array([3.0, 5.0]))
+    assert failure is None
+    assert_allclose(x, [1.0, -2.0], atol=1e-9)
+    assert value == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_equality_constraint():
     # minimize x2 subject to x1 + x2 = 2 in [-5, 5]^2
-    got = solve_lp(
+    (x,), (value,), (failure,) = solve_lp(
         np.array([0.0, 1.0]),
         A_eq=np.array([[1.0, 1.0]]),
         b_eq=np.array([2.0]),
         lower=-5.0 * np.ones(2),
         upper=5.0 * np.ones(2),
     )
-    assert got.value == pytest.approx(-3.0, abs=1e-9)
-    assert_allclose(got.x, [5.0, -3.0], atol=1e-9)
+    assert failure is None
+    assert value == pytest.approx(-3.0, abs=1e-9)
+    assert_allclose(x, [5.0, -3.0], atol=1e-9)
 
 
 def test_inequality_constraints():
     # classic diet-style corner: minimize -x1 - 2 x2, x1 + x2 <= 4, x1 <= 3
-    got = solve_lp(
+    (x,), (value,), (failure,) = solve_lp(
         np.array([-1.0, -2.0]),
         A_ub=np.array([[1.0, 1.0], [1.0, 0.0]]),
         b_ub=np.array([4.0, 3.0]),
         lower=np.zeros(2),
         upper=10.0 * np.ones(2),
     )
-    assert got.value == pytest.approx(-8.0, abs=1e-9)
-    assert_allclose(got.x, [0.0, 4.0], atol=1e-9)
+    assert failure is None
+    assert value == pytest.approx(-8.0, abs=1e-9)
+    assert_allclose(x, [0.0, 4.0], atol=1e-9)
 
 
 def test_infeasible_rows():
-    with pytest.raises(LPInfeasible):
-        solve_lp(
-            np.array([1.0]),
-            A_ub=np.array([[1.0], [-1.0]]),
-            b_ub=np.array([-3.0, 2.0]),  # x <= -3 and x >= -2
-            lower=np.array([-10.0]),
-            upper=np.array([10.0]),
-        )
+    (x,), (value,), (failure,) = solve_lp(
+        np.array([1.0]),
+        A_ub=np.array([[1.0], [-1.0]]),
+        b_ub=np.array([-3.0, 2.0]),  # x <= -3 and x >= -2
+        lower=np.array([-10.0]),
+        upper=np.array([10.0]),
+    )
+    assert isinstance(failure, LPInfeasible) and np.isnan(x).all() and np.isnan(value)
 
 
 def test_infeasible_box():
-    with pytest.raises(LPInfeasible):
-        solve_lp(np.array([1.0]), lower=np.array([1.0]), upper=np.array([0.0]))
+    (x,), (value,), (failure,) = solve_lp(np.array([1.0]), lower=np.array([1.0]), upper=np.array([0.0]))
+    assert isinstance(failure, LPInfeasible) and np.isnan(x).all() and np.isnan(value)
 
 
 def test_zero_variable_lp_is_refused():
@@ -104,7 +118,9 @@ def test_constraint_shapes_are_checked():
         solve_lp([-1.0, -1.0], A_eq=[[1.0, 1.0, 0.0]], b_eq=[1.0], **box)
     with pytest.raises(DimensionMismatch):  # a stack of two-wide b_eq rows for one equality row
         solve_lp([-1.0, -1.0], A_eq=[[1.0, 1.0]], b_eq=np.ones((3, 2)), **box)
-    assert solve_lp([-1.0, -1.0], A_ub=[[1, 0], [0, 1]], b_ub=[1, 1], **box).value == -2.0
+    with pytest.raises(DimensionMismatch):  # neither a stack nor one right-hand side
+        solve_lp([-1.0, -1.0], A_eq=[[1.0, 1.0]], b_eq=np.ones((1, 1, 1)), **box)
+    assert solve_lp([-1.0, -1.0], A_ub=[[1, 0], [0, 1]], b_ub=[1, 1], **box)[1].tolist() == [-2.0]
     X, values, failures = solve_lp([-1.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=np.ones((3, 1)), **box)
     assert values.tolist() == [-1.0] * 3 and X.shape == (3, 2) and failures == [None] * 3
 
@@ -113,14 +129,15 @@ def test_degenerate_rows_terminate():
     # many redundant copies of the same constraint force degenerate pivots
     A = np.repeat(np.array([[1.0, 1.0]]), 6, axis=0)
     b = np.ones(6)
-    got = solve_lp(
+    (_,), (value,), (failure,) = solve_lp(
         np.array([-1.0, -1.0]),
         A_ub=A,
         b_ub=b,
         lower=np.zeros(2),
         upper=np.ones(2) * 9.0,
     )
-    assert got.value == pytest.approx(-1.0, abs=1e-9)
+    assert failure is None
+    assert value == pytest.approx(-1.0, abs=1e-9)
 
 
 def _lone_tableau(a, rhs):
@@ -149,12 +166,6 @@ def _per_lp(stack):
     return np.concatenate([stack.T[path], stack.R[order, :, None]], axis=2), stack.basis[path]
 
 
-def _by_lp(stack, failures):
-    """A run's failures, given in the order of stack.ids, by LP id."""
-    by_id = dict(zip(stack.ids.tolist(), failures))
-    return [by_id[j] for j in sorted(by_id)]
-
-
 def _after_reference_run(T):
     """The reference ``_run`` on T's rows and objective without the guard column; its tableau or error."""
     rows, obj, basis = np.delete(T[:-1], 2, axis=1), np.delete(T[-1], 2), np.array([1])
@@ -174,12 +185,14 @@ def test_missing_blocking_row_is_a_solver_failure():
     """
     message = "no blocking row for the entering column"
     assert str(_after_reference_run(_lone_tableau(-1.0, 1.0))) == message
-    [lone] = simplex._run_stack(_paths(_lone_tableau(-1.0, 1.0)[None], np.array([[1]])), 2, 3)
-    assert isinstance(lone, SolverFailure) and str(lone) == message
+    lone = [None]
+    simplex._run_stack(_paths(_lone_tableau(-1.0, 1.0)[None], np.array([[1]])), 2, 3, lone)
+    assert isinstance(lone[0], SolverFailure) and str(lone[0]) == message
 
     rows = [(1.0, 1.0), (-1.0, 1.0), (2.0, 3.0)]
     stack = _paths(np.array([_lone_tableau(*r) for r in rows]), np.ones((3, 1), dtype=int))
-    failures = _by_lp(stack, simplex._run_stack(stack, 2, 3))
+    failures = [None] * 3
+    simplex._run_stack(stack, 2, 3, failures)
     assert failures[0] is None and failures[2] is None
     assert isinstance(failures[1], SolverFailure) and str(failures[1]) == message
     T, basis = _per_lp(stack)
@@ -189,7 +202,7 @@ def test_missing_blocking_row_is_a_solver_failure():
 
 
 def test_zero_objective_returns_feasible_point():
-    got = solve_lp(
+    (x,), _, (failure,) = solve_lp(
         np.zeros(2),
         A_ub=np.array([[1.0, 0.0]]),
         b_ub=np.array([0.5]),
@@ -198,8 +211,9 @@ def test_zero_objective_returns_feasible_point():
         lower=-np.ones(2),
         upper=np.ones(2),
     )
-    assert got.x[0] <= 0.5 + 1e-9
-    assert got.x[1] == pytest.approx(0.25, abs=1e-9)
+    assert failure is None
+    assert x[0] <= 0.5 + 1e-9
+    assert x[1] == pytest.approx(0.25, abs=1e-9)
 
 
 def _enumerate_optimum(c, A_ub, b_ub, A_eq, b_eq, lower, upper):
@@ -246,10 +260,10 @@ def test_against_vertex_enumeration_random():
         lower = -3.0 * np.ones(n)
         upper = 3.0 * np.ones(n)
         oracle = _enumerate_optimum(c, A_ub, b_ub, A_eq, b_eq, lower, upper)
-        got = solve_lp(c, A_ub=A_ub, b_ub=b_ub, lower=lower, upper=upper)
-        assert oracle is not None
-        assert got.value == pytest.approx(oracle, abs=1e-7)
-        assert np.all(A_ub @ got.x <= b_ub + 1e-8)
+        (x,), (value,), (failure,) = solve_lp(c, A_ub=A_ub, b_ub=b_ub, lower=lower, upper=upper)
+        assert oracle is not None and failure is None
+        assert value == pytest.approx(oracle, abs=1e-7)
+        assert np.all(A_ub @ x <= b_ub + 1e-8)
         solved += 1
     assert solved == 60
 
@@ -267,9 +281,10 @@ def test_against_vertex_enumeration_with_equalities():
         lower = -4.0 * np.ones(n)
         upper = 4.0 * np.ones(n)
         oracle = _enumerate_optimum(c, A_ub, b_ub, A_eq, b_eq, lower, upper)
-        got = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lower=lower, upper=upper)
-        assert got.value == pytest.approx(oracle, abs=1e-7)
-        assert np.abs(A_eq @ got.x - b_eq).max() <= 1e-8
+        (x,), (value,), (failure,) = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lower=lower, upper=upper)
+        assert failure is None
+        assert value == pytest.approx(oracle, abs=1e-7)
+        assert np.abs(A_eq @ x - b_eq).max() <= 1e-8
 
 
 def _degenerate_equality_lp(rng):
@@ -296,11 +311,12 @@ def test_leftover_artificials_are_driven_out():
     for seed in range(300):
         c, A_ub, b_ub, A_eq, b_eq, lower, upper = _degenerate_equality_lp(np.random.default_rng(seed))
         oracle = _enumerate_optimum(c, A_ub, b_ub, A_eq, b_eq, lower, upper)
-        got = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lower=lower, upper=upper)
-        assert got.value == pytest.approx(oracle, abs=1e-7), seed
-        assert np.abs(A_eq @ got.x - b_eq).max() <= 1e-8, seed
-        assert np.all(A_ub @ got.x <= b_ub + 1e-8), seed
-        assert np.all((got.x >= lower - 1e-9) & (got.x <= upper + 1e-9)), seed
+        (x,), (value,), (failure,) = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lower=lower, upper=upper)
+        assert failure is None, seed
+        assert value == pytest.approx(oracle, abs=1e-7), seed
+        assert np.abs(A_eq @ x - b_eq).max() <= 1e-8, seed
+        assert np.all(A_ub @ x <= b_ub + 1e-8), seed
+        assert np.all((x >= lower - 1e-9) & (x <= upper + 1e-9)), seed
 
 
 def test_determinism():
@@ -309,10 +325,11 @@ def test_determinism():
     A = rng.uniform(-1, 1, (3, 4))
     b = rng.uniform(1, 2, 3)
     kw = dict(A_ub=A, b_ub=b, lower=-2 * np.ones(4), upper=2 * np.ones(4))
-    a = solve_lp(c, **kw)
-    b2 = solve_lp(c, **kw)
-    assert a.value == b2.value
-    assert np.array_equal(a.x, b2.x)
+    X, values, failures = solve_lp(c, **kw)
+    X2, values2, failures2 = solve_lp(c, **kw)
+    assert failures == failures2 == [None]
+    assert values[0] == values2[0]
+    assert np.array_equal(X[0], X2[0])
 
 
 def _epigraph_stack(seed):
@@ -467,11 +484,9 @@ def _reference(c, A_ub, b_ub, A_eq, b_eq, lower, upper):
 
 
 def _one_row(c, A_ub, b_ub, A_eq, b_eq, lower, upper):
-    """solve_lp's 1-D b_eq call: its solution, or the error it raised."""
-    try:
-        return solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lower=lower, upper=upper)
-    except (LPInfeasible, SolverFailure) as exc:
-        return exc
+    """solve_lp's 1-D b_eq call, a stack of one: its solution, or its error."""
+    [outcome] = _outcomes(*solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lower=lower, upper=upper))
+    return outcome
 
 
 def _fingerprint(outcome):
@@ -563,7 +578,8 @@ def test_phase_one_tableaux_match_reference():
         cost[structural], cost[structural + 1 :] = -np.inf, 1.0
         simplex._set_objective(stack, cost)
         start = _per_lp(stack)[0][:, -1]
-        failures = _by_lp(stack, simplex._run_stack(stack, structural, cost.size))
+        failures = [None] * len(B_eq)
+        simplex._run_stack(stack, structural, cost.size, failures)
         T, basis = _per_lp(stack)
         for j in range(len(B_eq)):
             t, b = ref_T[j], ref_basis.copy()
@@ -608,7 +624,7 @@ def test_stack_shapes(monkeypatch):
     box = dict(lower=-5.0 * np.ones(2), upper=5.0 * np.ones(2))
     [one] = _outcomes(*solve_lp(c, A_eq=A_eq, b_eq=[[2.0]], **box))
     reference = _fingerprint(_reference(c, None, None, A_eq, np.array([2.0]), **box))
-    assert _fingerprint(one) == _fingerprint(solve_lp(c, A_eq=A_eq, b_eq=[2.0], **box)) == reference
+    assert _fingerprint(one) == _fingerprint(_one_row(c, None, None, A_eq, [2.0], **box)) == reference
     X, values, failures = solve_lp(c, A_eq=A_eq, b_eq=np.zeros((0, 1)), **box)
     assert X.shape == (0, 2) and values.shape == (0,) and failures == []
     empty = _outcomes(*solve_lp(c, A_eq=A_eq, b_eq=[[2.0], [3.0]], lower=np.ones(2), upper=np.zeros(2)))
@@ -721,15 +737,16 @@ def test_in_place_runs_and_array_answers_match_compact_copies(monkeypatch, max_p
     monkeypatch.setattr(simplex, "MAX_PIVOTS", max_pivots)
     run, kinds = simplex._run_stack, set()
 
-    def checked(stack, structural, columns):
+    def checked(stack, structural, columns, failures):
         t, b = _per_lp(stack)
         want = _compact_run_stack(t, b, structural, columns)
-        got = run(stack, structural, columns)
+        ids, before = sorted(stack.ids.tolist()), list(failures)
+        run(stack, structural, columns, failures)
         T, basis = _per_lp(stack)
         assert T.tobytes() == t.tobytes() and basis.tobytes() == b.tobytes()
-        assert [_fingerprint(f) for f in _by_lp(stack, got)] == [_fingerprint(f) for f in want]
-        kinds.update(type(f).__name__ for f in got)
-        return got
+        assert [_fingerprint(failures[j]) for j in ids] == [_fingerprint(f) for f in want]
+        assert all(failures[j] is before[j] for j in set(range(len(failures))) - set(ids))  # the other LPs' entries stay
+        kinds.update(type(failures[j]).__name__ for j in ids)
 
     monkeypatch.setattr(simplex, "_run_stack", checked)
     for seed in range(60):
@@ -744,7 +761,7 @@ def test_in_place_runs_and_array_answers_match_compact_copies(monkeypatch, max_p
     rng = np.random.default_rng(3)
     stack = np.array([[[1.0, 0.0, 1.0, 0.0, 0.0, 1.0], [0.0, a, 0.0, 1.0, 0.0, 1.0], [c1, -1.0, 0.0, 0.0, -np.inf, 0.0]]
                       for c1, a in zip(rng.choice([-1.0, 1.0], 40), rng.choice([-1.0, 0.5, 2.0], 40))])
-    checked(_paths(stack, np.tile([2, 3], (40, 1))), 4, 5)
+    checked(_paths(stack, np.tile([2, 3], (40, 1))), 4, 5, [None] * 40)
     assert "SolverFailure" in kinds and ("NoneType" in kinds or max_pivots == 0)
     if max_pivots:
         assert "LPInfeasible" in kinds
@@ -759,9 +776,9 @@ def test_runs_start_from_the_compact_tableaux(monkeypatch):
     """
     run, compact, starts, reference_starts = simplex._run_stack, _compact_run_stack, [], []
 
-    def solver_run(stack, structural, columns):
+    def solver_run(stack, structural, columns, failures):
         starts.append([a.tobytes() for a in _per_lp(stack)])
-        return run(stack, structural, columns)
+        run(stack, structural, columns, failures)
 
     def reference_run(T, basis, structural, columns):
         reference_starts.append([T.tobytes(), basis.tobytes()])
@@ -819,6 +836,26 @@ def test_default_lemma2_pivots_share_tableaux(monkeypatch):
     assert counts["tableaux"] < 0.15 * counts["lps"], counts
 
 
+def test_lemma2_pivots_at_dimension_24(monkeypatch):
+    """A lemma2 run at dimension 24 makes at most 11,928 LP pivots, the most under the four BLAS kernels.
+
+    Summed over the ``_pivot_stack`` calls of ``run_suite("lemma2")`` with 4
+    trials, one pivot per LP a call: 11,923 under SkylakeX, 11,928 under
+    Haswell and 11,922 under SandyBridge and Prescott.  The default suites
+    draw dimensions of at most 6, too small to show a pivot count that grows
+    with the dimension.
+    """
+    pivot, pivots = simplex._pivot_stack, []
+
+    def counted(T, basis, s, row, col, column, R, owner):
+        pivots.append(len(R))
+        return pivot(T, basis, s, row, col, column, R, owner)
+
+    monkeypatch.setattr(simplex, "_pivot_stack", counted)
+    harness.run_suite("lemma2", harness.RunConfig(trials=4, dim=24))
+    assert 0 < sum(pivots) <= 11_928, sum(pivots)
+
+
 def _shared_path_stack(seed):
     """A degenerate equality LP with a stack of right-hand sides A_eq @ x0 of both signs, x0 integer in [0, 3]^n.
 
@@ -850,10 +887,9 @@ def test_shared_path_solves_match_reference(monkeypatch, max_pivots):
             seen.add("split")
         return out
 
-    def ran(stack, structural, columns):
-        failures = run(stack, structural, columns)
+    def ran(stack, structural, columns, failures):
+        run(stack, structural, columns, failures)
         ends.append((stack.ids.copy(), stack.owner.copy()))
-        return failures
 
     monkeypatch.setattr(simplex, "_regroup", regrouped)
     monkeypatch.setattr(simplex, "_run_stack", ran)
@@ -894,7 +930,8 @@ def test_shared_path_runs_match_compact_copies(monkeypatch, max_pivots):
         stack = _paths(T, np.tile([3, 4, 5], (60, 1)))
         t, b = _per_lp(stack)
         want = _compact_run_stack(t, b, 6, 7)
-        got = _by_lp(stack, simplex._run_stack(stack, 6, 7))
+        got = [None] * 60
+        simplex._run_stack(stack, 6, 7, got)
         T, basis = _per_lp(stack)
         assert T.tobytes() == t.tobytes() and basis.tobytes() == b.tobytes()
         assert [_fingerprint(f) for f in got] == [_fingerprint(f) for f in want]
