@@ -222,7 +222,8 @@ def _probe(f, C: PolyhedralDomain, X, m: float, tol: float):
 
 
 def argmin_membership(f, C: PolyhedralDomain, x, m: float, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
-    """Is x feasible and within tol of the level m in objective value?"""
+    """Is x feasible and within tol of the level m in objective value?  A tol not finite and nonnegative raises ValueError."""
+    fn.check_tolerance("tol", tol)
     return bool(_members(f, C, as_vector(x, C.dim)[None], m, tol)[0])
 
 
@@ -293,8 +294,10 @@ def lemma3_check(
     skipped as degenerate (a singleton argmin set is convex but carries no
     segment evidence).  Every convex combination of members at the lambdas
     0.1 .. 0.9 must be a member at 10 * tol; the witness and those points
-    are probed at once.
+    are probed at once.  A tol not finite and nonnegative raises ValueError
+    before the minimization.
     """
+    fn.check_tolerance("tol", tol)
     cert = minimize_over(f, C)
     m = cert.value
     instance = {

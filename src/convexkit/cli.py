@@ -73,15 +73,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _options() -> dict:
+    """Each option string of the subcommands, and whether it takes a value."""
+    sub = next(action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction))
+    actions = [action for parser in sub.choices.values() for action in parser._actions]
+    return {name: action.nargs != 0 for action in actions for name in action.option_strings}
+
+
 def parse_args(argv=None) -> CliConfig:
     """The parsed flags; those named after a RunConfig field make up its ``run``.
 
-    A point after ``--x`` that argparse would read as a flag, such as ``-1,2``, is joined to it: ``--x=-1,2``.
+    A value that argparse would read as a flag, such as ``-1,2`` or ``-1e-3``, is joined to the option before it
+    where every option that one names or abbreviates takes a value: ``--x -1,2`` reads as ``--x=-1,2``.
     """
     args = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(args) - 1, 0, -1):  # from the end, so a join moves no argument before it
-        if args[i - 1] == "--x" and re.match(r"-[\d.]", args[i]):
-            args[i - 1 : i + 1] = ["--x=" + args[i]]
+        takes = [value for name, value in _options().items() if name.startswith(args[i - 1])]
+        if takes and all(takes) and re.match(r"-[\d.]", args[i]):
+            args[i - 1 : i + 1] = [f"{args[i - 1]}={args[i]}"]
     flags = vars(build_parser().parse_args(args))
     run = {f.name: flags.pop(f.name) for f in fields(RunConfig) if f.name in flags}
     return CliConfig(**flags, run=RunConfig(**run))

@@ -44,6 +44,12 @@ SYMMETRY_TOL = 1e-10
 MAX_GENERATOR_FLOATS = 2**24  # 128 MiB of float64 generators
 
 
+def check_tolerance(name: str, value) -> None:
+    """Raise ValueError, naming ``name``, unless the tolerance is finite and nonnegative, as ``harness.config_error`` asks."""
+    if not 0.0 <= value < math.inf:  # NaN fails
+        raise ValueError(f"{name} must be finite and nonnegative")
+
+
 class AffinePiece(NamedTuple):
     """One affine piece x -> a . x + b: a row of ``MaxAffine.pieces``."""
 
@@ -274,9 +280,8 @@ def subdifferential(f: ConvexFunction, x, active_tol: float = ACTIVE_TOL) -> Pol
     gradient.  ``active_tol`` is relative: a piece counts as active when its
     value is within active_tol * (|max| + 1) of its block's maximum.
     """
+    check_tolerance("active_tol", active_tol)
     x = as_vector(x, f.dim)
-    if active_tol < 0:
-        raise ValueError("active_tol must be nonnegative")
     blocks, quad = normal_form(f)
     sets = []
     for b in blocks:
@@ -297,6 +302,7 @@ def one_dim_subdifferential(f: ConvexFunction, x, v, active_tol: float = ACTIVE_
     each row its own call's bit for bit.  Both come from one product per
     summand, so lo <= hi however the products round.
     """
+    check_tolerance("active_tol", active_tol)
     V = as_rows(v, f.dim)
     if not row_norms(V).all():
         raise ValueError("direction must be nonzero")

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import functions
 from .errors import DimensionMismatch, DomainViolation
-from .functions import ACTIVE_TOL, Polytope, subdifferential, support_function
+from .functions import ACTIVE_TOL, Polytope, check_tolerance, subdifferential, support_function
 from .instances import function_to_json
 from .linalg import Subspace, anchor_map, as_rows, as_vector, complement, project, row_norms, rows_dot
 # unused, but bound here so that bench/tracing.py can wrap these binding sites
@@ -109,6 +109,7 @@ def restricted_subdifferential(g: RestrictedFunction, w, active_tol: float = ACT
     the kernel subspace.  A zero-dimensional fiber yields the singleton
     origin, without building the ambient subdifferential it would discard.
     """
+    check_tolerance("active_tol", active_tol)
     x = embed(g.fiber, w)
     B = g.fiber.kernel_basis.basis
     if B.shape[0] == 0:
@@ -132,8 +133,11 @@ def lemma1_check(
     ambient f at embed(w) along v has to match [-support(P, -v), support(P, v)]
     for the projected polytope P within ``support_tol``.  Additionally the
     restriction must be midpoint convex on MIDPOINT_PAIRS seeded coordinate
-    pairs up to CONVEXITY_SLACK, evaluated in one batch.
+    pairs up to CONVEXITY_SLACK, evaluated in one batch.  Either tolerance
+    that is not finite and nonnegative raises ValueError first.
     """
+    check_tolerance("support_tol", support_tol)
+    check_tolerance("active_tol", active_tol)
     f, fiber = g.f, g.fiber
     w = as_vector(w, fiber.fiber_dim)
     x = embed(fiber, w)
@@ -160,19 +164,18 @@ def lemma1_check(
         "suite": "lemma1",
     }
     checks: list[CheckResult] = []
-    if len(V):  # a zero-dimensional fiber has no direction to check and needs no active set
-        h = support_function(P, np.concatenate([-V, V]))
-        bounds = (*functions.one_dim_subdifferential(f, x, V, active_tol), -h[: len(V)], h[len(V) :])
-        for i, (v, lo, hi, want_lo, want_hi) in enumerate(zip(*(b.tolist() for b in (V, *bounds)))):
-            gap = max(abs(lo - want_lo), abs(hi - want_hi))
-            checks.append(
-                CheckResult(
-                    name=f"slice_interval_{i}",
-                    passed=gap <= support_tol,
-                    gap=gap,
-                    witness={"direction": v, "interval": [lo, hi], "projected": [want_lo, want_hi]},
-                )
+    h = support_function(P, np.concatenate([-V, V]))
+    bounds = (*functions.one_dim_subdifferential(f, x, V, active_tol), -h[: len(V)], h[len(V) :])
+    for i, (v, lo, hi, want_lo, want_hi) in enumerate(zip(*(b.tolist() for b in (V, *bounds)))):
+        gap = max(abs(lo - want_lo), abs(hi - want_hi))
+        checks.append(
+            CheckResult(
+                name=f"slice_interval_{i}",
+                passed=gap <= support_tol,
+                gap=gap,
+                witness={"direction": v, "interval": [lo, hi], "projected": [want_lo, want_hi]},
             )
+        )
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(11,)))
     W = rng.uniform(-PAIR_SCALE, PAIR_SCALE, (MIDPOINT_PAIRS, 2, fiber.fiber_dim))

@@ -30,7 +30,7 @@ path updates as it updates a column.  LPs start on one path per pattern of
 flipped equality rows.  A step picks each path's entering column and runs the
 ratio test for every LP; where the LPs of a path choose different leaving
 rows, the path splits before the pivot, its tableau copied.  The running paths
-and their LPs are kept in place at the front of the stack.  Each LP makes
+and their LPs lead the stack, and a step pivots them as views.  Each LP makes
 exactly the pivots, ratios and ties it would make alone, and MAX_PIVOTS counts
 per LP.  Every call answers with arrays, a lone LP included, and each LP's
 error goes once into one per-LP list, never raised.  A stack takes at most
@@ -74,8 +74,8 @@ class _Stack:
     T[p] is path p's tableau, with no right-hand-side column, and basis[p] its
     basis.  R[e] is the right-hand side, objective entry last, of LP ids[e]
     on path owner[e].  The rows of R are in their paths' order, so where
-    every path holds one LP, owner is the identity.  The stack alone holds
-    its arrays, so an array that a regroup replaces is freed at once.
+    every path holds one LP, owner is the identity.  A stack holds its arrays
+    or views of them, so an array that a regroup replaces is freed at once.
     """
 
     T: np.ndarray
@@ -110,7 +110,7 @@ def _set_objective(stack, cost) -> None:
     Row i of a tableau is subtracted cost[basis[i]] times, in row order, where
     that cost is nonzero: the unit columns keep each basic variable's
     objective entry at its cost until its row is reached.  A row of R gets
-    the arithmetic of a column of its path's tableau.
+    a tableau column's arithmetic, with its path's costs read through owner.
     """
     T, basis, R = stack.T, stack.basis, stack.R
     coef = cost[basis][:, :, None]
@@ -119,19 +119,19 @@ def _set_objective(stack, cost) -> None:
     # a row whose basic cost is zero subtracts +0.0, which leaves every entry as it is
     np.multiply(coef, T[:, :-1], out=terms[:, 1:], where=coef != 0.0)
     np.subtract.reduce(terms, axis=1, out=T[:, -1])
-    coef, terms = coef[:, :, 0] if len(R) == len(T) else coef[stack.owner, :, 0], np.zeros(R.shape)
+    coef, terms = coef[stack.owner, :, 0], np.zeros(R.shape)
     np.multiply(coef, R[:, :-1], out=terms[:, 1:], where=coef != 0.0)
     np.subtract.reduce(terms, axis=1, out=R[:, -1])
 
 
 def _regroup(stack, key):
-    """Regroup the LPs of the stack by key, one int per row of R; each path's key and source, and the live counts n, x.
+    """Regroup the LPs of the stack by key, one int per row of R; the live stack, each path's key and its source.
 
     Every tableau is gathered anew: the LPs of a path with one key stay on
-    one path, and each further key takes a copy of the tableau.  The n paths
-    whose key is at least 0 come first, holding the x LPs whose key is, then
-    the others, each in their former order, and R's rows follow their paths;
-    src[q] is the path that path q was copied from.
+    one path, and each further key takes a copy of the tableau.  The paths
+    whose key is at least 0 come first, holding the LPs whose key is, then
+    the others, each in their former order, and R's rows follow their paths.
+    live views the leading paths and LPs; src[q] is path q's source.
     """
     T, owner = stack.T, stack.owner
     group = (owner + len(T) * (key < 0)) * T.shape[1] + key + 1
@@ -141,12 +141,8 @@ def _regroup(stack, key):
     path_key, src = key[first], owner[first]
     stack.T, stack.basis = T[src], stack.basis[src]
     stack.R, stack.owner, stack.ids = stack.R[order], np.cumsum(starts) - 1, stack.ids[order]
-    return path_key, src, np.count_nonzero(path_key >= 0), np.count_nonzero(key >= 0)
-
-
-def _head(stack, n, x):
-    """The stack's first n paths and first x LPs, as views."""
-    return _Stack(stack.T[:n], stack.basis[:n], stack.R[:x], stack.owner[:x], stack.ids[:x])
+    n, x = np.count_nonzero(path_key >= 0), np.count_nonzero(key >= 0)
+    return _Stack(stack.T[:n], stack.basis[:n], stack.R[:x], stack.owner[:x], stack.ids[:x]), path_key, src
 
 
 def _run_stack(stack, structural, columns, failures) -> None:
@@ -155,12 +151,13 @@ def _run_stack(stack, structural, columns, failures) -> None:
     Columns up to ``structural``, the guard, may enter; every basis label is
     below ``columns``.  A step picks each path's entering column and runs the
     ratio test for every LP.  The n paths still running lead the stack, their
-    x LPs lead R, and each step pivots those views.  Where an LP stops, or
-    the LPs of a path choose different leaving rows, ``_regroup`` first
-    splits the paths by the LPs' choices and moves the stopped ones behind
-    the rest.  Where n equals x, own is the identity, and is not read.
+    x LPs lead R, and each step pivots those views, t, b, r and own.  Where an
+    LP stops, or the LPs of a path choose different leaving rows, ``_regroup``
+    splits the paths by the LPs' choices, moves the stopped ones behind the
+    rest and hands back the live stack that the views are rebound to.  Where
+    n equals x, own is the identity, and is not read.
     """
-    n, x = len(stack.T), len(stack.R)
+    live, n, x = stack, len(stack.T), len(stack.R)
     every, no_ratios = np.arange(x), np.full((x, stack.R.shape[1] - 1), np.nan)
     t, b, r, own, s = stack.T, stack.basis, stack.R, stack.owner, every[:n]
     obj, rhs, lead = t[:, -1], r[:, :-1], s if n == x else np.searchsorted(own, s)  # lead: each path's first LP
@@ -175,7 +172,7 @@ def _run_stack(stack, structural, columns, failures) -> None:
         stop = np.isnan(bound)
         stops = stop.any()
         if stops:
-            for j in stack.ids[:x][stop & (col[own] < structural)].tolist():  # the guard enters only at an optimum
+            for j in live.ids[stop & (col[own] < structural)].tolist():  # the guard enters only at an optimum
                 failures[j] = SolverFailure("no blocking row for the entering column")
             if stop.all():
                 return
@@ -183,21 +180,22 @@ def _run_stack(stack, structural, columns, failures) -> None:
         path_row = row if n == x else row[lead]
         if stops or (n < x and (path_row[own] != row).any()):
             key = np.concatenate([np.where(stop, -1, row), np.full(len(stack.ids) - x, -1)])  # -1: the LP stops, or stopped before
-            path_row, src, n, x = _regroup(stack, key)
-            t, b, r, own, s = stack.T[:n], stack.basis[:n], stack.R[:x], stack.owner[:x], every[:n]
-            obj, rhs, lead = t[:, -1], r[:, :-1], s if n == x else np.searchsorted(own, s)
+            live, path_row, src = _regroup(stack, key)
+            t, b, r, own, n, x = live.T, live.basis, live.R, live.owner, len(live.T), len(live.R)
+            obj, rhs, s = t[:, -1], r[:, :-1], every[:n]
+            lead = s if n == x else np.searchsorted(own, s)
             col, column = col[src[:n]], column[src[:n]]
         _pivot_stack(t, b, s, path_row[:n], col, column, r, own)
-    for j in stack.ids[:x].tolist():
+    for j in live.ids.tolist():
         failures[j] = SolverFailure(f"simplex did not terminate within {MAX_PIVOTS} pivots")
 
 
 def _solve_stack(stack, n_art, c, lower, X, values) -> list:
     """The two phases on every LP of the stack, which they change; per LP None or its error, one list both runs write.
 
-    LP i's x and value go to X[i] and values[i], NaN if it fails.  Its n_art
-    artificials are basis labels past the guard with no column.  The LPs that
-    fail phase 1, and the paths they empty, leave the stack before phase 2.
+    LP i's x and value go to X[i] and values[i], NaN if it fails; its n_art
+    artificials are basis labels past the guard.  Phase 2 runs on the live
+    view ``_regroup`` hands back, without the LPs that fail phase 1.
     """
     structural, failures = stack.T.shape[2] - 1, [None] * len(stack.ids)
     columns = structural + 1 + n_art  # every label is below columns
@@ -213,15 +211,14 @@ def _solve_stack(stack, n_art, c, lower, X, values) -> list:
                 failures[j] = LPInfeasible(f"phase 1 optimum {value:.3e} above feasibility tolerance")
         failed = np.array([failure is not None for failure in failures])[stack.ids]
         if failed.any():  # the LPs that passed lead the regrouped stack, and the rest leave it
-            stack = _head(stack, *_regroup(stack, -failed.astype(int))[2:])
+            stack = _regroup(stack, -failed.astype(int))[0]
         # drive leftover artificials out of the basis where possible, row i of every path in turn;
         # a row with none to pivot on is redundant, and its artificial stays basic at value zero
         for i in (stack.basis > structural).any(axis=0).nonzero()[0]:
             paths = (stack.basis[:, i] > structural) & (np.abs(stack.T[:, i, :structural]) > PIVOT_TOL).any(axis=1)
             if paths.any():  # the paths to pivot lead the regrouped stack
-                head = stack if paths.all() else _head(stack, *_regroup(stack, paths[stack.owner].astype(int) - 1)[2:])
-                s = np.arange(len(head.T))
-                col = (np.abs(head.T[:, i, :structural]) > PIVOT_TOL).argmax(axis=1)
+                head = _regroup(stack, paths[stack.owner].astype(int) - 1)[0]
+                s, col = np.arange(len(head.T)), (np.abs(head.T[:, i, :structural]) > PIVOT_TOL).argmax(axis=1)
                 _pivot_stack(head.T, head.basis, s, np.full(len(s), i), col, head.T[s, :, col], head.R, head.owner)
 
     # phase 2: the original objective on the shifted variables
@@ -229,11 +226,10 @@ def _solve_stack(stack, n_art, c, lower, X, values) -> list:
     _set_objective(stack, cost)
     _run_stack(stack, structural, columns, failures)
     # the answers at once
-    basis, R, ids = stack.basis, stack.R, stack.ids
-    Z = np.zeros((len(ids), columns))
-    Z[np.arange(len(ids))[:, None], basis if len(R) == len(basis) else basis[stack.owner]] = R[:, :-1]
+    Z = np.zeros((len(stack.ids), columns))
+    Z[np.arange(len(stack.ids))[:, None], stack.basis[stack.owner]] = stack.R[:, :-1]
     x = Z[:, : c.shape[0]] + lower
-    X[ids], values[ids] = x, rows_dot(x, c)
+    X[stack.ids], values[stack.ids] = x, rows_dot(x, c)
     for i, failure in enumerate(failures):
         if failure is not None:
             X[i], values[i] = np.nan, np.nan
@@ -266,9 +262,8 @@ def _tableaux(c, A_ub, b_ub, A_eq, B_eq, lower, upper):
     shared = np.zeros((m, width))
     shared[: m_ub - n, :n] = A_ub
     shared[m_ub:, :n] = A_eq
-    flat = shared.reshape(-1)  # a diagonal of a block is every (width + 1)-th entry from its corner
-    flat[(m_ub - n) * width : m_ub * width : width + 1] = 1.0  # the upper-bound rows
-    flat[n : m_ub * width : width + 1] = 1.0  # the slacks
+    np.fill_diagonal(shared[m_ub - n : m_ub], 1.0)  # the upper-bound rows
+    np.fill_diagonal(shared[:m_ub, n:], 1.0)  # the slacks
     R = np.zeros((len(B_eq), m + 1))
     R[:, :m_ub], R[:, m_ub:m] = rhs_ub, B_eq - A_eq @ lower
     flips = R < 0

@@ -194,6 +194,21 @@ def test_lemma3_singleton_skips():
     assert result.checks == []
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_membership_tol_that_no_check_can_mean_is_refused(monkeypatch, tol):
+    """argmin_membership and lemma3_check raise the ValueError naming a NaN, negative or infinite tol
+    before any work: no point is read and no minimum is sought."""
+    C = box_domain(1, 3.0)
+    for x in ([0.5], [0.5, 0.5]):
+        with pytest.raises(ValueError, match="^tol must be finite and nonnegative$"):
+            argmin_membership(FLAT_INTERVAL, C, x, 0.0, tol)
+    with monkeypatch.context() as patch:
+        patch.setattr(argmin, "minimize_over", None)
+        with pytest.raises(ValueError, match="^tol must be finite and nonnegative$"):
+            lemma3_check(FLAT_INTERVAL, C, seed=4, tol=tol)
+    assert argmin_membership(FLAT_INTERVAL, C, [0.5], 0.0, 0.0)  # zero is a tolerance
+
+
 def test_lemma3_is_deterministic():
     a = lemma3_check(FLAT_RECTANGLE, box_domain(2, 3.0), seed=13)
     b = lemma3_check(FLAT_RECTANGLE, box_domain(2, 3.0), seed=13)

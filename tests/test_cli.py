@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -304,6 +305,47 @@ def test_query_point_with_negative_first_coordinate(tmp_path, capsys):
             parse_args(argv)
         assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_negative_value_after_any_option(tmp_path, capsys):
+    """Every option that takes a value takes one that argparse would read as a flag, with or without "=",
+    abbreviated too; a flag after an option is no value, and a negative tolerance is config_error's to refuse."""
+    out = tmp_path / "tol.json"
+    for argv in (["--tol-support", "-1e-3"], ["--tol-support=-1e-3"], ["--tol-sup", "-1e-3"]):
+        config = parse_args(["verify", *argv, "--out", str(out)])
+        assert config.run.tol_support == -1e-3 and config == parse_args(["verify", "--out", str(out), *argv])
+        assert main(config) == 2 and not out.exists()
+        assert "error: --tol-support must be finite and nonnegative" in capsys.readouterr().err
+    config = parse_args(["verify", "--tol-active", "-.5", "--seed", "-1", "--out", "-1.json", "--tol-membership", "-1e-3"])
+    assert (config.run.tol_active, config.run.seed, config.out, config.run.tol_membership) == (-0.5, -1, "-1.json", -1e-3)
+    inst = _write(tmp_path / "one.json", ONE_NORM_DOC)
+    for argv in (
+        ["verify", "--tol-support", "--trials", "3"],
+        ["verify", "--tol", "-1e-3"],  # ambiguous: three --tol-* flags
+        ["query", "subdiff", "--x", "--instance", inst],
+        ["verify", "--help", "-1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == (0 if "--help" in argv else 2), argv
+    capsys.readouterr()
+
+
+def test_readme_verify_flag_table_matches_the_parser():
+    """README's `verify` flag table names the parser's flags, and each default the parser sets, a number compared as one."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| flag | default | meaning |") + 2
+    table = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")] for line in table]
+    subparsers = next(action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction))
+    actions = {action.option_strings[-1]: action for action in subparsers.choices["verify"]._actions if action.option_strings}
+    actions.pop("--help")
+    assert [flag for flag, _, _ in rows] == list(actions)
+    for flag, default, _ in rows:
+        want = actions[flag].default
+        if want is not None:
+            assert (float(default) if isinstance(want, (int, float)) else default) == want, flag
+    assert [flag for flag, _, _ in rows if actions[flag].default is None] == ["--out"]
 
 
 def test_query_restricted_subdiff(tmp_path, capsys):

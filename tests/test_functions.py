@@ -465,7 +465,7 @@ def test_validation_errors():
         normal_form("abs")
     with pytest.raises(DimensionMismatch):
         evaluate_many(ABS, np.zeros((3, 2)))
-    with pytest.raises(ValueError, match="active_tol must be nonnegative"):
+    with pytest.raises(ValueError, match="active_tol must be finite and nonnegative"):
         subdifferential(ABS, (0.0,), -1e-9)
     for doc in ([ABS_DOC], {"pieces": ABS_DOC["pieces"]}):
         with pytest.raises(ValueError, match="with a 'type' key"):
@@ -476,6 +476,20 @@ def test_validation_errors():
         function_from_json({"type": "norm"})
     with pytest.raises(TypeError, match="not a convex function: dict"):
         function_to_json(ABS_DOC)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_active_tol_that_no_check_can_mean_is_refused(tol):
+    """A NaN, negative or infinite active_tol raises the ValueError that names it, before the point is read."""
+    for call in (
+        lambda: subdifferential(ABS, (0.0,), tol),
+        lambda: subdifferential(ABS, (0.0, 0.0, 0.0), tol),  # a point of the wrong length
+        lambda: one_dim_subdifferential(ABS, (0.0,), (1.0,), tol),
+        lambda: one_dim_subdifferential(ABS, (0.0,), (0.0,), tol),  # a zero direction
+    ):
+        with pytest.raises(ValueError, match="^active_tol must be finite and nonnegative$"):
+            call()
+    assert subdifferential(ABS, (0.0,), 0.0).summands[0].tolist() == [[1.0], [-1.0]]  # zero is a tolerance
 
 
 def _per_piece_json(f) -> dict:

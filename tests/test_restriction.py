@@ -407,6 +407,23 @@ def test_lemma1_check_raises_in_direction_order():
         lemma1_check(g, (0.0,), [u, np.zeros(3), np.array([1.0, 0.0])])
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_tolerances_that_no_check_can_mean_are_refused(monkeypatch, tol):
+    """restricted_subdifferential and lemma1_check raise the ValueError naming a NaN, negative or infinite
+    tolerance before any work, on a zero-dimensional fiber too; at the default tolerances the trial passes."""
+    g, point = restrict(ONE_NORM, S_SUM, np.array([0.0])), restrict(ONE_NORM, np.eye(2), np.zeros(2))
+    u = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    for h, w in ((g, (0.0,)), (point, ())):
+        with pytest.raises(ValueError, match="^active_tol must be finite and nonnegative$"):
+            restricted_subdifferential(h, w, tol)
+    with monkeypatch.context() as patch:
+        patch.setattr(restriction, "restricted_subdifferential", None)  # reached only past the refusals
+        for kwargs, name in ((dict(support_tol=tol), "support_tol"), (dict(active_tol=tol), "active_tol")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative$"):
+                lemma1_check(g, (0.0,), [u], **kwargs)
+    assert lemma1_check(g, (0.0,), [u]).status == "pass"
+
+
 def test_support_function_stack_matches_one_row_calls():
     """support_function of a stack is its one-direction call on every row, bit for bit, at heights 0, 1 and 5, on 1-3 summands."""
     rng = np.random.default_rng(43)

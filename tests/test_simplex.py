@@ -942,6 +942,73 @@ def test_shared_path_runs_match_compact_copies(monkeypatch, max_pivots):
         assert f"simplex did not terminate within {max_pivots} pivots" in kinds
 
 
+def test_regroup_hands_back_views_of_the_leading_paths_and_lps():
+    """The stack ``_regroup`` hands back views the regrouped stack's arrays and holds exactly its LPs of key at least 0.
+
+    Those LPs come first, in the order of their former paths, then of their
+    keys, each LP keeping its right-hand side and its path's tableau and
+    basis; the LPs of each live path share its key, and the dropped LPs
+    follow on their own paths.
+    """
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        shapes = rng.integers(-2, 3, (4, 3, 5)).astype(float)
+        T = shapes[rng.integers(0, 4, 30)]
+        T[:, :, -1] = rng.integers(0, 5, (30, 3))  # each LP's right-hand side
+        stack = _paths(T, np.tile([4, 5], (30, 1)))
+        ids, owner, tableaux, bases, R = stack.ids.copy(), stack.owner.copy(), stack.T.copy(), stack.basis.copy(), stack.R.copy()
+        key = rng.integers(-1, 2, 30)  # -1, or a leaving row
+        live, path_key, src = simplex._regroup(stack, key)
+        for name in ("T", "basis", "R", "owner", "ids"):
+            assert np.shares_memory(getattr(live, name), getattr(stack, name)), name
+        kept = sorted(np.flatnonzero(key >= 0), key=lambda e: (owner[e], key[e]))
+        order = kept + sorted(np.flatnonzero(key < 0), key=lambda e: owner[e])
+        assert live.ids.tolist() == ids[kept].tolist() and stack.ids.tolist() == ids[order].tolist()
+        assert live.R.tobytes() == R[kept].tobytes() and stack.R.tobytes() == R[order].tobytes()
+        assert stack.T[stack.owner].tobytes() == tableaux[owner[order]].tobytes()
+        assert stack.basis[stack.owner].tobytes() == bases[owner[order]].tobytes()
+        assert (src[stack.owner] == owner[order]).all() and (path_key[stack.owner] == key[order]).all()
+        assert len(live.T) == len({(owner[e], key[e]) for e in kept}) == np.count_nonzero(path_key >= 0)
+        assert (path_key[: len(live.T)] >= 0).all() and len(live.R) == len(kept)
+
+
+def test_phase_one_cut_beside_drive_outs_matches_compact_copies(monkeypatch):
+    """LPs that fail phase 1 leave a stack in which leftover artificials are then driven out, byte for byte as ``_compact_solve_stack``.
+
+    At seeds 11 and 65 of ``_shared_path_stack`` some LPs fail phase 1 and
+    leave the stack, and the drive-out pivots some of the paths left (seed
+    11) or every one (seed 65); each outcome is also the reference's of its
+    LP alone.
+    """
+    regroup, run, events = simplex._regroup, simplex._run_stack, []
+
+    def regrouped(stack, key):
+        events.append(sorted(stack.ids[key < 0].tolist()))  # the LPs a regroup moves behind the live stack
+        return regroup(stack, key)
+
+    def ran(*args):
+        events.append("run")
+        run(*args)
+        events.append("end")
+
+    monkeypatch.setattr(simplex, "_regroup", regrouped)
+    monkeypatch.setattr(simplex, "_run_stack", ran)
+    kinds = set()
+    for seed in (11, 65):
+        c, A_ub, b_ub, A_eq, B_eq, lower, upper = _shared_path_stack(seed)
+        events.clear()
+        got = _outcomes(*solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=B_eq, lower=lower, upper=upper))
+        stack, n_art = simplex._tableaux(c, A_ub, b_ub, A_eq, B_eq, lower, upper)
+        want = _compact_solve_stack(*_per_lp(stack), n_art, c, lower)
+        assert [_fingerprint(o) for o in got] == [_fingerprint(o) for o in want], seed
+        assert [_fingerprint(_reference(c, A_ub, b_ub, A_eq, b_eq, lower, upper)) for b_eq in B_eq] == [_fingerprint(o) for o in want]
+        failed = [j for j, o in enumerate(want) if isinstance(o, LPInfeasible)]
+        cut, *drive_outs = events[events.index("end") + 1 : events.index("run", 1)]  # the regroups between the phases
+        assert 0 < len(failed) < len(B_eq) and cut == failed and drive_outs, seed
+        kinds.update("some" if dropped else "every" for dropped in drive_outs)
+    assert kinds == {"some", "every"}
+
+
 def test_phase_one_failures_hold_one_stack():
     """A row that fails phase 1 costs no second stack: the survivors move to the front in place.
 
