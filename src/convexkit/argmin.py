@@ -7,7 +7,8 @@ and work on the normal form of the objective, lifted to its epigraph by
 halfspaces as rows, no fiber rows).  A sum of max-affine blocks alone is the
 epigraph linear program, solved by the simplex (status ``exact-LP``).  An
 objective with a quadratic part is a convex quadratic program on the same
-lift, solved by a primal active-set method (status ``exact-QP``).
+lift, solved by Lemke's complementary pivoting (``simplex.solve_qp``, status
+``exact-QP``); the simplex's phase one alone decides that a domain is empty.
 
 The segment check behind lemma3_check does not depend on the accuracy of the
 minimum: for any level m the set {x in C : f(x) <= m + tol} is convex, so
@@ -32,17 +33,12 @@ from .errors import DimensionMismatch, InfeasibleDomain, LPInfeasible, SolverFai
 from .instances import domain_to_json, function_to_json
 from .linalg import as_vector, row_norms, rows_dot
 from .report import CheckResult, TrialResult
-from .simplex import solve_lp
+from .simplex import solve_lp, solve_qp
 
 DEFAULT_MEMBERSHIP_TOL = 1e-6
-QP_MAX_STEPS = 1000
-FLAT_TOL = 1e-10  # reduced-Hessian eigenvalues below this, relative to the largest, count as zero
-STATIONARY_TOL = 1e-12  # reduced gradients below this, relative to the gradient, count as zero
-MULTIPLIER_TOL = 1e-9  # multipliers above -MULTIPLIER_TOL, relative to the gradient, count as nonnegative
-BLOCK_TOL = 1e-10  # rows this close to parallel to a step do not block it
 DISTINCT_TOL = 1e-2
 PROBE_DIRECTIONS = 8
-BISECTION_STEPS = 50
+BISECTION_STEPS = 50  # even: each probe takes two halvings
 MAX_MEMBERS = 6
 SEGMENT_LAMBDAS = tuple(k / 10.0 for k in range(1, 10))
 
@@ -94,7 +90,8 @@ def feasible_point(C: PolyhedralDomain) -> np.ndarray:
 
     The origin for a bare box; otherwise the epigraph LP of no blocks: a
     zero-cost linear program over C's box and halfspaces, which the simplex's
-    own phase one decides.
+    own phase one decides.  The QP path asks it only when its pivots end on
+    a ray.
     """
     if not C.inequalities:
         return np.zeros(C.dim)
@@ -118,88 +115,31 @@ def _lp_minimize(blocks, C: PolyhedralDomain) -> ArgminCertificate:
     return ArgminCertificate(float(values[0]), X[0, : C.dim], "exact-LP")
 
 
-def _face_step(H, W, grad, scale):
-    """Descent step within the face of the working rows W, and its full length.
-
-    The face's directions are the null space Z of W.  A zero-curvature
-    descent direction has no full length (inf); otherwise the Newton step
-    minimizes the quadratic on the face (length 1).  None when the face
-    holds no descent direction.
-    """
-    Z = np.linalg.svd(W)[2][len(W) :].T
-    g = Z.T @ grad
-    lam, U = np.linalg.eigh(Z.T @ H @ Z)
-    flat = lam <= FLAT_TOL * (1.0 + float(np.max(np.abs(lam), initial=0.0)))
-    along = U[:, flat].T @ g
-    if float(np.linalg.norm(along)) > STATIONARY_TOL * scale:
-        return -Z @ (U[:, flat] @ along), np.inf
-    along = U[:, ~flat].T @ g
-    if float(np.linalg.norm(along)) > STATIONARY_TOL * scale:
-        return -Z @ (U[:, ~flat] @ (along / lam[~flat])), 1.0
-    return None
-
-
-def _active_set_qp(H, q, A, b, z):
-    """Minimize z . H z / 2 + q . z subject to A z <= b, from a feasible z.
-
-    Primal active-set method (Nocedal & Wright, Numerical Optimization,
-    Alg. 16.3) for a PSD, possibly singular H.  The working set stays
-    linearly independent: a row joins only when it blocks a step, and the
-    step lies in the null space of the rows already in.  Every variable is
-    boxed, so some row blocks each zero-curvature step.  At a minimizer of
-    its face, the point is optimal when no multiplier is negative; otherwise
-    the row with the most negative multiplier leaves.
-    """
-    work, settled = [], False
-    norms = np.linalg.norm(A, axis=1)
-    for _ in range(QP_MAX_STEPS):
-        grad = H @ z + q
-        scale = 1.0 + float(np.max(np.abs(grad)))
-        step = None if settled else _face_step(H, A[work], grad, scale)
-        if step is None:
-            if not work:
-                return z
-            mu = np.linalg.lstsq(A[work].T, -grad, rcond=None)[0]
-            j = int(np.argmin(mu))
-            if mu[j] >= -MULTIPLIER_TOL * scale:
-                return z
-            del work[j]
-            settled = False
-            continue
-        p, full = step
-        Ap = A @ p
-        blocking = Ap > BLOCK_TOL * norms * float(np.linalg.norm(p))
-        blocking[work] = False
-        ratios = np.full(len(b), np.inf)
-        ratios[blocking] = np.maximum(b - A @ z, 0.0)[blocking] / Ap[blocking]
-        i = int(np.argmin(ratios))
-        z = z + min(full, float(ratios[i])) * p
-        settled = ratios[i] >= full
-        if not settled:
-            work.append(i)
-    raise SolverFailure(f"active-set QP did not reach an optimum within {QP_MAX_STEPS} steps")
-
-
 def _qp_minimize(f, blocks, quad, C: PolyhedralDomain) -> ArgminCertificate:
+    """The epigraph QP in z = x - lower >= 0 by ``solve_qp``; on a ray, the simplex's phase one in ``feasible_point`` decides emptiness."""
     d = C.dim
     q, rows, rhs, _, lower, upper = fn.epigraph(d, blocks, C.box_radius, C.inequalities, np.zeros((0, d)))
     n = len(q)
     q[:d] = quad.c
     H = np.zeros((n, n))
     H[:d, :d] = 2.0 * quad.Q
-    x = feasible_point(C)
-    t = [fn.evaluate(block, x) for block in blocks]
-    A = np.vstack([rows, np.eye(n), -np.eye(n)])
-    z = _active_set_qp(H, q, A, np.concatenate([rhs, upper, -lower]), np.concatenate([x, t]))
-    return ArgminCertificate(float(fn.evaluate(f, z[:d])), z[:d], "exact-QP")
+    A = np.vstack([rows, np.eye(n)])
+    y, failure = solve_qp(H, q + H @ lower, A, np.concatenate([rhs - rows @ lower, upper - lower]))
+    if isinstance(failure, LPInfeasible):
+        feasible_point(C)  # InfeasibleDomain, the LP path's, where C is empty
+        raise SolverFailure(f"{failure}, yet the domain is not empty") from failure
+    if failure is not None:
+        raise failure
+    x = y[:d] + lower[:d]
+    return ArgminCertificate(float(fn.evaluate(f, x)), x, "exact-QP")
 
 
 def minimize_over(f, C: PolyhedralDomain) -> ArgminCertificate:
     """Minimum of f over C with a feasible witness, by a finite exact method.
 
     Sums of max-affine blocks go to the epigraph LP, anything with a
-    quadratic part to the active-set QP.  Raises InfeasibleDomain for an
-    empty domain and SolverFailure when a solver exhausts its step budget.
+    quadratic part to the epigraph QP.  Raises InfeasibleDomain for an
+    empty domain and SolverFailure when a solver exhausts its pivot budget.
     """
     if f.dim != C.dim:
         raise DimensionMismatch(f"function on R^{f.dim}, domain in R^{C.dim}")
@@ -247,7 +187,7 @@ def _extreme_members(f, C, base, V, m, tol):
     reach = _members(f, C, base + top * U, m, tol)
     rays = np.flatnonzero(~zero & ~reach)
     a, b, W = np.zeros(rays.size), np.full(rays.size, top), U[rays]
-    for remaining in range(BISECTION_STEPS, 0, -2):
+    for _ in range(BISECTION_STEPS // 2):
         keep = b >= DISTINCT_TOL / 2
         if not keep.all():
             rays, a, b, W = rays[keep], a[keep], b[keep], W[keep]
@@ -257,15 +197,14 @@ def _extreme_members(f, C, base, V, m, tol):
         t = np.stack([mid, 0.5 * (a + mid), 0.5 * (mid + b)])
         inside = _members(f, C, (base + t[:, :, None] * W).reshape(-1, C.dim), m, tol).reshape(3, -1)
         a, b = np.where(inside[0], mid, a), np.where(inside[0], b, mid)
-        if remaining > 1:
-            inside, mid = np.where(inside[0], inside[2], inside[1]), 0.5 * (a + b)
-            a, b = np.where(inside, mid, a), np.where(inside, b, mid)
+        inside, mid = np.where(inside[0], inside[2], inside[1]), 0.5 * (a + b)
+        a, b = np.where(inside, mid, a), np.where(inside, b, mid)
     found, lo = reach & ~zero, np.where(reach, top, 0.0)
     found[rays], lo[rays] = True, a
     return np.where(found[:, None], base + lo[:, None] * U, base)
 
 
-def _distinct(points, tol, limit=None):
+def _distinct(points, tol, limit):
     """The points, in order, that lie farther than tol from every point kept before them; at most limit of them."""
     kept = []
     for p in points:

@@ -20,9 +20,9 @@ nothing is stacked: one-row products (``_orthonormalize``'s per-row strip,
 ``np.linalg.norm``, ``functions.subdifferential`` and ``_gradient``), which
 would pay the stacking overhead on lemma1's hot path; whole-matrix products
 (``anchor_map``'s ``M`` and ``normal``, ``restricted_subdifferential``'s
-projection, the KKT system); the QP's inner steps; the simplex's tableau
-arithmetic and ``A @ lower``, which rounds by its operand's memory order;
-and the instance draws.
+projection, the KKT system, the epigraph QP's shift by ``lower``); the
+simplex's tableau arithmetic, its QP's included, and ``A @ lower``, which
+rounds by its operand's memory order; and the instance draws.
 
 Every orthonormal basis comes from one loop: modified Gram-Schmidt over a
 sequence of vectors, each stripped of an optional fixed basis and of the rows

@@ -1,4 +1,4 @@
-"""Dense two-phase simplex for small boxed linear programs.
+"""Dense two-phase simplex for small boxed linear programs, and Lemke's pivoting for convex QPs.
 
 Solves   minimize c . x
          subject to  A_ub x <= b_ub,  A_eq x = b_eq,  lower <= x <= upper
@@ -50,6 +50,14 @@ guard with no column, and each stored entry gets the arithmetic it got beside
 those columns (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*,
 section 3.5).  Every row gives the x and value of the one-LP two-phase routine
 that the tests keep as the reference, bit for bit on finite tableaux.
+
+``solve_qp`` takes a convex QP's KKT conditions, a linear complementarity
+problem with a positive semidefinite M, through Lemke's pivots (Lemke,
+Management Sci. 11(7), 1965; Cottle, Pang & Stone, *The Linear
+Complementarity Problem*, section 4.4) on [I, -M, -e | p], by the one-row
+arithmetic above with PIVOT_TOL, MAX_PIVOTS (per run) and the tie bound.
+Product-form rounding can end a run on a ray that is not there, so a ray
+gets one more run, which refactors the tableau at every step.
 """
 
 from __future__ import annotations
@@ -314,3 +322,54 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, lower, upper):
     for rows in (slice(start, start + height) for start in range(0, len(B_eq), height)):
         failures[rows] = _solve_stack(*_tableaux(c, A_ub, b_ub, A_eq, B_eq[rows], lower, upper), c, lower, X[rows], values[rows])
     return X, values, failures
+
+
+def solve_qp(H, q, A, b):
+    """Minimize z . H z / 2 + q . z subject to A z <= b and z >= 0, for a positive semidefinite H; returns (y, failure).
+
+    y solves the LCP of M = [[H, A^T], [-A, 0]] and p = [q; b]: z is y[:n],
+    the multipliers of A's rows y[n:].  failure is None, LPInfeasible where
+    both runs end on a ray (no z satisfies the rows), or SolverFailure past
+    MAX_PIVOTS or at a singular basis; y is NaN unless failure is None.
+    """
+    n, N = len(q), len(q) + len(b)
+    p = np.concatenate([q, b])
+    if (p >= 0.0).all():
+        return np.zeros(N), None
+    start = np.zeros((N, 2 * N + 2))  # [I, -M, -e | p]
+    np.fill_diagonal(start, 1.0)
+    start[:n, N : N + n], start[:n, N + n : 2 * N], start[n:, N : N + n] = -H, -A.T, A
+    start[:, 2 * N], start[:, -1] = -1.0, p
+    cover, unblocked = N - 1 - int(np.argmin(p[::-1])), np.full(N, np.inf)  # z0 enters [p | I]'s least row, the last of the least p, and keeps it
+    for refactor in (False, True):
+        basis, T, row, col = np.arange(N), start.copy(), cover, 2 * N
+        for _ in range(MAX_PIVOTS):
+            leaving, basis[row] = basis[row], col
+            if not refactor:  # the simplex's one-row arithmetic
+                column, pivot_row = T[:, col].copy(), T[row] / T[row, col]
+                T -= column[:, None] * pivot_row
+                T[row] = pivot_row + 0.0
+            else:
+                try:
+                    T = np.linalg.solve(start[:, basis], start)
+                except np.linalg.LinAlgError:
+                    return np.full(N, np.nan), SolverFailure("complementary pivoting reached a singular basis")
+            if leaving == 2 * N:  # z0 left: the basis is complementary
+                y, structural = np.zeros(N), basis >= N
+                y[basis[structural] - N] = T[structural, -1]
+                return y, None
+            col = leaving + N if leaving < N else leaving - N  # the complement of the leaving variable enters
+            column = T[:, col]
+            ratios = np.divide(T[:, -1], column, out=unblocked.copy(), where=column > PIVOT_TOL)
+            least = ratios.min()
+            if least == np.inf:
+                break
+            bound = least + 1e-12 * (1.0 + abs(least))
+            if ratios[cover] <= bound:  # z0 leaves whenever it ties
+                row = cover
+            else:  # else the lexicographically least tie of B^-1's rows, each scaled by its entry
+                tied = np.flatnonzero(ratios <= bound)
+                row = tied[0] if len(tied) == 1 else tied[np.lexsort((T[tied, :N] / column[tied, None]).T[::-1])[0]]
+        else:
+            return np.full(N, np.nan), SolverFailure(f"complementary pivoting did not terminate within {MAX_PIVOTS} pivots")
+    return np.full(N, np.nan), LPInfeasible("complementary pivoting ended on a ray: the quadratic program has no feasible point")

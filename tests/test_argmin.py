@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from convexkit import argmin, functions
+from convexkit import argmin, functions, simplex
 from convexkit.argmin import (
     ArgminCertificate,
     PolyhedralDomain,
@@ -24,8 +24,8 @@ from convexkit.argmin import (
     lemma3_check,
     minimize_over,
 )
-from convexkit.errors import DimensionMismatch, InfeasibleDomain, LPInfeasible
-from convexkit.functions import MaxAffine, SumFunction, evaluate, evaluate_many, max_affine, quadratic
+from convexkit.errors import DimensionMismatch, InfeasibleDomain, LPInfeasible, SolverFailure
+from convexkit.functions import MaxAffine, Quadratic, SumFunction, evaluate, evaluate_many, max_affine, quadratic
 from convexkit.harness import RunConfig, run_suite
 from convexkit.linalg import row_norms
 from convexkit.simplex import solve_lp
@@ -101,10 +101,10 @@ def test_feasible_point_and_violation():
 def test_empty_domain_raises():
     # x <= -5 and x >= 5 cannot both hold
     C = PolyhedralDomain(1, (((1.0,), -5.0), ((-1.0,), -5.0)), 3.0)
-    with pytest.raises(InfeasibleDomain):
+    with pytest.raises(InfeasibleDomain) as empty:
         feasible_point(C)
-    for f in (PARABOLA, FLAT_INTERVAL):  # the QP and the LP path
-        with pytest.raises(InfeasibleDomain):
+    for f in (PARABOLA, FLAT_INTERVAL):  # the QP and the LP path, with one message
+        with pytest.raises(InfeasibleDomain, match=f"^{re.escape(str(empty.value))}$"):
             minimize_over(f, C)
 
 
@@ -322,6 +322,200 @@ def test_qp_minimum_is_certified_random():
         assert residual <= 1e-8 and least >= -1e-8, (residual, least)
 
 
+# --- the active-set QP that ``simplex.solve_qp`` replaced, kept as the value reference ---
+
+QP_MAX_STEPS = 1000
+FLAT_TOL = 1e-10  # reduced-Hessian eigenvalues below this, relative to the largest, count as zero
+STATIONARY_TOL = 1e-12  # reduced gradients below this, relative to the gradient, count as zero
+MULTIPLIER_TOL = 1e-9  # multipliers above -MULTIPLIER_TOL, relative to the gradient, count as nonnegative
+BLOCK_TOL = 1e-10  # rows this close to parallel to a step do not block it
+
+
+def _face_step(H, W, grad, scale):
+    """Descent step within the face of the working rows W, and its full length.
+
+    The face's directions are the null space Z of W.  A zero-curvature
+    descent direction has no full length (inf); otherwise the Newton step
+    minimizes the quadratic on the face (length 1).  None when the face
+    holds no descent direction.
+    """
+    Z = np.linalg.svd(W)[2][len(W) :].T
+    g = Z.T @ grad
+    lam, U = np.linalg.eigh(Z.T @ H @ Z)
+    flat = lam <= FLAT_TOL * (1.0 + float(np.max(np.abs(lam), initial=0.0)))
+    along = U[:, flat].T @ g
+    if float(np.linalg.norm(along)) > STATIONARY_TOL * scale:
+        return -Z @ (U[:, flat] @ along), np.inf
+    along = U[:, ~flat].T @ g
+    if float(np.linalg.norm(along)) > STATIONARY_TOL * scale:
+        return -Z @ (U[:, ~flat] @ (along / lam[~flat])), 1.0
+    return None
+
+
+def _active_set_qp(H, q, A, b, z):
+    """Minimize z . H z / 2 + q . z subject to A z <= b, from a feasible z.
+
+    Primal active-set method (Nocedal & Wright, Numerical Optimization,
+    Alg. 16.3) for a PSD, possibly singular H.  The working set stays
+    linearly independent: a row joins only when it blocks a step, and the
+    step lies in the null space of the rows already in.  Every variable is
+    boxed, so some row blocks each zero-curvature step.  At a minimizer of
+    its face, the point is optimal when no multiplier is negative; otherwise
+    the row with the most negative multiplier leaves.
+    """
+    work, settled = [], False
+    norms = np.linalg.norm(A, axis=1)
+    for _ in range(QP_MAX_STEPS):
+        grad = H @ z + q
+        scale = 1.0 + float(np.max(np.abs(grad)))
+        step = None if settled else _face_step(H, A[work], grad, scale)
+        if step is None:
+            if not work:
+                return z
+            mu = np.linalg.lstsq(A[work].T, -grad, rcond=None)[0]
+            j = int(np.argmin(mu))
+            if mu[j] >= -MULTIPLIER_TOL * scale:
+                return z
+            del work[j]
+            settled = False
+            continue
+        p, full = step
+        Ap = A @ p
+        blocking = Ap > BLOCK_TOL * norms * float(np.linalg.norm(p))
+        blocking[work] = False
+        ratios = np.full(len(b), np.inf)
+        ratios[blocking] = np.maximum(b - A @ z, 0.0)[blocking] / Ap[blocking]
+        i = int(np.argmin(ratios))
+        z = z + min(full, float(ratios[i])) * p
+        settled = ratios[i] >= full
+        if not settled:
+            work.append(i)
+    raise SolverFailure(f"active-set QP did not reach an optimum within {QP_MAX_STEPS} steps")
+
+
+def _active_set_minimize(f, C):
+    """``minimize_over`` on a quadratic objective as it was: the epigraph QP by the active-set method from a feasible point."""
+    d = C.dim
+    blocks, quad = functions.normal_form(f)
+    q, rows, rhs, _, lower, upper = functions.epigraph(d, blocks, C.box_radius, C.inequalities, np.zeros((0, d)))
+    n = len(q)
+    q[:d] = quad.c
+    H = np.zeros((n, n))
+    H[:d, :d] = 2.0 * quad.Q
+    x = feasible_point(C)
+    t = [evaluate(block, x) for block in blocks]
+    A = np.vstack([rows, np.eye(n), -np.eye(n)])
+    z = _active_set_qp(H, q, A, np.concatenate([rhs, upper, -lower]), np.concatenate([x, t]))
+    return ArgminCertificate(float(evaluate(f, z[:d])), z[:d], "exact-QP")
+
+
+def _qp_sweep_instance(rng):
+    """A PD, rank-deficient or zero-Q quadratic plus 0-2 max-affine blocks, over a box of radius 10^U(-1, 3) cut by 0-4 halfspaces.
+
+    A halfspace is drawn through a centre point or with slack beyond it, or
+    repeats an earlier one, or opposes an earlier one past its offset, which
+    empties the domain.  Returns (f, C, kind, cut kinds).
+    """
+    d = int(rng.integers(1, 6))
+    radius = float(10.0 ** rng.uniform(-1.0, 3.0))
+    kind = ("pd", "rank-deficient", "zero")[int(rng.integers(0, 3))]
+    U = rng.uniform(-1.0, 1.0, ({"pd": d, "rank-deficient": int(rng.integers(1, d + 1)) - 1, "zero": 0}[kind], d))
+    parts = [quadratic(U.T @ U + (0.1 * np.eye(d) if kind == "pd" else 0.0), c=rng.uniform(-2.0, 2.0, d))]
+    for _ in range(int(rng.integers(0, 3))):
+        pieces = [(rng.uniform(-2.0, 2.0, d), float(rng.uniform(-1.0, 1.0))) for _ in range(int(rng.integers(1, 5)))]
+        parts.append(max_affine(pieces))
+    f = parts[0] if len(parts) == 1 else SumFunction(d, tuple(parts))
+    centre = rng.uniform(-0.5, 0.5, d) * radius
+    cuts, kinds = [], []
+    for _ in range(int(rng.integers(0, 5))):
+        cut = ("tight", "slack", "repeat", "opposed")[int(rng.integers(0, 4 if cuts else 2))]
+        if cut in ("tight", "slack"):
+            g = rng.uniform(-1.0, 1.0, d)
+            h = float(g @ centre) + (float(rng.uniform(0.0, 1.0)) * radius if cut == "slack" else 0.0)
+        else:
+            g, h = cuts[int(rng.integers(0, len(cuts)))]
+            if cut == "opposed":
+                g, h = -g, -h - float(rng.uniform(0.01, 1.0)) * radius
+        cuts.append((g, h))
+        kinds.append(cut)
+    return f, PolyhedralDomain(d, tuple(cuts), radius), kind, kinds
+
+
+def test_lcp_minima_match_the_active_set_qp():
+    """On 3,000 seeded QPs the LCP and the active-set QP agree: both solve, or both raise the same InfeasibleDomain.
+
+    Where both solve, the values agree within 1e-9 (1 + |v|) and the LCP's
+    witness is feasible within 1e-9 (1 + radius).  Every Q kind, repeated
+    and tight halfspaces, and empty domains all occur.
+    """
+    rng = np.random.default_rng(2101)
+    solved, empty = {"pd": 0, "rank-deficient": 0, "zero": 0}, 0
+    repeats = tight = 0
+    for _ in range(3000):
+        f, C, kind, kinds = _qp_sweep_instance(rng)
+        try:
+            want = _active_set_minimize(f, C)
+        except InfeasibleDomain as exc:
+            empty += 1
+            with pytest.raises(InfeasibleDomain, match=f"^{re.escape(str(exc))}$"):
+                minimize_over(f, C)
+            continue
+        got = minimize_over(f, C)
+        assert got.status == "exact-QP"
+        assert abs(got.value - want.value) <= 1e-9 * (1.0 + abs(want.value))
+        assert feasibility_violation(C, got.witness) <= 1e-9 * (1.0 + C.box_radius)
+        assert got.value == evaluate(f, got.witness)
+        solved[kind] += 1
+        repeats += "repeat" in kinds
+        tight += "tight" in kinds
+    assert min(solved.values()) > 500 and 100 < empty < 1000
+    assert repeats > 100 and tight > 500
+
+
+@pytest.mark.parametrize("budget", [0, 3])
+def test_qp_past_its_pivot_budget_is_a_solver_failure(monkeypatch, budget):
+    """x . x over a 3-d box takes 4 complementary pivots: a budget of 0 or 3 ends in SolverFailure, and 4 solves it."""
+    f, C = quadratic(np.eye(3)), box_domain(3, 3.0)
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", budget)
+    with pytest.raises(SolverFailure, match=f"^complementary pivoting did not terminate within {budget} pivots$"):
+        minimize_over(f, C)
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 4)
+    assert_allclose(minimize_over(f, C).witness, np.zeros(3), atol=1e-12)
+
+
+def test_qp_ray_leaves_the_verdict_to_feasible_point(monkeypatch):
+    """With no pivot entry above PIVOT_TOL every run ends on a ray, and the domain check decides.
+
+    The product-form run ends on a ray after z0 enters, and so does the
+    refactored run after its one basis solve.  An empty domain raises
+    feasible_point's InfeasibleDomain, message and all; a domain that is not
+    empty, whose zero-block LP needs no pivot, makes the ray a
+    SolverFailure; and a singular basis in the refactored run is a
+    SolverFailure too.
+    """
+    empty = PolyhedralDomain(1, (((1.0,), -5.0), ((-1.0,), -5.0)), 3.0)
+    nonempty = PolyhedralDomain(1, (((1.0,), 1.0),), 3.0)
+    solves, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+    monkeypatch.setattr(simplex, "PIVOT_TOL", 1e300)
+    with pytest.raises(InfeasibleDomain) as verdict:
+        feasible_point(empty)
+    with pytest.raises(InfeasibleDomain, match=f"^{re.escape(str(verdict.value))}$"):
+        minimize_over(PARABOLA, empty)
+    assert len(solves) == 1
+    ray = "complementary pivoting ended on a ray: the quadratic program has no feasible point"
+    with pytest.raises(SolverFailure, match=f"^{ray}, yet the domain is not empty$"):
+        minimize_over(PARABOLA, nonempty)
+    assert len(solves) == 2
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SolverFailure, match="^complementary pivoting reached a singular basis$"):
+        minimize_over(PARABOLA, nonempty)
+
+
 def _reference_violation(C, x):
     """The one-point constraint check the batched probe must reproduce."""
     worst = float(np.max(np.abs(x))) - C.box_radius
@@ -390,6 +584,18 @@ def _flat_instance(rng):
     return f, PolyhedralDomain(d, tuple(cuts), radius)
 
 
+def _harvest_base(f, C, cert):
+    """Where to harvest from: the origin for a quadratic with c = 0 on a bare box, which minimizes it, else the witness.
+
+    Such a quadratic's minimizers are a face through the origin, and the
+    solver may return any point of it; from the origin, lemma3's first probe
+    ray, -base, is zero.
+    """
+    if isinstance(f, Quadratic) and not f.c.any() and not C.inequalities:
+        return np.zeros(C.dim)
+    return cert.witness
+
+
 def _member_kinds(got, want, base):
     """Count the members equal to the scalar bisection's, and those settled onto base, failing on any other."""
     exact = settled = 0
@@ -403,14 +609,15 @@ def _member_kinds(got, want, base):
     return exact, settled
 
 
-def test_lockstep_harvest_matches_scalar_bisection():
+def test_lockstep_harvest_matches_scalar_bisection(monkeypatch):
     """Members, witness and segment checks equal the one-ray-at-a-time code, bit for bit.
 
     A ray whose bisection can only end within DISTINCT_TOL / 2 of the witness
     settles early and yields the witness, which ``_distinct`` drops as it
     drops that ray's full-bisection member; every other ray's member is the
     scalar bisection's.  The end-to-end checks are compared with the full
-    scalar bisection.
+    scalar bisection.  The harvest starts from ``_harvest_base`` at the
+    certified minimum, lemma3_check's included.
     """
     rng = np.random.default_rng(61)
     zero_rays = exact = settled = 0
@@ -418,7 +625,7 @@ def test_lockstep_harvest_matches_scalar_bisection():
         f, C = _flat_instance(rng)
         tol = argmin.DEFAULT_MEMBERSHIP_TOL
         cert = minimize_over(f, C)
-        m, base = cert.value, cert.witness
+        m, base = cert.value, _harvest_base(f, C, cert)
         probe_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(34,)))
         probes = [-base, *np.eye(C.dim), *(probe_rng.standard_normal(C.dim) for _ in range(argmin.PROBE_DIRECTIONS))]
         rays = [r for v in probes for r in (v, -v)]
@@ -431,8 +638,10 @@ def test_lockstep_harvest_matches_scalar_bisection():
             assert feasibility_violation(C, x) == _reference_violation(C, x)
             assert argmin_membership(f, C, x, m, tol) == _reference_membership(f, C, x, m, tol)
 
-        result = lemma3_check(f, C, seed=seed, tol=tol)
-        members = argmin._distinct([base, *want], argmin.DISTINCT_TOL)[: argmin.MAX_MEMBERS]
+        with monkeypatch.context() as patch:
+            patch.setattr(argmin, "minimize_over", lambda f, C: ArgminCertificate(m, base, cert.status))
+            result = lemma3_check(f, C, seed=seed, tol=tol)
+        members = _unlimited_distinct([base, *want], argmin.DISTINCT_TOL)[: argmin.MAX_MEMBERS]
         if len(members) < 2:
             assert result.status == "skip"
             continue
@@ -449,22 +658,6 @@ def test_lockstep_harvest_matches_scalar_bisection():
         assert segment.gap == worst
         assert np.array_equal(segment.witness["point"], worst_point)
     assert zero_rays > 0 and exact > 0 and settled > 0
-
-
-@pytest.mark.parametrize("steps", [1, 7, 49])
-def test_odd_bisection_steps_match_scalar_bisection(monkeypatch, steps):
-    """With an odd BISECTION_STEPS the last probe takes one halving, and the members still match."""
-    monkeypatch.setattr(argmin, "BISECTION_STEPS", steps)
-    rng = np.random.default_rng(62)
-    exact = 0
-    for _ in range(40):
-        f, C = _flat_instance(rng)
-        cert = minimize_over(f, C)
-        rays = rng.standard_normal((6, C.dim))
-        tol = argmin.DEFAULT_MEMBERSHIP_TOL
-        want = [_reference_extreme_member(f, C, cert.witness, v, cert.value, tol) for v in rays]
-        exact += _member_kinds(argmin._extreme_members(f, C, cert.witness, rays, cert.value, tol), want, cert.witness)[0]
-    assert exact > 0
 
 
 def test_harvest_probes_in_batches(monkeypatch):
@@ -547,7 +740,7 @@ def _unlimited_distinct(points, tol):
     return kept
 
 
-@pytest.mark.parametrize("steps", [1, 7, 49, 50])
+@pytest.mark.parametrize("steps", [50])
 def test_live_ray_harvest_matches_masked_harvest(monkeypatch, steps):
     """The harvest's members equal the masked harvest's byte for byte, zero and early-settling rays included.
 
@@ -564,7 +757,7 @@ def test_live_ray_harvest_matches_masked_harvest(monkeypatch, steps):
     for seed in range(60):
         f, C = _flat_instance(rng)
         cert = minimize_over(f, C)
-        m, base, tol = cert.value, cert.witness, argmin.DEFAULT_MEMBERSHIP_TOL
+        m, base, tol = cert.value, _harvest_base(f, C, cert), argmin.DEFAULT_MEMBERSHIP_TOL
         probe_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(34,)))
         probes = np.vstack([-base, np.eye(C.dim), probe_rng.standard_normal((argmin.PROBE_DIRECTIONS, C.dim))])
         rays = np.vstack([np.stack([probes, -probes], axis=1).reshape(-1, C.dim), np.zeros((1, C.dim)), rng.standard_normal((4, C.dim))])
@@ -592,8 +785,6 @@ def test_distinct_stops_at_its_limit():
         got = argmin._distinct(points, argmin.DISTINCT_TOL, argmin.MAX_MEMBERS)
         assert len(got) == min(len(want), argmin.MAX_MEMBERS)
         assert all(p is q for p, q in zip(got, want))
-        unlimited = argmin._distinct(points, argmin.DISTINCT_TOL)
-        assert len(unlimited) == len(want) and all(p is q for p, q in zip(unlimited, want))
         limited += len(want) > argmin.MAX_MEMBERS
     assert 0 < limited < 300
 

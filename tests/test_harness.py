@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from convexkit import argmin, cli, harness, marginal, restriction, simplex
+from convexkit import cli, harness, marginal, restriction, simplex
 from convexkit.errors import FiberTooLarge
 from convexkit.functions import MaxAffine, evaluate, evaluate_many, max_affine, quadratic
 from convexkit.harness import (
@@ -247,8 +247,7 @@ def test_mutated_marginal_fails_oracle_checks(monkeypatch):
 
 def test_solver_failure_is_a_recorded_trial(monkeypatch):
     """Solvers out of their step budget fail their trials; the run returns every trial."""
-    monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)  # the max-affine trials' LP
-    monkeypatch.setattr(argmin, "QP_MAX_STEPS", 0)  # the quadratic trials' QP
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)  # the max-affine trials' LP and the quadratic trials' QP
     report = run_suite("lemma3", RunConfig(trials=4, seed=42))
     assert [t["id"] for t in report_to_dict(report)["trials"]] == [0, 1, 2, 3]
     for trial in report.trials:

@@ -58,6 +58,17 @@ def test_stacked_products_go_through_linalg():
     assert found == []
 
 
+def test_argmin_calls_no_linalg_routine_but_norm():
+    """``argmin.py`` reaches ``np.linalg`` for ``norm`` alone: its exact solves are the simplex's pivots, with no LAPACK step."""
+    tree = ast.parse((SRC / "argmin.py").read_text(encoding="utf-8"))
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
+            called.add(node.attr)
+    assert called == {"norm"}
+    assert not any(isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "") and node.level == 0 for node in ast.walk(tree))
+
+
 def test_src_private_definitions_are_read():
     """Every private function or class in ``src/convexkit`` is read somewhere in ``src/``, so none outlives its last caller."""
     defined, read = set(), set()

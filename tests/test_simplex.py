@@ -201,6 +201,59 @@ def test_missing_blocking_row_is_a_solver_failure():
         assert tuple(a.tobytes() for a in got) == _after_reference_run(_lone_tableau(*rows[i]))
 
 
+# --- solve_qp: Lemke's complementary pivoting -------------------------------------
+
+
+def _complementarity(H, q, A, b, y):
+    """The LCP's residuals at y: the least of y and of w = M y + p, and the largest |w_i y_i|."""
+    n = len(q)
+    w = np.concatenate([H @ y[:n] + A.T @ y[n:] + q, b - A @ y[:n]])
+    return min(y.min(), w.min()), float(np.max(np.abs(w * y)))
+
+
+def test_qp_with_nonnegative_p_is_solved_by_zero(monkeypatch):
+    """Where q >= 0 and b >= 0, z = 0 with zero multipliers solves the QP, and no pivot is made."""
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
+    y, failure = simplex.solve_qp(np.eye(2), np.array([1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([0.0]))
+    assert failure is None and y.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_qp_tie_that_z0_wins(monkeypatch):
+    """min |z|^2 / 2 - z1 - z2 subject to z2 <= z1, z >= 0: the free minimizer (1, 1) lies on the row.
+
+    So the covering variable z0 ties with that row's slack in the ratio test,
+    leaves, and ends the run after three pivots; the lexicographic rule alone
+    lets the slack leave and takes a fourth.
+    """
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 3)
+    y, failure = simplex.solve_qp(np.eye(2), np.array([-1.0, -1.0]), np.array([[-1.0, 1.0]]), np.array([0.0]))
+    assert failure is None and y.tolist() == [1.0, 1.0, 0.0]
+
+
+def test_qp_with_duplicated_rows():
+    """min |z - 1|^2 / 2 subject to z1 + z2 <= 1 given twice: z = (1/2, 1/2), and the two rows share the multiplier 1/2.
+
+    Then 200 random QPs whose rows repeat: each answer satisfies the LCP.
+    """
+    A = np.array([[1.0, 1.0], [1.0, 1.0]])
+    y, failure = simplex.solve_qp(np.eye(2), np.array([-1.0, -1.0]), A, np.array([1.0, 1.0]))
+    assert failure is None
+    assert_allclose(y[:2], [0.5, 0.5], atol=1e-15)
+    assert y[2:].min() >= 0.0 and y[2:].sum() == pytest.approx(0.5, abs=1e-15)
+    rng = np.random.default_rng(71)
+    for _ in range(200):
+        n = int(rng.integers(1, 5))
+        U = rng.uniform(-1.0, 1.0, (int(rng.integers(0, n + 1)), n))
+        rows = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 4)), n))
+        A = np.vstack([rows, rows[rng.integers(0, len(rows), int(rng.integers(1, 3)))], np.eye(n)])
+        b = np.concatenate([rng.uniform(0.0, 2.0, len(A) - n), np.full(n, 3.0)])
+        H, q = U.T @ U, rng.uniform(-2.0, 2.0, n)
+        y, failure = simplex.solve_qp(H, q, A, b)
+        assert failure is None
+        least, product = _complementarity(H, q, A, b, y)
+        assert least >= -1e-12 and product <= 1e-12, (least, product)
+
+
 def test_zero_objective_returns_feasible_point():
     (x,), _, (failure,) = solve_lp(
         np.zeros(2),
